@@ -41,8 +41,8 @@ func TestTracegenRoundTrip(t *testing.T) {
 		if err := tr.Validate(); err != nil {
 			t.Fatalf("round-tripped trace invalid: %v", err)
 		}
-		if len(tr.Records) == 0 || tr.Name != "list" {
-			t.Fatalf("round-tripped trace lost content: name=%q records=%d", tr.Name, len(tr.Records))
+		if tr.Len() == 0 || tr.Name != "list" {
+			t.Fatalf("round-tripped trace lost content: name=%q records=%d", tr.Name, tr.Len())
 		}
 	}
 }

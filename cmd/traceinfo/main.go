@@ -87,11 +87,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *dump > 0 {
 		fmt.Fprintln(stdout)
 		end := *at + *dump
-		if end > len(tr.Records) {
-			end = len(tr.Records)
-		}
-		for i := *at; i < end; i++ {
-			r := &tr.Records[i]
+		c := tr.Cursor()
+		for c.Next() && c.Index() < end {
+			i, r := c.Index(), c.Record()
+			if i < *at {
+				continue
+			}
 			switch r.Kind {
 			case trace.KindCompute:
 				fmt.Fprintf(stdout, "%8d  compute x%d\n", i, r.Count)

@@ -149,7 +149,7 @@ func RunContext(ctx context.Context, tr *trace.Trace, mem Memory, cfg Config) (R
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	doneBuf := getDone(len(tr.Records))
+	doneBuf := getDone(tr.Len())
 	defer donePool.Put(doneBuf)
 	var (
 		res       Result
@@ -166,9 +166,11 @@ func RunContext(ctx context.Context, tr *trace.Trace, mem Memory, cfg Config) (R
 		predictor = newGshare()
 		warmup    warmSnapshot
 		warmDone  bool
+		c         = tr.Cursor()
 	)
 
-	for i := range tr.Records {
+	for c.Next() {
+		i, rec := c.Index(), c.Record()
 		if i&(checkEvery-1) == 0 {
 			if cfg.Progress != nil {
 				cfg.Progress.Store(instrs)
@@ -176,11 +178,10 @@ func RunContext(ctx context.Context, tr *trace.Trace, mem Memory, cfg Config) (R
 			select {
 			case <-ctx.Done():
 				return Result{}, fmt.Errorf("cpu: %s cancelled at record %d/%d: %w",
-					tr.Name, i, len(tr.Records), context.Cause(ctx))
+					tr.Name, i, tr.Len(), context.Cause(ctx))
 			default:
 			}
 		}
-		rec := &tr.Records[i]
 
 		switch rec.Kind {
 		case trace.KindWarmupEnd:

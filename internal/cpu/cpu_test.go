@@ -239,7 +239,9 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestUnknownKindErrors(t *testing.T) {
-	tr := &trace.Trace{Name: "bad", Records: []trace.Record{{Kind: trace.Kind(88)}}}
+	e := trace.NewEmitter("bad")
+	e.Append(trace.Record{Kind: trace.Kind(88)})
+	tr := e.Finish()
 	if _, err := Run(tr, fixedMem{0}, DefaultConfig()); err == nil {
 		t.Error("expected error for unknown record kind")
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"semloc/internal/core"
+	"semloc/internal/trace"
 )
 
 // engineRunner builds a tiny-scale runner at a fixed parallelism.
@@ -168,7 +169,20 @@ func TestTraceImmutabilityGuard(t *testing.T) {
 	if err := r.Traces().VerifyImmutable(); err != nil {
 		t.Fatalf("pristine cache failed verification: %v", err)
 	}
-	tr.Records[0].Addr ^= 0x40 // simulated stray write by a buggy run
+	// A simulated stray write by a buggy run: one access's address
+	// changes in the shared trace.
+	e := trace.NewEmitter(tr.Name)
+	flipped := false
+	c := tr.Cursor()
+	for c.Next() {
+		r := *c.Record()
+		if r.IsMem() && !flipped {
+			r.Addr ^= 0x40
+			flipped = true
+		}
+		e.Append(r)
+	}
+	*tr = *e.Finish()
 	if _, err := r.RunJobs([]Job{{Workload: "array", Prefetcher: "none"}}); err == nil {
 		t.Fatal("RunJobs returned no error after a cached trace was mutated")
 	}

@@ -91,3 +91,31 @@ func TestRunnerNoLearnerMetricsWithoutTelemetry(t *testing.T) {
 		t.Fatalf("learner metrics registered on a telemetry-free runner:\n%s", buf.String())
 	}
 }
+
+// TestLearnerGaugesSurviveRunWithoutLearner pins DESIGN.md §18's gauge
+// contract: the learner gauges hold the state of the last run that had a
+// learner, so a later cell without one must not publish over them.
+func TestLearnerGaugesSurviveRunWithoutLearner(t *testing.T) {
+	reg := obs.NewRegistry()
+	r := learnerRunner(1, reg)
+	entries := reg.Gauge(obs.GaugeLearnerCSTEntries, "")
+	run := func(prefetcher string) {
+		t.Helper()
+		res, err := r.RunJobs([]Job{{Workload: "list", Prefetcher: prefetcher}})
+		if err == nil {
+			err = res[0].Err
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	run("context")
+	want := entries.Value()
+	if want <= 0 {
+		t.Fatalf("learner_cst_entries = %v after a context cell, want > 0", want)
+	}
+	run("none")
+	if got := entries.Value(); got != want {
+		t.Errorf("learner_cst_entries = %v after a none cell, want the context cell's %v", got, want)
+	}
+}

@@ -24,10 +24,10 @@ func NewOracle(tr *trace.Trace, distance int) *Oracle {
 	if distance <= 0 {
 		distance = 24
 	}
-	var future []memmodel.Line
-	for i := range tr.Records {
-		r := &tr.Records[i]
-		if r.IsMem() {
+	future := make([]memmodel.Line, 0, tr.Accesses())
+	c := tr.Cursor()
+	for c.Next() {
+		if r := c.Record(); r.IsMem() {
 			future = append(future, memmodel.LineOf(r.Addr))
 		}
 	}

@@ -29,17 +29,12 @@ type Profile struct {
 // final bucket.
 func Analyze(tr *trace.Trace, maxDist int) *Profile {
 	p := &Profile{Distances: stats.NewHistogram(maxDist)}
-	memCount := 0
-	for i := range tr.Records {
-		if tr.Records[i].IsMem() {
-			memCount++
-		}
-	}
-	bit := newFenwick(memCount)
+	bit := newFenwick(tr.Accesses())
 	last := make(map[memmodel.Line]int) // line -> time of previous access
 	t := 0
-	for i := range tr.Records {
-		r := &tr.Records[i]
+	c := tr.Cursor()
+	for c.Next() {
+		r := c.Record()
 		if !r.IsMem() {
 			continue
 		}

@@ -99,8 +99,9 @@ func TestPredictsFullyAssociativeCache(t *testing.T) {
 	h := cache.MustNew(cfg)
 	var accesses, misses uint64
 	now := cache.Cycle(0)
-	for i := range tr.Records {
-		r := &tr.Records[i]
+	c := tr.Cursor()
+	for c.Next() {
+		r := c.Record()
 		if !r.IsMem() {
 			continue
 		}

@@ -178,42 +178,42 @@ func FallbackBatchDecision(accs []BatchAccess, blockShift uint) *Frame {
 }
 
 // AccessFrames converts a trace's memory records into the access frames a
-// client streams to the daemon, reproducing the attribute derivation the
-// simulator performs (global 16-bit branch history accumulated in record
-// order). Seq numbering starts at 1.
+// client streams to the daemon, carrying the attributes the simulator
+// hands its prefetcher (the branch history is the trace cursor's). Seq
+// numbering starts at 1. The frames take one allocation and their hints
+// one more, whatever the trace's length.
 func AccessFrames(tr *trace.Trace) []Frame {
-	var out []Frame
-	var hist uint16
-	seq := uint64(0)
-	for i := range tr.Records {
-		r := &tr.Records[i]
-		switch r.Kind {
-		case trace.KindBranch:
-			hist <<= 1
-			if r.Taken {
-				hist |= 1
+	out := make([]Frame, 0, tr.Accesses())
+	var hints []Hints
+	c := tr.Cursor()
+	for c.Next() {
+		r := c.Record()
+		if !r.IsMem() {
+			continue
+		}
+		out = append(out, Frame{
+			Type:       FrameAccess,
+			Seq:        uint64(len(out)) + 1,
+			PC:         r.PC,
+			Addr:       uint64(r.Addr),
+			Value:      r.Value,
+			Reg:        r.Reg,
+			BranchHist: r.BranchHist,
+			Store:      r.Kind == trace.KindStore,
+		})
+		if r.Hints.Valid {
+			if hints == nil {
+				// Sized for every access left, so appends never move
+				// the hints earlier frames point to.
+				hints = make([]Hints, 0, cap(out)-len(out)+1)
 			}
-		case trace.KindLoad, trace.KindStore:
-			seq++
-			f := Frame{
-				Type:       FrameAccess,
-				Seq:        seq,
-				PC:         r.PC,
-				Addr:       uint64(r.Addr),
-				Value:      r.Value,
-				Reg:        r.Reg,
-				BranchHist: hist,
-				Store:      r.Kind == trace.KindStore,
-			}
-			if r.Hints.Valid {
-				f.Hints = &Hints{
-					Valid:      true,
-					TypeID:     r.Hints.TypeID,
-					LinkOffset: r.Hints.LinkOffset,
-					RefForm:    uint8(r.Hints.RefForm),
-				}
-			}
-			out = append(out, f)
+			hints = append(hints, Hints{
+				Valid:      true,
+				TypeID:     r.Hints.TypeID,
+				LinkOffset: r.Hints.LinkOffset,
+				RefForm:    uint8(r.Hints.RefForm),
+			})
+			out[len(out)-1].Hints = &hints[len(hints)-1]
 		}
 	}
 	return out

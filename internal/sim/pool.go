@@ -4,16 +4,15 @@ import (
 	"sync"
 
 	"semloc/internal/cache"
-	"semloc/internal/trace"
 )
 
 // RunPool recycles the allocation-heavy per-run scratch of a simulation —
-// the cache hierarchy, the precomputed branch-history buffer and the
-// prediction log — across runs, so N concurrent simulations sharing one
-// pool reach a steady state where per-run allocations stop scaling with
-// the run count. It is safe for concurrent use (each Get hands out a
-// distinct scratch) and a nil *RunPool disables recycling entirely: every
-// run then allocates fresh state, exactly as before pooling existed.
+// the cache hierarchy and the prediction log — across runs, so N
+// concurrent simulations sharing one pool reach a steady state where
+// per-run allocations stop scaling with the run count. It is safe for
+// concurrent use (each Get hands out a distinct scratch) and a nil
+// *RunPool disables recycling entirely: every run then allocates fresh
+// state, exactly as before pooling existed.
 //
 // Correctness contract (enforced by TestPooledRunsBitIdentical): a run on
 // recycled scratch must be bit-identical to a run on fresh allocations.
@@ -22,35 +21,10 @@ import (
 // without poisoning the next user.
 type RunPool struct {
 	p sync.Pool
-	// histMu/hists memoize the branch-history precompute per trace: the
-	// scan is O(records) and sits inside the measured run, while traces are
-	// immutable and shared across the pool's runs, so every run after a
-	// trace's first gets the histories for a map lookup. Entries live as
-	// long as the pool; callers cycle a bounded set of traces per pool, so
-	// the memo is bounded by the workload set, not the run count.
-	histMu sync.Mutex
-	hists  map[*trace.Trace][]uint16
 }
 
 // NewRunPool builds an empty pool.
 func NewRunPool() *RunPool { return &RunPool{} }
-
-// branchHists returns the memoized branch-history sequence for tr,
-// computing and caching it on first use. Callers must treat the result as
-// read-only: concurrent runs of the same trace share one slice.
-func (rp *RunPool) branchHists(tr *trace.Trace) []uint16 {
-	rp.histMu.Lock()
-	defer rp.histMu.Unlock()
-	if h, ok := rp.hists[tr]; ok {
-		return h
-	}
-	h := branchHistories(tr, nil)
-	if rp.hists == nil {
-		rp.hists = make(map[*trace.Trace][]uint16)
-	}
-	rp.hists[tr] = h
-	return h
-}
 
 // scratch is the recyclable per-run state. Everything in it stays inside
 // RunContext: nothing a scratch holds may be referenced by the returned
@@ -59,7 +33,6 @@ func (rp *RunPool) branchHists(tr *trace.Trace) []uint16 {
 type scratch struct {
 	cacheCfg cache.Config
 	hier     *cache.Hierarchy
-	hists    []uint16
 	plog     *predictionLog
 }
 

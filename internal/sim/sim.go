@@ -29,7 +29,7 @@ type Config struct {
 	// branch-on-nil per access) and produces bit-identical results.
 	Obs obs.Config
 	// Pool, when non-nil, recycles per-run scratch (cache hierarchy,
-	// branch-history buffer, prediction log) across runs sharing the pool.
+	// prediction log) across runs sharing the pool.
 	// Pooled and unpooled runs are bit-identical; nil keeps the historic
 	// allocate-per-run behaviour.
 	Pool *RunPool `json:"-"`
@@ -123,29 +123,24 @@ func RunContext(ctx context.Context, tr *trace.Trace, pf prefetch.Prefetcher, cf
 	// the harness recover): get resets scratch before reuse, so a partially
 	// used scratch cannot poison a later run.
 	defer cfg.Pool.put(sc)
-	// Pooled runs share one immutable memoized history sequence per trace
-	// (read-only); unpooled runs compute into the scratch buffer as before.
-	var hists []uint16
-	if cfg.Pool != nil {
-		hists = cfg.Pool.branchHists(tr)
-	} else {
-		sc.hists = branchHistories(tr, sc.hists)
-		hists = sc.hists
-	}
 	ad := &adapter{
 		hier:      sc.hier,
 		pf:        pf,
-		hists:     hists,
 		hitDepths: stats.NewHistogram(192),
 		predLog:   sc.plog,
 	}
 	cpuCfg := cfg.CPU
-	col := obs.NewCollector(cfg.Obs) // nil when telemetry is disabled
+	obsCfg := cfg.Obs
+	src, learns := pf.(obs.CoreSource)
+	if !learns {
+		// The learner gauges hold the last run that had a learner; a run
+		// without one has nothing to publish over them.
+		obsCfg.Learner = nil
+	}
+	col := obs.NewCollector(obsCfg) // nil when telemetry is disabled
 	if col != nil {
 		ad.col = col
-		if src, ok := pf.(obs.CoreSource); ok {
-			ad.coreSrc = src
-		}
+		ad.coreSrc = src
 		if att, ok := pf.(obs.Attachable); ok {
 			att.AttachTelemetry(col)
 		}
@@ -213,35 +208,11 @@ func RunWorkload(name string, gen func() (*trace.Trace, error), pf prefetch.Pref
 	return Run(tr, pf, cfg)
 }
 
-// branchHistories precomputes the global 16-bit branch history register at
-// each memory record, in record order, appending into buf (whose capacity
-// is reused across pooled runs). The adapter consumes them by cursor,
-// matching the CPU's in-order Access calls.
-func branchHistories(tr *trace.Trace, buf []uint16) []uint16 {
-	out := buf[:0]
-	var hist uint16
-	for i := range tr.Records {
-		r := &tr.Records[i]
-		switch r.Kind {
-		case trace.KindBranch:
-			hist <<= 1
-			if r.Taken {
-				hist |= 1
-			}
-		case trace.KindLoad, trace.KindStore:
-			out = append(out, hist)
-		}
-	}
-	return out
-}
-
 // adapter implements cpu.Memory: it performs the demand access, classifies
 // it (Figure 9), and drives the prefetcher.
 type adapter struct {
 	hier      *cache.Hierarchy
 	pf        prefetch.Prefetcher
-	hists     []uint16
-	cursor    int
 	accessIdx uint64
 	cats      Categories
 	hitDepths *stats.Histogram
@@ -289,11 +260,6 @@ func (m *adapter) Access(rec *trace.Record, now cache.Cycle) cache.Cycle {
 	}
 
 	// Drive the prefetcher.
-	var hist uint16
-	if m.cursor < len(m.hists) {
-		hist = m.hists[m.cursor]
-	}
-	m.cursor++
 	m.acc = prefetch.Access{
 		PC:         rec.PC,
 		Addr:       rec.Addr,
@@ -304,7 +270,7 @@ func (m *adapter) Access(rec *trace.Record, now cache.Cycle) cache.Cycle {
 		MissedL1:   res.Outcome != cache.OutcomeL1Hit,
 		Value:      rec.Value,
 		Reg:        rec.Reg,
-		BranchHist: hist,
+		BranchHist: rec.BranchHist,
 		Hints:      rec.Hints,
 	}
 	m.pf.OnAccess(&m.acc, m)

@@ -193,25 +193,6 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
-func TestBranchHistories(t *testing.T) {
-	e := trace.NewEmitter("bh")
-	e.Branch(0x1, true)
-	e.Load(0x2, 0x100)
-	e.Branch(0x3, false)
-	e.Branch(0x4, true)
-	e.Load(0x5, 0x200)
-	hists := branchHistories(e.Finish(), nil)
-	if len(hists) != 2 {
-		t.Fatalf("got %d histories, want 2", len(hists))
-	}
-	if hists[0] != 0b1 {
-		t.Errorf("first history = %b, want 1", hists[0])
-	}
-	if hists[1] != 0b101 {
-		t.Errorf("second history = %b, want 101", hists[1])
-	}
-}
-
 func TestPredictionLog(t *testing.T) {
 	p := newPredictionLog(4)
 	p.add(10, 100, true)

@@ -27,19 +27,13 @@ func benchTrace(records int) *Trace {
 	return e.Finish()
 }
 
-// BenchmarkDecode measures the streaming decode loop with buffer reuse
-// (Reader.Reset + ReadAll): steady state must not allocate per record
-// (DESIGN.md, "Hot path & benchmarking").
-func BenchmarkDecode(b *testing.B) {
-	tr := benchTrace(40000)
-	var buf bytes.Buffer
-	if err := Write(&buf, tr); err != nil {
-		b.Fatal(err)
-	}
-	data := buf.Bytes()
+// decodeLoop times the streaming decode of data (Reader.Reset + Next over
+// every record): steady state must not allocate per record (DESIGN.md,
+// "Hot path & benchmarking").
+func decodeLoop(b *testing.B, data []byte, records int) {
 	var (
 		r   Reader
-		out Trace
+		rec Record
 		src bytes.Reader
 	)
 	b.SetBytes(int64(len(data)))
@@ -50,13 +44,22 @@ func BenchmarkDecode(b *testing.B) {
 		if err := r.Reset(&src); err != nil {
 			b.Fatal(err)
 		}
-		if err := r.ReadAll(&out); err != nil {
-			b.Fatal(err)
+		n := 0
+		for ; r.Next(&rec) == nil; n++ {
 		}
-		if len(out.Records) != len(tr.Records) {
-			b.Fatalf("decoded %d records, want %d", len(out.Records), len(tr.Records))
+		if n != records {
+			b.Fatalf("decoded %d records, want %d", n, records)
 		}
 	}
+}
+
+func BenchmarkDecode(b *testing.B) {
+	tr := benchTrace(40000)
+	var buf bytes.Buffer
+	if err := Write(&buf, tr); err != nil {
+		b.Fatal(err)
+	}
+	decodeLoop(b, buf.Bytes(), tr.Len())
 }
 
 // BenchmarkDecodeGzip is BenchmarkDecode over a gzip-compressed stream,
@@ -67,22 +70,23 @@ func BenchmarkDecodeGzip(b *testing.B) {
 	if err := WriteGzip(&buf, tr); err != nil {
 		b.Fatal(err)
 	}
-	data := buf.Bytes()
-	var (
-		r   Reader
-		out Trace
-		src bytes.Reader
-	)
-	b.SetBytes(int64(len(data)))
+	decodeLoop(b, buf.Bytes(), tr.Len())
+}
+
+// BenchmarkCursor measures one pass of a Cursor over a trace, the walk
+// every consumer (the CPU model first) pays per record.
+func BenchmarkCursor(b *testing.B) {
+	tr := benchTrace(40000)
 	b.ReportAllocs()
 	b.ResetTimer()
+	var sum uint64
 	for i := 0; i < b.N; i++ {
-		src.Reset(data)
-		if err := r.Reset(&src); err != nil {
-			b.Fatal(err)
-		}
-		if err := r.ReadAll(&out); err != nil {
-			b.Fatal(err)
+		c := tr.Cursor()
+		for c.Next() {
+			sum += c.Record().PC
 		}
 	}
+	benchSink = sum
 }
+
+var benchSink uint64

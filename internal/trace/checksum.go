@@ -23,8 +23,9 @@ func (t *Trace) Checksum() uint64 {
 		h ^= uint64(t.Name[i])
 		h *= prime64
 	}
-	for i := range t.Records {
-		r := &t.Records[i]
+	c := t.Cursor()
+	for c.Next() {
+		r := c.Record()
 		mix(r.PC)
 		mix(uint64(r.Addr))
 		mix(r.Value)

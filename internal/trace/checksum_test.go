@@ -26,14 +26,20 @@ func TestChecksumDetectsMutation(t *testing.T) {
 	tr := checksumTrace()
 	orig := tr.Checksum()
 
+	// Stray writes into the storage: record 2 is the load (payload 0),
+	// record 3 the store (payload 1).
 	mutations := []func(*Trace){
 		func(t *Trace) { t.Name = "other" },
-		func(t *Trace) { t.Records[2].Addr++ },
-		func(t *Trace) { t.Records[2].Value ^= 1 },
-		func(t *Trace) { t.Records[1].Taken = false },
-		func(t *Trace) { t.Records[2].Hints.LinkOffset = 24 },
-		func(t *Trace) { t.Records[2].Hints.Valid = false },
-		func(t *Trace) { t.Records[0].Count++ },
+		func(t *Trace) { t.accs[0].addr++ },
+		func(t *Trace) { t.accs[0].value ^= 1 },
+		func(t *Trace) { t.accs[1].reg++ },
+		func(t *Trace) { t.ops[1].taken = false },
+		func(t *Trace) { t.ops[3].pc++ },
+		func(t *Trace) { t.ops[3].size = 4 },
+		func(t *Trace) { t.ops[3].arg = 2 },
+		func(t *Trace) { t.accs[0].hints.LinkOffset = 24 },
+		func(t *Trace) { t.accs[0].hints.Valid = false },
+		func(t *Trace) { t.ops[0].arg++ },
 	}
 	for i, mut := range mutations {
 		m := checksumTrace()

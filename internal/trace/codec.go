@@ -66,12 +66,13 @@ func Write(w io.Writer, t *Trace) error {
 	if _, err := bw.WriteString(t.Name); err != nil {
 		return err
 	}
-	if err := putUvarint(uint64(len(t.Records))); err != nil {
+	if err := putUvarint(uint64(t.Len())); err != nil {
 		return err
 	}
 	var prevPC, prevAddr uint64
-	for i := range t.Records {
-		r := &t.Records[i]
+	c := t.Cursor()
+	for c.Next() {
+		i, r := c.Index(), c.Record()
 		var flags byte
 		if r.Taken {
 			flags |= flagTaken
@@ -152,57 +153,22 @@ func Write(w io.Writer, t *Trace) error {
 }
 
 // Read deserializes a complete trace written by Write (or WriteGzip),
-// delegating to the streaming Reader.
+// decoding it with the streaming Reader.
 func Read(r io.Reader) (*Trace, error) {
-	t := &Trace{}
-	if err := ReadInto(r, t); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// ReadInto deserializes a complete trace into t, reusing t's record buffer
-// when it is large enough. Decode loops that replay many traces (the
-// benchmark pipeline, sweep tools) can hold one Trace and pay the record
-// allocation only once.
-func ReadInto(r io.Reader, t *Trace) error {
 	sr, err := NewReader(r)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return sr.ReadAll(t)
-}
-
-// ReadAll decodes every remaining record into t, reusing t's record
-// buffer when possible. Combined with Reset, it gives an allocation-free
-// steady-state decode loop over many traces.
-func (sr *Reader) ReadAll(t *Trace) error {
-	// Cap the initial allocation: the header's count is untrusted until
-	// the records actually decode.
-	capacity := sr.Len()
-	if capacity > 1<<20 {
-		capacity = 1 << 20
-	}
-	t.Name = sr.Name()
-	if cap(t.Records) < capacity {
-		t.Records = make([]Record, 0, capacity)
-	} else {
-		t.Records = t.Records[:0]
-	}
+	e := NewEmitter(sr.Name())
+	var rec Record
 	for {
-		n := len(t.Records)
-		if n == cap(t.Records) {
-			t.Records = append(t.Records, Record{})
-		} else {
-			t.Records = t.Records[:n+1]
-		}
-		// Decode straight into the slice's next slot: no per-record copy.
-		if err := sr.Next(&t.Records[n]); err != nil {
-			t.Records = t.Records[:n]
-			if err == io.EOF {
-				return nil
-			}
-			return err
+		switch err := sr.Next(&rec); err {
+		case nil:
+			e.Append(rec)
+		case io.EOF:
+			return e.Finish(), nil
+		default:
+			return nil, err
 		}
 	}
 }

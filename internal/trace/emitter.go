@@ -10,17 +10,22 @@ import "semloc/internal/memmodel"
 //
 // Emitter methods return the absolute index of the record just appended so
 // generators can express pointer-chasing dependencies.
+//
+// Records accumulate in fixed-size chunks, which growth never copies, and
+// Finish assembles them once into the trace's exact-length arrays.
 type Emitter struct {
-	t Trace
+	name string
+	ops  chunks[op]
+	accs chunks[payload]
 }
 
 // NewEmitter creates an emitter for a workload with the given name.
 func NewEmitter(name string) *Emitter {
-	return &Emitter{t: Trace{Name: name}}
+	return &Emitter{name: name}
 }
 
 // Len returns the number of records emitted so far.
-func (e *Emitter) Len() int { return len(e.t.Records) }
+func (e *Emitter) Len() int { return e.ops.len() }
 
 // Compute emits n back-to-back non-memory instructions (folded into one
 // record). n <= 0 is ignored.
@@ -29,11 +34,26 @@ func (e *Emitter) Compute(n int) {
 		return
 	}
 	// Merge adjacent compute blocks to keep traces compact.
-	if l := len(e.t.Records); l > 0 && e.t.Records[l-1].Kind == KindCompute {
-		e.t.Records[l-1].Count += uint32(n)
+	if last := e.ops.last(); last != nil && last.kind == KindCompute {
+		last.arg += uint32(n)
 		return
 	}
-	e.t.Records = append(e.t.Records, Record{Kind: KindCompute, Count: uint32(n), Dep: NoDep})
+	e.ops.push(op{kind: KindCompute, arg: uint32(n)})
+}
+
+// Append emits r as given, except BranchHist, which a Cursor derives. The
+// fields r's kind does not use are dropped: a cursor reads them back as
+// zero, and Dep of a compute record as NoDep. Append checks nothing;
+// Validate does. The decoder builds traces through it.
+func (e *Emitter) Append(r Record) {
+	o := op{pc: r.PC, arg: uint32(r.Dep), kind: r.Kind, taken: r.Taken, size: r.Size}
+	switch r.Kind {
+	case KindCompute:
+		o.arg = r.Count
+	case KindLoad, KindStore:
+		e.accs.push(payload{addr: r.Addr, value: r.Value, reg: r.Reg, hints: r.Hints})
+	}
+	e.ops.push(o)
 }
 
 // MemSpec fully describes an annotated memory access for LoadSpec/StoreSpec.
@@ -76,38 +96,75 @@ func (e *Emitter) mem(kind Kind, s MemSpec) int {
 	if s.Size == 0 {
 		s.Size = 8
 	}
+	i := e.Len()
 	dep := NoDep
-	if s.Dep >= 0 && s.Dep < len(e.t.Records) {
+	if s.Dep >= 0 && s.Dep < i {
 		dep = int32(s.Dep)
 	}
-	e.t.Records = append(e.t.Records, Record{
-		Kind:  kind,
-		PC:    s.PC,
-		Addr:  s.Addr,
-		Value: s.Value,
-		Reg:   s.Reg,
-		Dep:   dep,
-		Size:  s.Size,
-		Hints: s.Hints,
-	})
-	return len(e.t.Records) - 1
+	// The generator methods push ops and payloads directly: routing them
+	// through Append's Record made generating the perfbench sim traces a
+	// quarter slower.
+	e.ops.push(op{pc: s.PC, arg: uint32(dep), kind: kind, size: s.Size})
+	e.accs.push(payload{addr: s.Addr, value: s.Value, reg: s.Reg, hints: s.Hints})
+	return i
 }
 
 // Branch emits a conditional branch.
 func (e *Emitter) Branch(pc uint64, taken bool) {
-	e.t.Records = append(e.t.Records, Record{Kind: KindBranch, PC: pc, Taken: taken, Dep: NoDep})
+	e.ops.push(op{pc: pc, arg: noDepArg, kind: KindBranch, taken: taken})
 }
 
 // EndWarmup marks the warm-up boundary: the simulator resets statistics
 // here. Only the first marker is honoured by the simulator.
 func (e *Emitter) EndWarmup() {
-	e.t.Records = append(e.t.Records, Record{Kind: KindWarmupEnd, Dep: NoDep})
+	e.ops.push(op{arg: noDepArg, kind: KindWarmupEnd})
 }
 
 // Finish returns the accumulated trace. The emitter must not be used after
 // Finish.
 func (e *Emitter) Finish() *Trace {
-	t := e.t
-	e.t = Trace{}
-	return &t
+	t := &Trace{Name: e.name, ops: e.ops.flatten(), accs: e.accs.flatten()}
+	*e = Emitter{}
+	return t
+}
+
+// chunkLen is the number of elements in one emitter chunk: 64 KiB of ops,
+// 128 KiB of payloads.
+const chunkLen = 4096
+
+// chunks is an append-only sequence held in fixed-size blocks.
+type chunks[T any] struct {
+	full [][]T
+	cur  []T
+}
+
+func (c *chunks[T]) len() int { return len(c.full)*chunkLen + len(c.cur) }
+
+func (c *chunks[T]) push(v T) {
+	if len(c.cur) == cap(c.cur) {
+		if c.cur != nil {
+			c.full = append(c.full, c.cur)
+		}
+		c.cur = make([]T, 0, chunkLen)
+	}
+	c.cur = append(c.cur, v)
+}
+
+// last returns the newest element, or nil when there is none.
+func (c *chunks[T]) last() *T {
+	if len(c.cur) == 0 {
+		return nil
+	}
+	return &c.cur[len(c.cur)-1]
+}
+
+// flatten copies the elements into one slice of exactly their length.
+func (c *chunks[T]) flatten() []T {
+	out := make([]T, c.len())
+	n := 0
+	for _, b := range c.full {
+		n += copy(out[n:], b)
+	}
+	copy(out[n:], c.cur)
+	return out
 }

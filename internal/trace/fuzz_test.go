@@ -8,7 +8,10 @@ import (
 
 // FuzzReader proves the streaming decoder (NewReader + Next) never panics
 // on arbitrary bytes: every malformed input must surface as an error or a
-// clean io.EOF. A seed corpus is checked in under testdata/fuzz/FuzzReader.
+// clean io.EOF. Every trace it does decode must survive the compact storage
+// and the encoder: written back and read again, it holds the same records
+// and the same checksum. A seed corpus is checked in under
+// testdata/fuzz/FuzzReader.
 func FuzzReader(f *testing.F) {
 	orig := sampleTrace()
 	var plain, gz bytes.Buffer
@@ -36,15 +39,24 @@ func FuzzReader(f *testing.F) {
 	f.Add(corrupted)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		r, err := NewReader(bytes.NewReader(data))
+		tr, err := Read(bytes.NewReader(data))
 		if err != nil {
 			return
 		}
-		var rec Record
-		for {
-			if err := r.Next(&rec); err != nil {
-				return
-			}
+		var buf bytes.Buffer
+		if err := Write(&buf, tr); err != nil {
+			t.Fatalf("re-encoding a decoded trace: %v", err)
+		}
+		back, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("decoding a re-encoded trace: %v", err)
+		}
+		if back.Name != tr.Name {
+			t.Fatalf("name %q read back as %q", tr.Name, back.Name)
+		}
+		sameRecords(t, back, tr)
+		if back.Checksum() != tr.Checksum() {
+			t.Fatalf("checksum %#x read back as %#x", tr.Checksum(), back.Checksum())
 		}
 	})
 }

@@ -26,6 +26,7 @@ type Reader struct {
 	read    uint64
 	prevPC  uint64
 	prevAdr uint64
+	hist    uint16 // branch history before the next record
 	// loadBits marks which past records were loads, so dependency
 	// references can be verified during streaming decode.
 	loadBits []uint64
@@ -70,7 +71,7 @@ func (r *Reader) Reset(src io.Reader) error {
 		}
 		r.br = r.zbr
 	}
-	r.read, r.prevPC, r.prevAdr = 0, 0, 0
+	r.read, r.prevPC, r.prevAdr, r.hist = 0, 0, 0, 0
 	for i := range r.loadBits {
 		r.loadBits[i] = 0
 	}
@@ -133,8 +134,8 @@ func (r *Reader) Name() string { return r.name }
 // Len returns the total record count from the header.
 func (r *Reader) Len() int { return int(r.total) }
 
-// Next decodes the next record into rec. It returns io.EOF after the last
-// record.
+// Next decodes the next record into rec, filling its BranchHist as a
+// Cursor does. It returns io.EOF after the last record.
 func (r *Reader) Next(rec *Record) error {
 	if r.read >= r.total {
 		return io.EOF
@@ -148,7 +149,7 @@ func (r *Reader) Next(rec *Record) error {
 	if err != nil {
 		return fmt.Errorf("trace: record %d flags: %w", i, noEOF(err))
 	}
-	*rec = Record{Kind: Kind(kindB), Dep: NoDep, Taken: flags&flagTaken != 0}
+	*rec = Record{Kind: Kind(kindB), Dep: NoDep, Taken: flags&flagTaken != 0, BranchHist: r.hist}
 	switch rec.Kind {
 	case KindCompute:
 		c, err := binary.ReadUvarint(r.br)
@@ -166,6 +167,7 @@ func (r *Reader) Next(rec *Record) error {
 		}
 		r.prevPC = uint64(int64(r.prevPC) + d)
 		rec.PC = r.prevPC
+		r.hist = foldBranch(r.hist, rec.Taken)
 	case KindLoad, KindStore:
 		if err := r.readMem(rec, flags, i); err != nil {
 			return err

@@ -20,16 +20,17 @@ func TestStreamingReaderMatchesRead(t *testing.T) {
 	if sr.Name() != orig.Name {
 		t.Errorf("Name = %q, want %q", sr.Name(), orig.Name)
 	}
-	if sr.Len() != len(orig.Records) {
-		t.Errorf("Len = %d, want %d", sr.Len(), len(orig.Records))
+	if sr.Len() != orig.Len() {
+		t.Errorf("Len = %d, want %d", sr.Len(), orig.Len())
 	}
 	var rec Record
-	for i := range orig.Records {
+	c := orig.Cursor()
+	for c.Next() {
 		if err := sr.Next(&rec); err != nil {
-			t.Fatalf("Next(%d): %v", i, err)
+			t.Fatalf("Next(%d): %v", c.Index(), err)
 		}
-		if rec != orig.Records[i] {
-			t.Fatalf("record %d: got %+v want %+v", i, rec, orig.Records[i])
+		if rec != *c.Record() {
+			t.Fatalf("record %d: got %+v want %+v", c.Index(), rec, *c.Record())
 		}
 	}
 	if err := sr.Next(&rec); err != io.EOF {
@@ -51,14 +52,7 @@ func TestGzipRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got.Records) != len(orig.Records) {
-		t.Fatalf("record count %d != %d", len(got.Records), len(orig.Records))
-	}
-	for i := range orig.Records {
-		if got.Records[i] != orig.Records[i] {
-			t.Fatalf("record %d differs", i)
-		}
-	}
+	sameRecords(t, got, orig)
 }
 
 func TestGzipSmallerForRepetitiveTraces(t *testing.T) {
@@ -139,8 +133,8 @@ func TestEmptyTraceRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("gzip=%v: %v", compress, err)
 		}
-		if got.Name != "empty" || len(got.Records) != 0 {
-			t.Errorf("gzip=%v: round trip = %q/%d records", compress, got.Name, len(got.Records))
+		if got.Name != "empty" || got.Len() != 0 {
+			t.Errorf("gzip=%v: round trip = %q/%d records", compress, got.Name, got.Len())
 		}
 		sr, err := NewReader(bytes.NewReader(buf.Bytes()))
 		if err != nil {

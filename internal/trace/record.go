@@ -1,6 +1,7 @@
 // Package trace defines the instruction/memory trace format that connects
-// workload generators to the timing simulator, together with an emitter API
-// and a compact binary codec.
+// workload generators to the timing simulator, together with an emitter API,
+// compact in-memory storage read through a Cursor, and a compact binary
+// codec.
 //
 // The paper drives gem5 with x86 binaries whose memory instructions are
 // preceded by compiler-injected NOPs carrying semantic hints. Here the
@@ -109,7 +110,7 @@ type SWHints struct {
 // NoDep marks a memory record with no producing load.
 const NoDep int32 = -1
 
-// Record is one trace event.
+// Record is one trace event, as a Cursor or Reader presents it.
 //
 // Dep carries the data dependency needed by the timing model: for a load or
 // store whose address was computed from the value returned by an earlier
@@ -127,6 +128,11 @@ type Record struct {
 	Size  uint8
 	Taken bool
 	Hints SWHints
+	// BranchHist is derived, not stored: the global 16-bit history of the
+	// branches before this record (newest outcome in bit 0), the paper's
+	// branch-history attribute. Cursor and Reader fill it as they walk;
+	// Emitter.Append ignores it.
+	BranchHist uint16
 }
 
 // Instructions returns how many dynamic instructions the record represents.
@@ -144,14 +150,6 @@ func (r *Record) Instructions() uint64 {
 // IsMem reports whether the record is a data memory access.
 func (r *Record) IsMem() bool { return r.Kind == KindLoad || r.Kind == KindStore }
 
-// Trace is a complete generated trace plus its metadata.
-type Trace struct {
-	// Name identifies the workload (Table 3 naming).
-	Name string
-	// Records holds the event stream; Dep indices refer into this slice.
-	Records []Record
-}
-
 // Stats summarizes a trace.
 type Stats struct {
 	Records      int
@@ -166,10 +164,10 @@ type Stats struct {
 
 // ComputeStats scans the trace once and summarizes it.
 func (t *Trace) ComputeStats() Stats {
-	s := Stats{WarmupIndex: -1}
-	s.Records = len(t.Records)
-	for i := range t.Records {
-		r := &t.Records[i]
+	s := Stats{Records: t.Len(), WarmupIndex: -1}
+	c := t.Cursor()
+	for c.Next() {
+		r := c.Record()
 		s.Instructions += r.Instructions()
 		switch r.Kind {
 		case KindLoad:
@@ -180,7 +178,7 @@ func (t *Trace) ComputeStats() Stats {
 			s.Branches++
 		case KindWarmupEnd:
 			if s.WarmupIndex < 0 {
-				s.WarmupIndex = i
+				s.WarmupIndex = c.Index()
 			}
 		}
 		if r.IsMem() {
@@ -198,8 +196,9 @@ func (t *Trace) ComputeStats() Stats {
 // Validate checks structural invariants: dependency indices must point
 // backwards at loads, kinds must be known, and compute counts non-zero.
 func (t *Trace) Validate() error {
-	for i := range t.Records {
-		r := &t.Records[i]
+	c := t.Cursor()
+	for c.Next() {
+		i, r := c.Index(), c.Record()
 		if r.Kind >= kindCount {
 			return fmt.Errorf("trace %q: record %d has unknown kind %d", t.Name, i, r.Kind)
 		}
@@ -211,7 +210,7 @@ func (t *Trace) Validate() error {
 				if r.Dep < 0 || int(r.Dep) >= i {
 					return fmt.Errorf("trace %q: record %d dep %d out of range", t.Name, i, r.Dep)
 				}
-				if t.Records[r.Dep].Kind != KindLoad {
+				if t.ops[r.Dep].kind != KindLoad {
 					return fmt.Errorf("trace %q: record %d depends on non-load %d", t.Name, i, r.Dep)
 				}
 			}

@@ -49,43 +49,41 @@ func TestEmitterComputeMerging(t *testing.T) {
 	e.Compute(4)
 	e.Compute(0)  // ignored
 	e.Compute(-1) // ignored
-	tr := e.Finish()
-	if len(tr.Records) != 1 {
-		t.Fatalf("expected 1 merged record, got %d", len(tr.Records))
+	recs := records(e.Finish())
+	if len(recs) != 1 {
+		t.Fatalf("expected 1 merged record, got %d", len(recs))
 	}
-	if tr.Records[0].Count != 7 {
-		t.Errorf("merged count = %d, want 7", tr.Records[0].Count)
+	if recs[0].Count != 7 {
+		t.Errorf("merged count = %d, want 7", recs[0].Count)
 	}
 }
 
 func TestEmitterDefaultSize(t *testing.T) {
 	e := NewEmitter("size")
 	e.Load(0x1, 0x2)
-	tr := e.Finish()
-	if tr.Records[0].Size != 8 {
-		t.Errorf("default size = %d, want 8", tr.Records[0].Size)
+	if got := records(e.Finish())[0].Size; got != 8 {
+		t.Errorf("default size = %d, want 8", got)
 	}
 }
 
 func TestEmitterInvalidDepIgnored(t *testing.T) {
 	e := NewEmitter("dep")
 	e.LoadSpec(MemSpec{PC: 1, Addr: 2, Dep: 57}) // out of range forward dep
-	tr := e.Finish()
-	if tr.Records[0].Dep != NoDep {
-		t.Errorf("forward dep should be dropped, got %d", tr.Records[0].Dep)
+	if got := records(e.Finish())[0].Dep; got != NoDep {
+		t.Errorf("forward dep should be dropped, got %d", got)
 	}
 }
 
 func TestValidateCatchesBadTraces(t *testing.T) {
 	bad := []*Trace{
-		{Name: "kind", Records: []Record{{Kind: Kind(99)}}},
-		{Name: "compute", Records: []Record{{Kind: KindCompute, Count: 0}}},
-		{Name: "dep", Records: []Record{{Kind: KindLoad, Size: 8, Dep: 5}}},
-		{Name: "size", Records: []Record{{Kind: KindStore, Size: 0, Dep: NoDep}}},
-		{Name: "depkind", Records: []Record{
-			{Kind: KindBranch},
-			{Kind: KindLoad, Size: 8, Dep: 0},
-		}},
+		fromRecords("kind", Record{Kind: Kind(99)}),
+		fromRecords("compute", Record{Kind: KindCompute, Count: 0}),
+		fromRecords("dep", Record{Kind: KindLoad, Size: 8, Dep: 5}),
+		fromRecords("size", Record{Kind: KindStore, Size: 0, Dep: NoDep}),
+		fromRecords("depkind",
+			Record{Kind: KindBranch},
+			Record{Kind: KindLoad, Size: 8, Dep: 0},
+		),
 	}
 	for _, tr := range bad {
 		if err := tr.Validate(); err == nil {
@@ -107,14 +105,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	if got.Name != orig.Name {
 		t.Errorf("name %q != %q", got.Name, orig.Name)
 	}
-	if len(got.Records) != len(orig.Records) {
-		t.Fatalf("record count %d != %d", len(got.Records), len(orig.Records))
-	}
-	for i := range orig.Records {
-		if got.Records[i] != orig.Records[i] {
-			t.Errorf("record %d: got %+v want %+v", i, got.Records[i], orig.Records[i])
-		}
-	}
+	sameRecords(t, got, orig)
 }
 
 func TestCodecRoundTripLarge(t *testing.T) {
@@ -166,14 +157,7 @@ func TestCodecRoundTripLarge(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Read: %v", err)
 	}
-	if len(got.Records) != len(orig.Records) {
-		t.Fatalf("record count %d != %d", len(got.Records), len(orig.Records))
-	}
-	for i := range orig.Records {
-		if got.Records[i] != orig.Records[i] {
-			t.Fatalf("record %d mismatch: got %+v want %+v", i, got.Records[i], orig.Records[i])
-		}
-	}
+	sameRecords(t, got, orig)
 }
 
 func TestCodecCorruptInputs(t *testing.T) {
@@ -204,9 +188,8 @@ func TestCodecCorruptInputs(t *testing.T) {
 }
 
 func TestCodecUnknownKindFails(t *testing.T) {
-	tr := &Trace{Name: "bad", Records: []Record{{Kind: Kind(77)}}}
 	var buf bytes.Buffer
-	if err := Write(&buf, tr); err == nil {
+	if err := Write(&buf, fromRecords("bad", Record{Kind: Kind(77)})); err == nil {
 		t.Error("expected encode error for unknown kind")
 	}
 }

@@ -90,12 +90,13 @@ func TestWorkloadDeterminism(t *testing.T) {
 		}
 		a := w.Generate(tiny())
 		b := w.Generate(tiny())
-		if len(a.Records) != len(b.Records) {
-			t.Fatalf("%s: nondeterministic record count %d vs %d", name, len(a.Records), len(b.Records))
+		if a.Len() != b.Len() {
+			t.Fatalf("%s: nondeterministic record count %d vs %d", name, a.Len(), b.Len())
 		}
-		for i := range a.Records {
-			if a.Records[i] != b.Records[i] {
-				t.Fatalf("%s: record %d differs", name, i)
+		ca, cb := a.Cursor(), b.Cursor()
+		for ca.Next() && cb.Next() {
+			if *ca.Record() != *cb.Record() {
+				t.Fatalf("%s: record %d differs", name, ca.Index())
 			}
 		}
 	}
@@ -108,8 +109,8 @@ func TestScaleGrowsTrace(t *testing.T) {
 	}
 	small := w.Generate(GenConfig{Scale: 0.02, Seed: 1})
 	large := w.Generate(GenConfig{Scale: 0.08, Seed: 1})
-	if len(large.Records) <= len(small.Records) {
-		t.Errorf("scale 0.08 (%d records) should exceed scale 0.02 (%d)", len(large.Records), len(small.Records))
+	if large.Len() <= small.Len() {
+		t.Errorf("scale 0.08 (%d records) should exceed scale 0.02 (%d)", large.Len(), small.Len())
 	}
 }
 
@@ -168,8 +169,9 @@ func TestListTraversalIsDependencyChained(t *testing.T) {
 	// previous link load.
 	var prev int32 = trace.NoDep
 	count := 0
-	for i := range tr.Records {
-		r := &tr.Records[i]
+	c := tr.Cursor()
+	for c.Next() {
+		i, r := c.Index(), c.Record()
 		if r.Kind == trace.KindLoad && r.PC == 0x401000 {
 			if count > 0 && r.Dep != prev {
 				// Passes restart the chain; allow Dep == NoDep there.
@@ -198,8 +200,9 @@ func TestListsortRecurringLogicalOrder(t *testing.T) {
 	const pcLoad = 0x403000
 	var firstLoads []uint64
 	expectFirst := true
-	for i := range tr.Records {
-		r := &tr.Records[i]
+	c := tr.Cursor()
+	for c.Next() {
+		r := c.Record()
 		if r.Kind == trace.KindBranch && r.PC == 0x403010 && !r.Taken {
 			expectFirst = true
 		}
