@@ -64,6 +64,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	tb.AddRow("stores", st.Stores)
 	tb.AddRow("branches", st.Branches)
 	tb.AddRow("dependent loads", fmt.Sprintf("%d (%.1f%% of loads)", st.Dependent, pct(st.Dependent, st.Loads)))
+	tb.AddRow("dependency reach", fmt.Sprintf("%d records", st.DepReach))
 	tb.AddRow("hinted accesses", fmt.Sprintf("%d (%.1f%% of memory ops)", st.Hinted, pct(st.Hinted, st.Loads+st.Stores)))
 	tb.AddRow("warmup marker at", st.WarmupIndex)
 	tb.Render(stdout)

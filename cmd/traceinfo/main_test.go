@@ -44,7 +44,7 @@ func TestTraceinfoSummary(t *testing.T) {
 	s := out.String()
 	for _, want := range []string{
 		"trace list", "records", "instructions", "loads", "stores",
-		"dependent loads", "warmup marker at",
+		"dependent loads", "dependency reach", "warmup marker at",
 		"reuse profile", "working set",
 	} {
 		if !strings.Contains(s, want) {

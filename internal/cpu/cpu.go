@@ -20,7 +20,7 @@ package cpu
 import (
 	"context"
 	"fmt"
-	"sync"
+	"math/bits"
 	"sync/atomic"
 
 	"semloc/internal/cache"
@@ -118,26 +118,6 @@ func Run(tr *trace.Trace, mem Memory, cfg Config) (Result, error) {
 // progress-counter publications; a power of two so the check is a mask.
 const checkEvery = 8192
 
-// donePool recycles the per-run completion-time slice (one Cycle per trace
-// record, several MB at benchmark scales). Allocating it fresh inside every
-// run put multi-megabyte garbage — and the GC cycles it triggers — inside
-// the benchmark's timed region; reusing a cleared buffer keeps the run
-// allocation-free for the dominant cost.
-var donePool = sync.Pool{New: func() any { return new([]cache.Cycle) }}
-
-// getDone returns a zeroed completion-time slice of length n, reusing
-// pooled capacity when available.
-func getDone(n int) *[]cache.Cycle {
-	bp := donePool.Get().(*[]cache.Cycle)
-	if cap(*bp) < n {
-		*bp = make([]cache.Cycle, n)
-		return bp
-	}
-	*bp = (*bp)[:n]
-	clear(*bp)
-	return bp
-}
-
 // RunContext executes the trace against mem and returns timing results.
 // The simulation loop checks ctx every few thousand records, so a
 // cancelled context (user interrupt, watchdog abort) stops the run
@@ -149,15 +129,18 @@ func RunContext(ctx context.Context, tr *trace.Trace, mem Memory, cfg Config) (R
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	doneBuf := getDone(tr.Len())
-	defer donePool.Put(doneBuf)
+	// done[i&mask] is record i's completion cycle (0 for a non-memory
+	// record). No dependency reaches further back than tr.DepReach()
+	// records and the ring is longer than that, so a producer's slot is
+	// still its own when a dependent reads it.
+	done := make([]cache.Cycle, 1<<bits.Len(uint(tr.DepReach())))
+	mask := len(done) - 1
 	var (
 		res       Result
 		slots     uint64 // frontend progress in 1/Width-cycle slots
 		width     = uint64(cfg.Width)
 		instrs    uint64 // instructions dispatched
 		lastRet   cache.Cycle
-		done      = *doneBuf
 		rob       = newRing(cfg.ROB)
 		lqRing    = make([]cache.Cycle, cfg.LQ)
 		sqRing    = make([]cache.Cycle, cfg.SQ)
@@ -181,6 +164,16 @@ func RunContext(ctx context.Context, tr *trace.Trace, mem Memory, cfg Config) (R
 					tr.Name, i, tr.Len(), context.Cause(ctx))
 			default:
 			}
+		}
+		done[i&mask] = 0
+		var depDone cache.Cycle // the producer's completion, 0 without one
+		if rec.Dep != trace.NoDep && rec.IsMem() {
+			dep := int(rec.Dep)
+			if dep < 0 || dep >= i {
+				return Result{}, fmt.Errorf("cpu: trace %q record %d: dependency %d is not an earlier record",
+					tr.Name, i, rec.Dep)
+			}
+			depDone = done[dep&mask]
 		}
 
 		switch rec.Kind {
@@ -233,18 +226,13 @@ func RunContext(ctx context.Context, tr *trace.Trace, mem Memory, cfg Config) (R
 			slots++
 			instrs++
 			res.Loads++
-			issue := d
-			if rec.Dep != trace.NoDep {
-				if dep := done[rec.Dep]; dep > issue {
-					issue = dep
-				}
-			}
+			issue := max(d, depDone)
 			// Load queue: cannot issue before the LQ-oldest load completed.
 			if old := lqRing[lqHead]; old > issue {
 				issue = old
 			}
 			dn := mem.Access(rec, issue)
-			done[i] = dn
+			done[i&mask] = dn
 			lqRing[lqHead] = dn
 			lqHead = (lqHead + 1) % cfg.LQ
 			ret := dn
@@ -260,12 +248,7 @@ func RunContext(ctx context.Context, tr *trace.Trace, mem Memory, cfg Config) (R
 			slots++
 			instrs++
 			res.Stores++
-			issue := d
-			if rec.Dep != trace.NoDep {
-				if dep := done[rec.Dep]; dep > issue {
-					issue = dep
-				}
-			}
+			issue := max(d, depDone)
 			// Store buffer: if the SQ-oldest store has not yet written back,
 			// dispatch stalls until it has.
 			if old := sqRing[sqHead]; old > d {
@@ -275,7 +258,7 @@ func RunContext(ctx context.Context, tr *trace.Trace, mem Memory, cfg Config) (R
 				}
 			}
 			dn := mem.Access(rec, issue)
-			done[i] = dn // dependents (rare) wait for the written value
+			done[i&mask] = dn // dependents (rare) wait for the written value
 			sqRing[sqHead] = dn
 			sqHead = (sqHead + 1) % cfg.SQ
 			// Stores retire without waiting for completion.

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"strings"
 	"testing"
 
 	"semloc/internal/cache"
@@ -244,6 +245,34 @@ func TestUnknownKindErrors(t *testing.T) {
 	tr := e.Finish()
 	if _, err := Run(tr, fixedMem{0}, DefaultConfig()); err == nil {
 		t.Error("expected error for unknown record kind")
+	}
+}
+
+// TestMalformedDependencyErrors: a dependency that does not name an
+// earlier record is an error naming the trace and the record, never a
+// panic or a read of an unrelated completion time.
+func TestMalformedDependencyErrors(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		kind trace.Kind
+		dep  int32
+	}{
+		{"self", trace.KindLoad, 2},
+		{"forward", trace.KindLoad, 3},
+		{"past the end", trace.KindStore, 4},
+		{"negative", trace.KindLoad, -2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e := trace.NewEmitter("baddep")
+			e.Load(0x100, 0x1000)
+			e.Compute(3)
+			e.Append(trace.Record{Kind: c.kind, PC: 0x104, Addr: 0x2000, Size: 8, Dep: c.dep})
+			e.Load(0x108, 0x3000)
+			_, err := Run(e.Finish(), fixedMem{10}, DefaultConfig())
+			if err == nil || !strings.Contains(err.Error(), `trace "baddep" record 2`) {
+				t.Fatalf("got error %v, want one naming trace \"baddep\" record 2", err)
+			}
+		})
 	}
 }
 

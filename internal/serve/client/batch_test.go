@@ -365,6 +365,11 @@ func TestChaosLossyTransportBatched(t *testing.T) {
 			p.dropped.Load(), p.duplicated.Load())
 	}
 
+	// Scrape once Close has waited for every session worker: a worker
+	// observes the latency histograms after writing the reply.
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
 	decisions := srvReg.Counter("serve_decisions_total", "").Value()
 	if decisions != n {
 		t.Fatalf("decisions_total %d under batched chaos, want exactly %d", decisions, n)

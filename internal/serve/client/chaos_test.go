@@ -239,7 +239,12 @@ func TestChaosLossyTransport(t *testing.T) {
 
 	// The count invariant under chaos: exactly one fresh decision per seq,
 	// so decisions_total == n and every latency histogram observed n times
-	// (replays and resends never observe).
+	// (replays and resends never observe). A session worker counts a
+	// decision before it writes the reply and observes the histograms
+	// after, so scrape only once Close has waited for every worker.
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
 	decisions := srvReg.Counter("serve_decisions_total", "").Value()
 	if decisions != n {
 		t.Fatalf("decisions_total %d under chaos, want exactly %d", decisions, n)

@@ -14,13 +14,19 @@ import (
 // *RunPool disables recycling entirely: every run then allocates fresh
 // state, exactly as before pooling existed.
 //
+// The scratches live in a free list for as long as the pool does, so
+// garbage collections between runs do not discard them. A scratch is
+// built only when the list is empty, so the list never holds more than
+// the peak number of concurrent runs.
+//
 // Correctness contract (enforced by TestPooledRunsBitIdentical): a run on
 // recycled scratch must be bit-identical to a run on fresh allocations.
 // Scratch is reset on Get, never trusted from Put, so a run abandoned
 // mid-flight (cancellation, recovered panic) can still return its scratch
 // without poisoning the next user.
 type RunPool struct {
-	p sync.Pool
+	mu   sync.Mutex
+	free []*scratch
 }
 
 // NewRunPool builds an empty pool.
@@ -43,7 +49,12 @@ type scratch struct {
 func (rp *RunPool) get(cc cache.Config) (*scratch, error) {
 	var s *scratch
 	if rp != nil {
-		s, _ = rp.p.Get().(*scratch)
+		rp.mu.Lock()
+		if n := len(rp.free); n > 0 {
+			s = rp.free[n-1]
+			rp.free = rp.free[:n-1]
+		}
+		rp.mu.Unlock()
 	}
 	if s == nil {
 		s = &scratch{}
@@ -71,5 +82,7 @@ func (rp *RunPool) put(s *scratch) {
 	if rp == nil || s == nil {
 		return
 	}
-	rp.p.Put(s)
+	rp.mu.Lock()
+	rp.free = append(rp.free, s)
+	rp.mu.Unlock()
 }

@@ -2,11 +2,14 @@ package sim
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"semloc/internal/cache"
 	"semloc/internal/core"
+	"semloc/internal/memmodel"
 	"semloc/internal/prefetch"
+	"semloc/internal/trace"
 )
 
 // TestPooledRunsBitIdentical is the pooling correctness contract: a run on
@@ -98,4 +101,55 @@ func TestNilPoolAllocatesFresh(t *testing.T) {
 		t.Fatal("nil pool returned incomplete scratch")
 	}
 	rp.put(s) // must not panic
+}
+
+// chainTrace builds an n-record pointer chase (load, compute, branch, each
+// load depending on the one before) with dependency reach 3 at any length.
+func chainTrace(n int) *trace.Trace {
+	e := trace.NewEmitter("chain")
+	prev := -1
+	for e.Len() < n {
+		prev = e.LoadDep(0x400, memmodel.Addr(e.Len()%8192)*64, prev)
+		e.Compute(2)
+		e.Branch(0x408, true)
+	}
+	return e.Finish()
+}
+
+// TestPooledRunHeapIndependentOfLength pins what a pooled run allocates:
+// the recycled scratch survives garbage collections between runs, and the
+// core model's state is sized by the trace's dependency reach, so a run
+// allocates the same few KiB whatever the trace's length.
+func TestPooledRunHeapIndependentOfLength(t *testing.T) {
+	short, long := chainTrace(100_000), chainTrace(800_000)
+	if short.DepReach() != long.DepReach() {
+		t.Fatalf("reach %d vs %d: the traces must differ only in length", short.DepReach(), long.DepReach())
+	}
+	cfg := DefaultConfig()
+	cfg.Pool = NewRunPool()
+	run := func(tr *trace.Trace) uint64 {
+		// Two collections: a pool the collector clears keeps its objects
+		// through at most one.
+		runtime.GC()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := Run(tr, prefetch.NewNone(), cfg); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	run(short) // fills the pool
+	a, b := run(short), run(long)
+	t.Logf("allocated %d B on %d records, %d B on %d", a, short.Len(), b, long.Len())
+	if diff := max(a, b) - min(a, b); diff > 4<<10 {
+		t.Errorf("runs allocated %d B on %d records and %d B on %d: the heap grows with trace length",
+			a, short.Len(), b, long.Len())
+	}
+	for _, got := range []uint64{a, b} {
+		if got > 64<<10 {
+			t.Errorf("a pooled run allocated %d B, want under 64 KiB", got)
+		}
+	}
 }

@@ -17,6 +17,8 @@ type Emitter struct {
 	name string
 	ops  chunks[op]
 	accs chunks[payload]
+	// reach is the dependency reach of the records so far (Trace.DepReach).
+	reach int
 }
 
 // NewEmitter creates an emitter for a workload with the given name.
@@ -51,6 +53,9 @@ func (e *Emitter) Append(r Record) {
 	case KindCompute:
 		o.arg = r.Count
 	case KindLoad, KindStore:
+		if i := e.Len(); r.Dep >= 0 && int(r.Dep) < i {
+			e.reach = max(e.reach, i-int(r.Dep))
+		}
 		e.accs.push(payload{addr: r.Addr, value: r.Value, reg: r.Reg, hints: r.Hints})
 	}
 	e.ops.push(o)
@@ -100,6 +105,7 @@ func (e *Emitter) mem(kind Kind, s MemSpec) int {
 	dep := NoDep
 	if s.Dep >= 0 && s.Dep < i {
 		dep = int32(s.Dep)
+		e.reach = max(e.reach, i-s.Dep)
 	}
 	// The generator methods push ops and payloads directly: routing them
 	// through Append's Record made generating the perfbench sim traces a
@@ -123,7 +129,7 @@ func (e *Emitter) EndWarmup() {
 // Finish returns the accumulated trace. The emitter must not be used after
 // Finish.
 func (e *Emitter) Finish() *Trace {
-	t := &Trace{Name: e.name, ops: e.ops.flatten(), accs: e.accs.flatten()}
+	t := &Trace{Name: e.name, ops: e.ops.flatten(), accs: e.accs.flatten(), depReach: e.reach}
 	*e = Emitter{}
 	return t
 }

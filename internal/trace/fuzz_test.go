@@ -9,9 +9,9 @@ import (
 // FuzzReader proves the streaming decoder (NewReader + Next) never panics
 // on arbitrary bytes: every malformed input must surface as an error or a
 // clean io.EOF. Every trace it does decode must survive the compact storage
-// and the encoder: written back and read again, it holds the same records
-// and the same checksum. A seed corpus is checked in under
-// testdata/fuzz/FuzzReader.
+// and the encoder: written back and read again, it holds the same records,
+// the same checksum and the same dependency reach. A seed corpus is
+// checked in under testdata/fuzz/FuzzReader.
 func FuzzReader(f *testing.F) {
 	orig := sampleTrace()
 	var plain, gz bytes.Buffer
@@ -57,6 +57,10 @@ func FuzzReader(f *testing.F) {
 		sameRecords(t, back, tr)
 		if back.Checksum() != tr.Checksum() {
 			t.Fatalf("checksum %#x read back as %#x", tr.Checksum(), back.Checksum())
+		}
+		if back.DepReach() != tr.DepReach() || tr.DepReach() != tr.ComputeStats().DepReach {
+			t.Fatalf("dependency reach %d read back as %d, ComputeStats %d",
+				tr.DepReach(), back.DepReach(), tr.ComputeStats().DepReach)
 		}
 	})
 }

@@ -160,6 +160,7 @@ type Stats struct {
 	Hinted       uint64 // memory records with valid SW hints
 	Dependent    uint64 // loads whose address depends on an earlier load
 	WarmupIndex  int    // record index of the warm-up marker (-1 if none)
+	DepReach     int    // largest backward dependency distance (Trace.DepReach)
 }
 
 // ComputeStats scans the trace once and summarizes it.
@@ -187,6 +188,9 @@ func (t *Trace) ComputeStats() Stats {
 			}
 			if r.Kind == KindLoad && r.Dep != NoDep {
 				s.Dependent++
+			}
+			if i := c.Index(); r.Dep >= 0 && int(r.Dep) < i {
+				s.DepReach = max(s.DepReach, i-int(r.Dep))
 			}
 		}
 	}

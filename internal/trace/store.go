@@ -16,6 +16,8 @@ type Trace struct {
 	ops []op
 	// accs holds the payload of each load and store, in record order.
 	accs []payload
+	// depReach is derived as records are emitted, never serialized.
+	depReach int
 }
 
 // op is the part of a record every kind has.
@@ -44,6 +46,13 @@ func (t *Trace) Len() int { return len(t.ops) }
 
 // Accesses returns the number of loads and stores.
 func (t *Trace) Accesses() int { return len(t.accs) }
+
+// DepReach returns the trace's dependency reach: the largest distance
+// i − Dep from a load or store at index i back to its producer, over the
+// records whose Dep points backwards (0 when none does). A timing model
+// needs completion times for only that many records behind the current
+// one.
+func (t *Trace) DepReach() int { return t.depReach }
 
 // Cursor walks a trace's records in order:
 //

@@ -41,6 +41,9 @@ func TestEmitterBasics(t *testing.T) {
 	if s.WarmupIndex != 4 {
 		t.Errorf("WarmupIndex = %d, want 4", s.WarmupIndex)
 	}
+	if s.DepReach != 2 || tr.DepReach() != 2 {
+		t.Errorf("DepReach: stats %d, trace %d, want 2", s.DepReach, tr.DepReach())
+	}
 }
 
 func TestEmitterComputeMerging(t *testing.T) {
@@ -69,8 +72,12 @@ func TestEmitterDefaultSize(t *testing.T) {
 func TestEmitterInvalidDepIgnored(t *testing.T) {
 	e := NewEmitter("dep")
 	e.LoadSpec(MemSpec{PC: 1, Addr: 2, Dep: 57}) // out of range forward dep
-	if got := records(e.Finish())[0].Dep; got != NoDep {
+	tr := e.Finish()
+	if got := records(tr)[0].Dep; got != NoDep {
 		t.Errorf("forward dep should be dropped, got %d", got)
+	}
+	if tr.DepReach() != 0 {
+		t.Errorf("dropped dep counted in DepReach %d", tr.DepReach())
 	}
 }
 
@@ -106,6 +113,9 @@ func TestCodecRoundTrip(t *testing.T) {
 		t.Errorf("name %q != %q", got.Name, orig.Name)
 	}
 	sameRecords(t, got, orig)
+	if got.DepReach() != orig.DepReach() {
+		t.Errorf("DepReach %d decoded as %d", orig.DepReach(), got.DepReach())
+	}
 }
 
 func TestCodecRoundTripLarge(t *testing.T) {

@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"runtime"
 	"testing"
 
 	"semloc/internal/memmodel"
@@ -273,5 +274,21 @@ func TestGenConfigScaledFloor(t *testing.T) {
 	}
 	if (GenConfig{}).seed() != 1 {
 		t.Error("zero seed should map to 1")
+	}
+}
+
+// TestDepReachMatchesStats cross-checks the dependency reach the emitter
+// tracks while generating against the one ComputeStats derives from the
+// finished records, for every generator at the benchmark's scale (0.25)
+// and at the experiments' scale (1).
+func TestDepReachMatchesStats(t *testing.T) {
+	for _, scale := range []float64{0.25, 1} {
+		for _, w := range All() {
+			tr := w.Generate(GenConfig{Scale: scale, Seed: 1})
+			if got, want := tr.DepReach(), tr.ComputeStats().DepReach; got != want {
+				t.Errorf("%s at scale %v: DepReach %d, ComputeStats %d", w.Name, scale, got, want)
+			}
+			runtime.GC() // a scale-1 trace can take 100+ MiB; free it before the next
+		}
 	}
 }
