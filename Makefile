@@ -1,5 +1,7 @@
 # Development workflow for the semloc reproduction. `make check` is the
-# full gate: vet + build + race-enabled tests + short fuzz runs of the
+# full gate, and runs what CI runs: gofmt + vet (the root module and the
+# perfbench module, which compiles against the repository's packages) +
+# build + race-enabled tests + short fuzz runs of the
 # trace decoder and the prefetchd wire-frame decoder + a quick-mode
 # benchmark smoke that fails unless cmd/bench produces a well-formed
 # report + an overhead guard that pins the disabled-telemetry hot path at
@@ -14,12 +16,18 @@
 GO ?= go
 BENCH_N ?= 4
 
-.PHONY: all vet build test race fuzz bench bench-smoke bench-diff overhead-guard obs-smoke serve-smoke loadgen-smoke loadgen-gate learner-smoke perfbench-test check clean
+.PHONY: all fmt vet build test race fuzz bench bench-smoke bench-diff overhead-guard obs-smoke serve-smoke loadgen-smoke loadgen-gate learner-smoke perfbench-test check clean
 
 all: build
 
+# fmt fails on any file gofmt would rewrite (CI's own gofmt step).
+fmt:
+	@test -z "$$(gofmt -l .)" || { gofmt -l .; exit 1; }
+
+# vet covers both modules: the root `go vet ./...` never reaches perfbench.
 vet:
 	$(GO) vet ./...
+	cd perfbench && $(GO) vet .
 
 build:
 	$(GO) build ./...
@@ -139,7 +147,7 @@ learner-smoke:
 perfbench-test:
 	cd perfbench && $(GO) test -count=1 .
 
-check: vet build race fuzz bench-smoke overhead-guard obs-smoke serve-smoke loadgen-smoke loadgen-gate learner-smoke perfbench-test
+check: fmt vet build race fuzz bench-smoke overhead-guard obs-smoke serve-smoke loadgen-smoke loadgen-gate learner-smoke perfbench-test
 
 clean:
 	rm -f .bench-smoke.json .overhead-guard.txt

@@ -34,6 +34,21 @@ func TestInterruptCancelsRun(t *testing.T) {
 	if err := cmd.Start(); err != nil {
 		t.Fatalf("starting experiments: %v", err)
 	}
+	// One Wait per child; the cleanup kills and reaps it if the test ends
+	// with it still running, so a failing assertion never leaves it behind.
+	done := make(chan struct{})
+	go func() {
+		cmd.Wait()
+		close(done)
+	}()
+	t.Cleanup(func() {
+		select {
+		case <-done:
+		default:
+			cmd.Process.Kill()
+			<-done
+		}
+	})
 
 	// Wait for the "starting" progress log so we interrupt mid-run (during
 	// the pre-warm simulation batch — tables only reach stdout after it),
@@ -50,12 +65,9 @@ func TestInterruptCancelsRun(t *testing.T) {
 		t.Fatalf("sending SIGINT: %v", err)
 	}
 
-	done := make(chan error, 1)
-	go func() { done <- cmd.Wait() }()
 	select {
 	case <-done:
 	case <-time.After(30 * time.Second):
-		cmd.Process.Kill()
 		t.Fatal("experiments did not exit within 30s of SIGINT")
 	}
 	if code := cmd.ProcessState.ExitCode(); code != harness.ExitCancelled {

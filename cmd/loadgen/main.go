@@ -235,11 +235,7 @@ func drive(ctx context.Context, cfg genConfig, logger *slog.Logger) (*loadreport
 		wg.Add(1)
 		go func(idx int) {
 			defer wg.Done()
-			if cfg.batch > 1 {
-				driveSessionBatched(runCtx, cfg, idx, frames, reg, lat, &tot, logger)
-			} else {
-				driveSession(runCtx, cfg, idx, frames, reg, lat, &tot, logger)
-			}
+			driveSession(runCtx, cfg, idx, frames, reg, lat, &tot, logger)
 		}(i)
 	}
 
@@ -327,88 +323,26 @@ func drive(ctx context.Context, cfg genConfig, logger *slog.Logger) (*loadreport
 	return rep, nil
 }
 
-// driveSession is one session's send loop. In open loop, request k's
-// scheduled send time is start + k*interval and latency is measured from
-// it; a daemon that can't keep up accumulates schedule debt that shows up
-// in the tail, exactly as queued real clients would experience it.
+// driveSession is one session's send loop: it packs cfg.batch accesses
+// per DecideBatch exchange (with -batch 1 every exchange is one access
+// frame). In open loop access k's scheduled send time is
+// start + k*interval, a batch is written when its *last* member comes
+// due, and each member's latency is measured from its own schedule — so
+// the wait for a batch to fill is charged to its early members, and a
+// daemon that can't keep up accumulates schedule debt that shows up in
+// the tail, exactly as queued real clients would experience it. In
+// closed loop the next batch forms the moment the previous reply lands,
+// and every member is timed from the batch's send.
 func driveSession(ctx context.Context, cfg genConfig, idx int, frames []serve.Frame,
 	reg *obs.Registry, lat *obs.Histogram, tot *totals, logger *slog.Logger) {
-	cl, err := client.Dial(client.Config{
-		Addr:    client.FixedAddr(cfg.addr),
-		Session: fmt.Sprintf("%s-%d", cfg.sessionTag, idx),
-		Reg:     reg,
-	})
-	if err != nil {
-		tot.errors.Add(1)
-		logger.Error("session dial failed", "session", idx, "err", err)
-		return
+	ask := cfg.batch
+	if ask == 1 {
+		ask = 0 // a batch of one is an access frame: keep the unbatched hello
 	}
-	defer cl.Close()
-
-	var interval time.Duration
-	if cfg.rate > 0 {
-		interval = time.Duration(float64(cfg.sessions) / cfg.rate * float64(time.Second))
-	}
-	start := time.Now()
-	var k, seq uint64
-	fi := 0
-	for ctx.Err() == nil {
-		var scheduled time.Time
-		if interval > 0 {
-			scheduled = start.Add(time.Duration(k) * interval)
-			k++
-			if d := time.Until(scheduled); d > 0 {
-				select {
-				case <-ctx.Done():
-					return
-				case <-time.After(d):
-				}
-			}
-		} else {
-			scheduled = time.Now()
-		}
-		seq++
-		fr := frames[fi] // by value; the template is shared read-only
-		if fi++; fi == len(frames) {
-			fi = 0
-		}
-		fr.Seq = seq
-		dec, err := cl.Decide(&fr)
-		if err != nil {
-			if ctx.Err() != nil {
-				return // shutdown races look like request errors
-			}
-			tot.errors.Add(1)
-			if rw, ok := err.(*client.RewindError); ok {
-				seq = rw.ServerSeq // replay from the daemon's high-water mark
-			}
-			continue
-		}
-		lat.Observe(time.Since(scheduled).Seconds())
-		tot.decisions.Add(1)
-		if dec.Degraded {
-			tot.degraded.Add(1)
-		}
-		if dec.Replayed {
-			tot.replayed.Add(1)
-		}
-	}
-}
-
-// driveSessionBatched is driveSession for -batch > 1: it packs batches
-// of cfg.batch accesses per DecideBatch exchange. In open loop each
-// member keeps its own scheduled send time (start + k*interval) and the
-// batch is written when the *last* member comes due; each member's
-// latency is measured from its own schedule, so the wait for the batch
-// to fill is charged to the early members rather than hidden. In closed
-// loop the next batch forms the moment the previous reply lands, and
-// every member is timed from the batch's send.
-func driveSessionBatched(ctx context.Context, cfg genConfig, idx int, frames []serve.Frame,
-	reg *obs.Registry, lat *obs.Histogram, tot *totals, logger *slog.Logger) {
 	cl, err := client.Dial(client.Config{
 		Addr:     client.FixedAddr(cfg.addr),
 		Session:  fmt.Sprintf("%s-%d", cfg.sessionTag, idx),
-		MaxBatch: cfg.batch,
+		MaxBatch: ask,
 		Reg:      reg,
 	})
 	if err != nil {
@@ -433,14 +367,11 @@ func driveSessionBatched(ctx context.Context, cfg genConfig, idx int, frames []s
 				sched[j] = start.Add(time.Duration(k) * interval)
 				k++
 			}
-			fr := &frames[fi] // the template is shared read-only
+			seq++
+			accs[j] = frames[fi].Access() // the template is shared read-only
+			accs[j].Seq = seq
 			if fi++; fi == len(frames) {
 				fi = 0
-			}
-			seq++
-			accs[j] = serve.BatchAccess{
-				Seq: seq, PC: fr.PC, Addr: fr.Addr, Value: fr.Value, Reg: fr.Reg,
-				BranchHist: fr.BranchHist, Store: fr.Store, Hints: fr.Hints,
 			}
 		}
 		if interval > 0 {

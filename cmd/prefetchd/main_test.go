@@ -31,45 +31,70 @@ func buildDaemon(t *testing.T) string {
 	return bin
 }
 
-// startDaemon launches the binary and waits for its -addr-file.
-func startDaemon(t *testing.T, bin string, extra ...string) (*exec.Cmd, string) {
+// daemon is one running prefetchd child process.
+type daemon struct {
+	cmd    *exec.Cmd
+	addr   string
+	exited chan struct{} // closed once the child's only Wait has returned
+	err    error         // Wait's result, set before exited closes
+}
+
+// startDaemon launches the binary and waits for its -addr-file. A cleanup
+// kills and reaps the child if the test ends with it still running, so a
+// failing assertion never leaves a daemon behind.
+func startDaemon(t *testing.T, bin string, extra ...string) *daemon {
 	t.Helper()
 	addrFile := filepath.Join(t.TempDir(), "addr")
 	args := append([]string{"-listen", "127.0.0.1:0", "-addr-file", addrFile, "-q"}, extra...)
-	cmd := exec.Command(bin, args...)
-	cmd.Stderr = os.Stderr
-	if err := cmd.Start(); err != nil {
+	d := &daemon{cmd: exec.Command(bin, args...), exited: make(chan struct{})}
+	d.cmd.Stderr = os.Stderr
+	if err := d.cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
+	go func() {
+		d.err = d.cmd.Wait()
+		close(d.exited)
+	}()
+	t.Cleanup(func() {
+		select {
+		case <-d.exited:
+		default:
+			d.cmd.Process.Kill()
+			<-d.exited
+		}
+	})
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if b, err := os.ReadFile(addrFile); err == nil && len(b) > 0 {
-			return cmd, strings.TrimSpace(string(b))
+			d.addr = strings.TrimSpace(string(b))
+			return d
 		}
 		if time.Now().After(deadline) {
-			cmd.Process.Kill()
 			t.Fatal("daemon never wrote its addr file")
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
 }
 
-func sigtermAndWait(t *testing.T, cmd *exec.Cmd) {
+// waitExit waits for the daemon to exit 0 after a SIGTERM.
+func waitExit(t *testing.T, d *daemon) {
 	t.Helper()
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() { done <- cmd.Wait() }()
 	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("daemon exited non-zero after SIGTERM: %v", err)
+	case <-d.exited:
+		if d.err != nil {
+			t.Fatalf("daemon exited non-zero after SIGTERM: %v", d.err)
 		}
 	case <-time.After(15 * time.Second):
-		cmd.Process.Kill()
 		t.Fatal("daemon did not drain within 15s of SIGTERM")
 	}
+}
+
+func sigtermAndWait(t *testing.T, d *daemon) {
+	t.Helper()
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	waitExit(t, d)
 }
 
 // TestSigtermDrainWarmStart is the process-level durability contract:
@@ -91,15 +116,21 @@ func TestSigtermDrainWarmStart(t *testing.T) {
 		return &serve.Frame{Type: serve.FrameAccess, Seq: i, PC: 0x400000,
 			Addr: 0x200000 + (i%256)*64}
 	}
+	// reference is the in-process learner's decision for access i.
+	reference := func(i uint64) *serve.Frame {
+		a := frame(i).Access()
+		pf, sh := ref.DecideAccess(&a)
+		return &serve.Frame{Prefetch: pf, Shadow: sh}
+	}
 	const split, total = 500, 1000
 
-	cmd1, addr1 := startDaemon(t, bin, "-snapshot", snap)
-	c1, err := client.Dial(client.Config{Addr: client.FixedAddr(addr1), Session: "smoke"})
+	d1 := startDaemon(t, bin, "-snapshot", snap)
+	c1, err := client.Dial(client.Config{Addr: client.FixedAddr(d1.addr), Session: "smoke"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := uint64(1); i <= split; i++ {
-		want := ref.Decide(frame(i))
+		want := reference(i)
 		got, err := c1.Decide(frame(i))
 		if err != nil {
 			t.Fatalf("seq %d: %v", i, err)
@@ -109,14 +140,14 @@ func TestSigtermDrainWarmStart(t *testing.T) {
 		}
 	}
 	c1.Close()
-	sigtermAndWait(t, cmd1)
+	sigtermAndWait(t, d1)
 	if _, err := os.Stat(snap); err != nil {
 		t.Fatalf("no snapshot after drain: %v", err)
 	}
 
-	cmd2, addr2 := startDaemon(t, bin, "-snapshot", snap)
-	defer func() { sigtermAndWait(t, cmd2) }()
-	c2, err := client.Dial(client.Config{Addr: client.FixedAddr(addr2), Session: "smoke"})
+	d2 := startDaemon(t, bin, "-snapshot", snap)
+	defer func() { sigtermAndWait(t, d2) }()
+	c2, err := client.Dial(client.Config{Addr: client.FixedAddr(d2.addr), Session: "smoke"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +156,7 @@ func TestSigtermDrainWarmStart(t *testing.T) {
 		t.Fatalf("warm start: resumed=%v serverSeq=%d, want true/%d", c2.Resumed(), c2.ServerSeq(), split)
 	}
 	for i := uint64(split + 1); i <= total; i++ {
-		want := ref.Decide(frame(i))
+		want := reference(i)
 		got, err := c2.Decide(frame(i))
 		if err != nil {
 			t.Fatalf("seq %d: %v", i, err)
@@ -152,7 +183,7 @@ func TestObservabilityAndDrainReadiness(t *testing.T) {
 	obsAddrFile := filepath.Join(dir, "obs-addr")
 	spansFile := filepath.Join(dir, "spans.json")
 
-	cmd, addr := startDaemon(t, bin,
+	d := startDaemon(t, bin,
 		"-obs-listen", "127.0.0.1:0", "-obs-addr-file", obsAddrFile,
 		"-spans", spansFile, "-trace-sample", "1",
 		"-drain-grace", "2s")
@@ -163,7 +194,6 @@ func TestObservabilityAndDrainReadiness(t *testing.T) {
 		if b, err := os.ReadFile(obsAddrFile); err == nil && len(b) > 0 {
 			obsAddr = strings.TrimSpace(string(b))
 		} else if time.Now().After(deadline) {
-			cmd.Process.Kill()
 			t.Fatal("daemon never wrote its obs addr file")
 		} else {
 			time.Sleep(20 * time.Millisecond)
@@ -188,7 +218,7 @@ func TestObservabilityAndDrainReadiness(t *testing.T) {
 	}
 
 	const n = 64
-	c, err := client.Dial(client.Config{Addr: client.FixedAddr(addr), Session: "obs"})
+	c, err := client.Dial(client.Config{Addr: client.FixedAddr(d.addr), Session: "obs"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +266,7 @@ func TestObservabilityAndDrainReadiness(t *testing.T) {
 
 	// SIGTERM: readiness must flip to 503 during the drain-grace window,
 	// while the process is still alive.
-	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+	if err := d.cmd.Process.Signal(syscall.SIGTERM); err != nil {
 		t.Fatal(err)
 	}
 	sawDraining := false
@@ -257,17 +287,7 @@ func TestObservabilityAndDrainReadiness(t *testing.T) {
 		t.Fatal("never observed /readyz 503 during the drain-grace window")
 	}
 
-	done := make(chan error, 1)
-	go func() { done <- cmd.Wait() }()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("daemon exited non-zero after SIGTERM: %v", err)
-		}
-	case <-time.After(15 * time.Second):
-		cmd.Process.Kill()
-		t.Fatal("daemon did not drain within 15s of SIGTERM")
-	}
+	waitExit(t, d)
 
 	// The span file written on drain holds serve-category request spans
 	// with the four-stage breakdown — the format `inspect spans` renders.

@@ -294,7 +294,8 @@ func runRemote(ctx context.Context, logger *slog.Logger, stdout io.Writer, tr *t
 			break
 		}
 		fr := &frames[i]
-		want := local.Decide(fr)
+		a := fr.Access()
+		pf, sh := local.DecideAccess(&a)
 		got, err := c.Decide(fr)
 		if err != nil {
 			logger.Error("remote decision failed", "seq", fr.Seq, "err", err)
@@ -303,12 +304,12 @@ func runRemote(ctx context.Context, logger *slog.Logger, stdout io.Writer, tr *t
 		switch {
 		case got.Degraded:
 			degraded++
-		case serve.SameDecision(got, want):
+		case serve.SameDecision(got, &serve.Frame{Prefetch: pf, Shadow: sh}):
 			matched++
 		default:
 			if mismatched == 0 {
 				logger.Error("daemon decision diverged from in-process learner",
-					"seq", fr.Seq, "remote", got.Prefetch, "local", want.Prefetch)
+					"seq", fr.Seq, "remote", got.Prefetch, "local", pf)
 			}
 			mismatched++
 		}

@@ -279,6 +279,31 @@ func TestSteadyStateCodecZeroAlloc(t *testing.T) {
 	}); n != 0 {
 		t.Fatalf("steady-state single decode allocates %.1f/op, want 0", n)
 	}
+
+	// The reader's move of an access frame into a batch of one: decode,
+	// move, reset must keep recycling the frame's Hints and access slot.
+	acc := &Frame{Type: FrameAccess, Seq: 7, PC: 0x400123, Addr: 0xdeadbe00, Value: 9, Reg: 3,
+		BranchHist: 0xffff, Store: true, Hints: &Hints{Valid: true, TypeID: 3, LinkOffset: 8, RefForm: 1}}
+	if buf, err = AppendFrame(buf[:0], acc); err != nil {
+		t.Fatal(err)
+	}
+	aline := buf[:len(buf)-1]
+	var pooled Frame
+	moveOne := func() {
+		if err := DecodeFrameInto(aline, &pooled); err != nil {
+			t.Fatal(err)
+		}
+		batchOfOne(&pooled)
+		if a := pooled.Accesses; len(a) != 1 || a[0].Seq != 7 || a[0].Hints == nil || *a[0].Hints != *acc.Hints || pooled.Hints != nil {
+			t.Fatalf("batch of one lost the access payload: %+v", pooled)
+		}
+		pooled.reset()
+	}
+	moveOne() // warm: the frame and its access slot each come to hold one Hints
+	moveOne()
+	if n := testing.AllocsPerRun(200, moveOne); n != 0 {
+		t.Fatalf("steady-state access decode + batch-of-one move allocates %.1f/op, want 0", n)
+	}
 }
 
 // TestReplayRingSpanStraddle pins span-granular replay: the ring holds
@@ -323,7 +348,7 @@ func TestReplayRingSpanStraddle(t *testing.T) {
 		}
 	}
 	// Mixed granularity: singles and spans share the ring.
-	r.put(ReplayEntry{Seq: 13, Prefetch: []uint64{13 * 64}})
+	r.putSpan([]ReplayEntry{{Seq: 13, Prefetch: []uint64{13 * 64}}})
 	if _, ok := r.get(9); !ok {
 		t.Fatal("span 9..12 evicted by a single put into a depth-2 ring")
 	}
@@ -390,12 +415,12 @@ func TestServerBatchDecisionParity(t *testing.T) {
 
 	check := func(seq uint64, prefetch, shadow []uint64, degraded, replayed bool) {
 		t.Helper()
-		want := ref.Decide(&Frame{Type: FrameAccess, Seq: seq, PC: 0x400000, Addr: accessAddr(seq)})
+		pf, sh := ref.DecideAccess(&BatchAccess{Seq: seq, PC: 0x400000, Addr: accessAddr(seq)})
 		if degraded || replayed {
 			t.Fatalf("seq %d: degraded=%v replayed=%v in lockstep", seq, degraded, replayed)
 		}
-		if !equalU64(prefetch, want.Prefetch) || !equalU64(shadow, want.Shadow) {
-			t.Fatalf("seq %d: daemon %v/%v, reference %v/%v", seq, prefetch, shadow, want.Prefetch, want.Shadow)
+		if !equalU64(prefetch, pf) || !equalU64(shadow, sh) {
+			t.Fatalf("seq %d: daemon %v/%v, reference %v/%v", seq, prefetch, shadow, pf, sh)
 		}
 	}
 

@@ -1,13 +1,11 @@
 package client
 
 import (
-	"errors"
 	"runtime"
 	"sync"
 	"testing"
 	"time"
 
-	"semloc/internal/core"
 	"semloc/internal/obs"
 	"semloc/internal/serve"
 )
@@ -96,8 +94,8 @@ func TestClientDecideBatch(t *testing.T) {
 }
 
 // TestClientDecideBatchFallback: against a daemon with batching disabled
-// the client is granted 0 and DecideBatch transparently degrades to the
-// legacy per-access exchange — same results, old servers keep working.
+// the client is granted 0 and DecideBatch sends every access as its own
+// access frame — same results, old servers keep working.
 func TestClientDecideBatchFallback(t *testing.T) {
 	const n = 40
 	want := referenceDecisions(t, n)
@@ -184,124 +182,6 @@ func TestClientDecideBatchValidation(t *testing.T) {
 	// The stream is intact after the rejections.
 	if _, err := c.DecideBatch(batchAccs(1, 3), nil); err != nil {
 		t.Fatalf("stream broken after local validation errors: %v", err)
-	}
-}
-
-// TestCoalescer submits accesses one at a time and lets the coalescer
-// form the batches: every submission gets its decision, seqs are
-// assigned in submission order, and decisions match the reference.
-func TestCoalescer(t *testing.T) {
-	const n = 200
-	want := referenceDecisions(t, n)
-	s := startDaemon(t, serve.Config{})
-	defer s.Close()
-	c, err := Dial(Config{Addr: FixedAddr(s.Addr().String()), Session: "co", MaxBatch: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-
-	co := NewCoalescer(c, 200*time.Microsecond)
-	chans := make([]<-chan CoalesceResult, n+1)
-	for i := uint64(1); i <= n; i++ {
-		chans[i] = co.Submit(serve.BatchAccess{PC: 0x400000, Addr: 0x100000 + (i%512)*64})
-	}
-	for i := uint64(1); i <= n; i++ {
-		r := <-chans[i]
-		if r.Err != nil {
-			t.Fatalf("submission %d: %v", i, r.Err)
-		}
-		d := r.Decision
-		if d.Seq != i {
-			t.Fatalf("submission %d assigned seq %d (order not preserved)", i, d.Seq)
-		}
-		if d.Degraded || d.Code != "" {
-			t.Fatalf("seq %d: %+v in lockstep", i, d)
-		}
-		if !serve.SameDecision(&serve.Frame{Prefetch: d.Prefetch, Shadow: d.Shadow}, want[i]) {
-			t.Fatalf("seq %d: coalesced %v/%v, reference %v/%v",
-				i, d.Prefetch, d.Shadow, want[i].Prefetch, want[i].Shadow)
-		}
-	}
-	co.Close()
-	if r := <-co.Submit(serve.BatchAccess{Addr: 0x100000}); !errors.Is(r.Err, ErrCoalescerClosed) {
-		t.Fatalf("submit after close: %v, want ErrCoalescerClosed", r.Err)
-	}
-
-	// The underlying client saw the coalesced stream: server high-water is n.
-	st, err := c.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.LastSeq != n {
-		t.Fatalf("server high-water %d after coalesced stream of %d", st.LastSeq, n)
-	}
-}
-
-// TestCoalescerConcurrent hammers Submit from several goroutines. Seq
-// assignment order is nondeterministic, so every access is identical and
-// the reference is order-independent: result k must match the k-th
-// reference decision regardless of which goroutine submitted it.
-func TestCoalescerConcurrent(t *testing.T) {
-	const (
-		workers = 4
-		each    = 50
-		n       = workers * each
-	)
-	ref, err := serve.NewLearner(core.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([]*serve.Frame, n+1)
-	for i := uint64(1); i <= n; i++ {
-		want[i] = ref.Decide(&serve.Frame{Type: serve.FrameAccess, Seq: i, PC: 0x400000, Addr: 0x100000})
-	}
-
-	s := startDaemon(t, serve.Config{})
-	defer s.Close()
-	c, err := Dial(Config{Addr: FixedAddr(s.Addr().String()), Session: "coc", MaxBatch: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	co := NewCoalescer(c, 100*time.Microsecond)
-	defer co.Close()
-
-	var wg sync.WaitGroup
-	results := make(chan serve.BatchDecision, n)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := 0; j < each; j++ {
-				r := <-co.Submit(serve.BatchAccess{PC: 0x400000, Addr: 0x100000})
-				if r.Err != nil {
-					t.Errorf("concurrent submit: %v", r.Err)
-					return
-				}
-				results <- r.Decision
-			}
-		}()
-	}
-	wg.Wait()
-	close(results)
-
-	seen := make(map[uint64]bool, n)
-	for d := range results {
-		if seen[d.Seq] {
-			t.Fatalf("seq %d delivered twice", d.Seq)
-		}
-		seen[d.Seq] = true
-		if d.Seq < 1 || d.Seq > n {
-			t.Fatalf("seq %d outside the submitted range", d.Seq)
-		}
-		if !serve.SameDecision(&serve.Frame{Prefetch: d.Prefetch, Shadow: d.Shadow}, want[d.Seq]) {
-			t.Fatalf("seq %d: %v/%v, reference %v/%v",
-				d.Seq, d.Prefetch, d.Shadow, want[d.Seq].Prefetch, want[d.Seq].Shadow)
-		}
-	}
-	if len(seen) != n {
-		t.Fatalf("%d of %d submissions delivered", len(seen), n)
 	}
 }
 

@@ -166,7 +166,9 @@ func referenceDecisions(t *testing.T, n uint64) []*serve.Frame {
 	}
 	out := make([]*serve.Frame, n+1)
 	for i := uint64(1); i <= n; i++ {
-		out[i] = ref.Decide(accessFrame(i))
+		a := accessFrame(i).Access()
+		pf, sh := ref.DecideAccess(&a)
+		out[i] = &serve.Frame{Prefetch: append([]uint64(nil), pf...), Shadow: append([]uint64(nil), sh...)}
 	}
 	return out
 }

@@ -18,11 +18,12 @@ import (
 )
 
 // Client-side metric names, registered when Config.Reg is set. The RTT
-// histogram observes one sample per decision — for Decide, the successful
-// exchange (access written → matching decision read, including any
-// in-exchange busy waits); for DecideBatch with a schedule, each access's
-// latency from its own intended send time, which corrects for coordinated
-// omission instead of letting batching hide queueing delay.
+// histogram observes one sample per decision — without a schedule, the
+// successful exchange of its chunk (request written → matching reply
+// read, including any in-exchange busy waits); for DecideBatch with a
+// schedule, each access's latency from its own intended send time, which
+// corrects for coordinated omission instead of letting batching hide
+// queueing delay.
 const (
 	MetricClientRTT        = "client_rtt_seconds"
 	MetricClientRetries    = "client_retries_total"
@@ -47,7 +48,7 @@ type Config struct {
 	// MaxBatch, when positive, asks the daemon at hello for batched
 	// decisions of up to this size (clamped to serve.MaxBatch). The
 	// granted size is Batch(); 0 keeps the legacy frame-at-a-time
-	// protocol, and DecideBatch degrades to per-access exchanges against
+	// protocol, and DecideBatch sends one access frame per access to
 	// daemons that grant 0.
 	MaxBatch int
 
@@ -124,10 +125,12 @@ type Client struct {
 	rng       uint64
 
 	// Reused buffers: enc holds the last encoded request (kept intact for
-	// same-bytes resends after busy), resp receives batch replies in
-	// place, out accumulates multi-chunk DecideBatch results.
+	// same-bytes resends after busy), resp receives replies in place, one
+	// holds a decision reply as a result, out accumulates multi-chunk
+	// DecideBatch results.
 	enc  []byte
 	resp serve.Frame
+	one  [1]serve.BatchDecision
 	out  []serve.BatchDecision
 
 	// Retries / Reconnects / Busy count retried sends, re-dials and busy
@@ -279,69 +282,34 @@ func (c *Client) backoff() {
 	time.Sleep(d + time.Duration(z%uint64(d/2+1)))
 }
 
-// Decide streams one access and returns its decision, riding out
-// transport faults: duplicate replies for older seqs are skipped, busy
-// frames honour the server's retry hint, broken connections reconnect
-// with backoff and resend the same seq, and a post-restart server behind
-// the stream returns *RewindError.
+// Decide streams one access frame as a batch of one and returns its
+// decision frame, which is the caller's to keep. Retry semantics are
+// DecideBatch's.
 func (c *Client) Decide(fr *serve.Frame) (*serve.Frame, error) {
 	if fr.Type != serve.FrameAccess {
 		return nil, fmt.Errorf("client: Decide wants an access frame, got %s", fr.Type)
 	}
-	var lastErr error
-	for attempt := 0; attempt < c.cfg.MaxAttempts; attempt++ {
-		if c.conn == nil {
-			if err := c.connect(); err != nil {
-				lastErr = err
-				c.failures++
-				c.Reconnects++
-				c.reconnectsC.Inc()
-				c.cfg.Logf("client: reconnect failed (attempt %d): %v", attempt, err)
-				c.backoff()
-				continue
-			}
-			c.Reconnects++
-			c.reconnectsC.Inc()
-			// A restarted server may have restored an older snapshot:
-			// its session is behind our stream and sending fr.Seq now
-			// would silently skip the gap. Hand control to the driver.
-			if c.serverSeq+1 < fr.Seq {
-				return nil, &RewindError{ServerSeq: c.serverSeq}
-			}
-		}
-		var start time.Time
-		if c.rtt != nil {
-			start = time.Now()
-		}
-		dec, err := c.exchange(fr)
-		if err != nil {
-			lastErr = err
-			c.failures++
-			c.Retries++
-			c.retriesC.Inc()
-			c.cfg.Logf("client: request seq %d failed (attempt %d): %v", fr.Seq, attempt, err)
-			c.drop()
-			c.backoff()
-			continue
-		}
-		c.failures = 0
-		if c.rtt != nil {
-			c.rtt.Observe(time.Since(start).Seconds())
-		}
-		return dec, nil
+	res, err := c.DecideBatch([]serve.BatchAccess{fr.Access()}, nil)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("client: seq %d: giving up after %d attempts: %w", fr.Seq, c.cfg.MaxAttempts, lastErr)
+	d := res[0]
+	return &serve.Frame{Type: serve.FrameDecision, Seq: d.Seq,
+		Prefetch: append([]uint64(nil), d.Prefetch...), Shadow: append([]uint64(nil), d.Shadow...),
+		Degraded: d.Degraded, Replayed: d.Replayed}, nil
 }
 
 // DecideBatch streams the accesses (contiguous ascending seqs, like one
-// batch frame) and returns their decisions in order. The request is
-// chunked to the batch size granted at hello; against a daemon that
-// granted no batching it degrades to per-access Decide exchanges, so
-// callers can use it unconditionally. Retry semantics match Decide —
-// same-seq resend of the whole chunk (the server's replay ring absorbs
-// the already-applied prefix as Replayed decisions), busy honoured with
-// the server's hint, and *RewindError when a restarted daemon is behind
-// the chunk about to be sent.
+// batch frame) and returns their decisions in order, riding out transport
+// faults. The request is chunked to the batch size granted at hello; a
+// chunk of one travels as an access frame, so against a daemon that
+// granted no batching every access does, and callers can use DecideBatch
+// unconditionally. Duplicate or delayed replies for other chunks are
+// skipped, busy frames honour the server's retry hint, broken connections
+// reconnect with backoff and resend the whole chunk under the same seqs
+// (the server's replay ring absorbs the already-applied prefix as
+// Replayed decisions), and a restarted daemon behind the chunk about to
+// be sent returns *RewindError.
 //
 // The returned slice and its payloads alias client-owned buffers that
 // stay valid only until the next Decide/DecideBatch call — callers copy
@@ -388,47 +356,29 @@ func (c *Client) DecideBatch(accs []serve.BatchAccess, sched []time.Time) ([]ser
 			}
 			c.Reconnects++
 			c.reconnectsC.Inc()
+			// A restarted server may have restored an older snapshot: its
+			// session is behind our stream and sending this chunk now
+			// would silently skip the gap. Hand control to the driver.
 			if c.serverSeq+1 < accs[i].Seq {
 				return nil, &RewindError{ServerSeq: c.serverSeq}
 			}
 			// The granted batch size may have changed across the
 			// reconnect; the chunking below re-reads it every iteration.
 		}
-		if c.batch <= 0 {
-			// Legacy daemon (or batching disabled): finish the remaining
-			// accesses frame-at-a-time. Decide carries its own retry
-			// budget and rewind check.
-			for ; i < len(accs); i++ {
-				a := &accs[i]
-				dec, err := c.Decide(&serve.Frame{
-					Type: serve.FrameAccess, Seq: a.Seq, PC: a.PC, Addr: a.Addr,
-					Value: a.Value, Reg: a.Reg, BranchHist: a.BranchHist,
-					Store: a.Store, Hints: a.Hints,
-				})
-				if err != nil {
-					return nil, err
-				}
-				c.out = append(c.out, serve.BatchDecision{
-					Seq: a.Seq, Prefetch: dec.Prefetch, Shadow: dec.Shadow,
-					Degraded: dec.Degraded, Replayed: dec.Replayed,
-				})
-			}
-			return c.out, nil
-		}
-		k := min(c.batch, len(accs)-i)
+		k := min(max(c.batch, 1), len(accs)-i)
 		chunk := accs[i : i+k]
 		var start time.Time
 		if c.rtt != nil && sched == nil {
 			start = time.Now()
 		}
-		res, err := c.exchangeBatch(chunk)
+		res, err := c.exchange(chunk)
 		if err != nil {
 			lastErr = err
 			attempt++
 			c.failures++
 			c.Retries++
 			c.retriesC.Inc()
-			c.cfg.Logf("client: batch seq %d+%d failed (attempt %d): %v", chunk[0].Seq, k, attempt, err)
+			c.cfg.Logf("client: seq %d+%d failed (attempt %d): %v", chunk[0].Seq, k, attempt, err)
 			c.drop()
 			c.backoff()
 			continue
@@ -471,17 +421,23 @@ func (c *Client) DecideBatch(accs []serve.BatchAccess, sched []time.Time) ([]ser
 	return c.out, nil
 }
 
-// exchangeBatch sends one batch chunk and reads until its answer
-// arrives, decoding replies into the client's reused frame. Matching is
-// by identity of the seq range: a batch reply whose first seq and length
-// equal the chunk's is the answer (duplicated or delayed replies for
-// other chunks are skipped, like stray decisions on the single path).
-// A per-item stale_seq code means this client's stream fell further
-// behind the replay window than one chunk — unrecoverable, like the
-// single path's stale error.
-func (c *Client) exchangeBatch(chunk []serve.BatchAccess) ([]serve.BatchDecision, error) {
-	first := chunk[0].Seq
+// exchange sends one chunk — a lone access as an access frame, more as a
+// batch frame — and reads until its answer arrives, decoding replies into
+// the client's reused frame. A decision reply is matched by seq, a batch
+// reply by first seq and length; delayed or duplicated replies for other
+// requests are skipped. Busy bounces are resent on the same connection
+// after the server's hinted wait; only transport faults and session
+// errors bubble up to the reconnect path. A stale-seq answer means this
+// client's stream fell further behind the replay window than one chunk —
+// unrecoverable.
+func (c *Client) exchange(chunk []serve.BatchAccess) ([]serve.BatchDecision, error) {
+	first, n := chunk[0].Seq, uint64(len(chunk))
 	req := serve.Frame{Type: serve.FrameBatch, Accesses: chunk}
+	if n == 1 {
+		a := &chunk[0]
+		req = serve.Frame{Type: serve.FrameAccess, Seq: a.Seq, PC: a.PC, Addr: a.Addr, Value: a.Value,
+			Reg: a.Reg, BranchHist: a.BranchHist, Store: a.Store, Hints: a.Hints}
+	}
 	if err := c.send(&req, c.cfg.RequestTimeout); err != nil {
 		return nil, err
 	}
@@ -494,9 +450,16 @@ func (c *Client) exchangeBatch(chunk []serve.BatchAccess) ([]serve.BatchDecision
 		}
 		got := &c.resp
 		switch got.Type {
+		case serve.FrameDecision:
+			if n != 1 || got.Seq != first {
+				continue
+			}
+			c.one[0] = serve.BatchDecision{Seq: got.Seq, Prefetch: got.Prefetch, Shadow: got.Shadow,
+				Degraded: got.Degraded, Replayed: got.Replayed}
+			return c.one[:], nil
 		case serve.FrameBatch:
-			if len(got.Results) != len(chunk) || got.Results[0].Seq != first {
-				continue // delayed/duplicated reply for another chunk
+			if uint64(len(got.Results)) != n || got.Results[0].Seq != first {
+				continue
 			}
 			for j := range got.Results {
 				if code := got.Results[j].Code; code != "" {
@@ -504,8 +467,8 @@ func (c *Client) exchangeBatch(chunk []serve.BatchAccess) ([]serve.BatchDecision
 				}
 			}
 			return got.Results, nil
-		case serve.FrameDecision, serve.FramePong:
-			// Stray singles from pre-batch traffic or keepalive noise.
+		case serve.FramePong:
+			// Keepalive noise.
 		case serve.FrameBusy:
 			if got.Seq != 0 && got.Seq != first {
 				continue
@@ -513,7 +476,7 @@ func (c *Client) exchangeBatch(chunk []serve.BatchAccess) ([]serve.BatchDecision
 			c.Busy++
 			c.busyC.Inc()
 			if busyN++; busyN > c.cfg.MaxAttempts {
-				return nil, fmt.Errorf("client: server busy %d times for batch at seq %d", busyN, first)
+				return nil, fmt.Errorf("client: server busy %d times for seq %d", busyN, first)
 			}
 			wait := time.Duration(got.RetryMs) * time.Millisecond
 			if wait <= 0 {
@@ -527,74 +490,14 @@ func (c *Client) exchangeBatch(chunk []serve.BatchAccess) ([]serve.BatchDecision
 		case serve.FrameError:
 			switch got.Code {
 			case serve.CodeSessionClosed, serve.CodeShuttingDown:
+				// Reconnect (fresh hello revives or recreates the session)
+				// and resend.
 				return nil, fmt.Errorf("client: %s: %s", got.Code, got.Msg)
 			case serve.CodeStaleSeq:
-				if got.Seq != 0 && (got.Seq < first || got.Seq >= first+uint64(len(chunk))) {
+				if got.Seq != 0 && (got.Seq < first || got.Seq >= first+n) {
 					continue // stale answer to a duplicated old frame
 				}
-				return nil, fmt.Errorf("client: batch at seq %d stale on server: %s", first, got.Msg)
-			default:
-				return nil, fmt.Errorf("client: server error %s: %s", got.Code, got.Msg)
-			}
-		default:
-			return nil, fmt.Errorf("client: unexpected %s frame mid-stream", got.Type)
-		}
-	}
-}
-
-// exchange sends one access and reads until its answer arrives. Busy
-// bounces are resent on the same connection after the server's hinted
-// wait; only transport faults bubble up to the reconnect path.
-func (c *Client) exchange(fr *serve.Frame) (*serve.Frame, error) {
-	if err := c.send(fr, c.cfg.RequestTimeout); err != nil {
-		return nil, err
-	}
-	deadline := time.Now().Add(c.cfg.RequestTimeout)
-	busyN := 0
-	for {
-		c.conn.SetReadDeadline(deadline)
-		got, err := c.r.Read()
-		if err != nil {
-			return nil, fmt.Errorf("client: recv: %w", err)
-		}
-		switch got.Type {
-		case serve.FrameDecision:
-			if got.Seq == fr.Seq {
-				return got, nil
-			}
-			// A duplicated or delayed reply for an earlier seq (the
-			// chaos proxy does this): skip it.
-		case serve.FrameBusy:
-			if got.Seq != 0 && got.Seq != fr.Seq {
-				continue
-			}
-			c.Busy++
-			c.busyC.Inc()
-			if busyN++; busyN > c.cfg.MaxAttempts {
-				return nil, fmt.Errorf("client: server busy %d times for seq %d", busyN, fr.Seq)
-			}
-			wait := time.Duration(got.RetryMs) * time.Millisecond
-			if wait <= 0 {
-				wait = c.cfg.BackoffBase
-			}
-			time.Sleep(wait)
-			if err := c.resend(c.cfg.RequestTimeout); err != nil {
-				return nil, fmt.Errorf("client: resend after busy: %w", err)
-			}
-			deadline = time.Now().Add(c.cfg.RequestTimeout)
-		case serve.FramePong:
-			// Keepalive noise.
-		case serve.FrameError:
-			switch got.Code {
-			case serve.CodeSessionClosed, serve.CodeShuttingDown:
-				// Reconnect (fresh hello revives or recreates the
-				// session) and resend.
-				return nil, fmt.Errorf("client: %s: %s", got.Code, got.Msg)
-			case serve.CodeStaleSeq:
-				if got.Seq != 0 && got.Seq != fr.Seq {
-					continue // stale answer to a duplicated old frame
-				}
-				return nil, fmt.Errorf("client: seq %d stale on server: %s", fr.Seq, got.Msg)
+				return nil, fmt.Errorf("client: seq %d stale on server: %s", first, got.Msg)
 			default:
 				return nil, fmt.Errorf("client: server error %s: %s", got.Code, got.Msg)
 			}

@@ -9,8 +9,8 @@ import (
 )
 
 // Learner wraps one session's context prefetcher behind a deterministic
-// serving issuer: Decide feeds an access frame through core.OnAccess and
-// collects the issued/shadow prefetch addresses into a decision frame.
+// serving issuer: DecideAccess feeds one access through core.OnAccess and
+// collects the issued/shadow prefetch addresses.
 //
 // Serving has no simulated memory system, so the issuer is a fixed point:
 // prefetch slots are always free and every real prefetch dispatches. That
@@ -66,49 +66,28 @@ func (l *Learner) Explain(topK int) []core.ContextExplain {
 	return l.pf.ExplainTopContexts(topK)
 }
 
-// Decide applies one access frame and returns the decision frame (without
-// Seq, which the session fills in).
-func (l *Learner) Decide(fr *Frame) *Frame {
-	pf, sh := l.apply(fr.PC, fr.Addr, fr.Value, fr.Reg, fr.BranchHist, fr.Store, fr.Hints)
-	dec := &Frame{Type: FrameDecision}
-	if len(pf) > 0 {
-		dec.Prefetch = append([]uint64(nil), pf...)
-	}
-	if len(sh) > 0 {
-		dec.Shadow = append([]uint64(nil), sh...)
-	}
-	return dec
-}
-
-// DecideAccess applies one batch item and returns the issued and shadow
+// DecideAccess applies one access and returns the issued and shadow
 // addresses. The returned slices are owned by the learner's issuer and
-// valid only until the next Decide/DecideAccess call — callers copy what
-// they keep. Batch serving uses this to avoid one slice allocation pair
-// per access.
-func (l *Learner) DecideAccess(a *BatchAccess) (prefetch, shadow []uint64) {
-	return l.apply(a.PC, a.Addr, a.Value, a.Reg, a.BranchHist, a.Store, a.Hints)
-}
-
-// apply feeds one access through the prefetcher and returns the
-// issuer-owned result slices.
-func (l *Learner) apply(pc, addr, value, reg uint64, branchHist uint16, store bool, hints *Hints) ([]uint64, []uint64) {
+// valid only until the next DecideAccess call — callers copy what they
+// keep.
+func (l *Learner) DecideAccess(b *BatchAccess) (issued, shadow []uint64) {
 	a := prefetch.Access{
-		PC:         pc,
-		Addr:       memmodel.Addr(addr),
-		Line:       memmodel.Line(addr >> 6),
+		PC:         b.PC,
+		Addr:       memmodel.Addr(b.Addr),
+		Line:       memmodel.Line(b.Addr >> 6),
 		Now:        cache.Cycle(l.seen),
 		Index:      l.seen,
-		IsStore:    store,
-		Value:      value,
-		Reg:        reg,
-		BranchHist: branchHist,
+		IsStore:    b.Store,
+		Value:      b.Value,
+		Reg:        b.Reg,
+		BranchHist: b.BranchHist,
 	}
-	if hints != nil {
+	if h := b.Hints; h != nil {
 		a.Hints = trace.SWHints{
-			Valid:      hints.Valid,
-			TypeID:     hints.TypeID,
-			LinkOffset: hints.LinkOffset,
-			RefForm:    trace.RefForm(hints.RefForm),
+			Valid:      h.Valid,
+			TypeID:     h.TypeID,
+			LinkOffset: h.LinkOffset,
+			RefForm:    trace.RefForm(h.RefForm),
 		}
 	}
 	l.iss.reset()
@@ -145,34 +124,17 @@ func (c *collectIssuer) Shadow(addr memmodel.Addr) {
 // FreePrefetchSlots implements prefetch.Issuer.
 func (c *collectIssuer) FreePrefetchSlots(now cache.Cycle) int { return 1 << 20 }
 
-// FallbackDecision is the degradation-ladder bottom rung: a next-line
-// stride guess computed without touching any learner state, served
-// immediately from the connection reader when a session's inbox is full.
-// Cheap, stateless, safe to produce concurrently with the session worker.
-func FallbackDecision(fr *Frame, blockShift uint) *Frame {
+// fallbackDecisions is the degradation-ladder bottom rung: one next-line
+// stride guess per access, computed without touching any learner state,
+// served immediately from the connection reader when a session's inbox is
+// full. Cheap, stateless, safe to produce concurrently with the session
+// worker.
+func fallbackDecisions(accs []BatchAccess, blockShift uint) []BatchDecision {
 	blockBytes := uint64(1) << blockShift
-	next := (fr.Addr &^ (blockBytes - 1)) + blockBytes
-	return &Frame{
-		Type:     FrameDecision,
-		Seq:      fr.Seq,
-		Prefetch: []uint64{next},
-		Degraded: true,
-	}
-}
-
-// FallbackBatchDecision is FallbackDecision for a whole batch: one
-// next-line guess per access, produced without learner state when the
-// session's inbox is full.
-func FallbackBatchDecision(accs []BatchAccess, blockShift uint) *Frame {
-	blockBytes := uint64(1) << blockShift
-	out := &Frame{Type: FrameBatch, Results: make([]BatchDecision, len(accs))}
+	out := make([]BatchDecision, len(accs))
 	for i := range accs {
 		next := (accs[i].Addr &^ (blockBytes - 1)) + blockBytes
-		out.Results[i] = BatchDecision{
-			Seq:      accs[i].Seq,
-			Prefetch: []uint64{next},
-			Degraded: true,
-		}
+		out[i] = BatchDecision{Seq: accs[i].Seq, Prefetch: []uint64{next}, Degraded: true}
 	}
 	return out
 }

@@ -239,6 +239,13 @@ type Frame struct {
 	spareHints *Hints
 }
 
+// Access returns an access frame's payload as a batch item (sharing its
+// Hints): the daemon serves every access as a batch of one.
+func (f *Frame) Access() BatchAccess {
+	return BatchAccess{Seq: f.Seq, PC: f.PC, Addr: f.Addr, Value: f.Value, Reg: f.Reg,
+		BranchHist: f.BranchHist, Store: f.Store, Hints: f.Hints}
+}
+
 // Validate enforces the per-type frame contract.
 func (f *Frame) Validate() error {
 	switch f.Type {
@@ -381,21 +388,10 @@ func (fr *FrameReader) ReadInto(f *Frame) error {
 	return DecodeFrameInto(line, f)
 }
 
-// ReadTimed is Read with the parse cost split out: it returns how long
-// DecodeFrame took, excluding the wait for bytes to arrive on the wire.
-// The instrumented serving path uses it so the decode histogram measures
-// JSON parsing, not client think-time.
-func (fr *FrameReader) ReadTimed() (*Frame, time.Duration, error) {
-	line, err := fr.readLine()
-	if err != nil {
-		return nil, 0, err
-	}
-	start := time.Now()
-	f, err := DecodeFrame(line)
-	return f, time.Since(start), err
-}
-
-// ReadTimedInto is ReadInto with the parse cost split out, as ReadTimed.
+// ReadTimedInto is ReadInto with the parse cost split out: it returns how
+// long DecodeFrameInto took, excluding the wait for bytes to arrive on the
+// wire. The instrumented serving path uses it so the decode histogram
+// measures JSON parsing, not client think-time.
 func (fr *FrameReader) ReadTimedInto(f *Frame) (time.Duration, error) {
 	line, err := fr.readLine()
 	if err != nil {

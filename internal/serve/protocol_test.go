@@ -180,8 +180,9 @@ func TestFrameReaderDeadlineExpiry(t *testing.T) {
 	}
 }
 
-// TestFrameReaderReadTimed: the timed variant returns the same frames as
-// Read and a decode duration that reflects parse cost only.
+// TestFrameReaderReadTimed: ReadTimedInto decodes the same frames as
+// Read, into one reused frame, and a decode duration that reflects parse
+// cost only.
 func TestFrameReaderReadTimed(t *testing.T) {
 	var buf bytes.Buffer
 	for i := uint64(1); i <= 3; i++ {
@@ -192,8 +193,9 @@ func TestFrameReaderReadTimed(t *testing.T) {
 		buf.Write(b)
 	}
 	r := NewFrameReader(&buf)
+	var f Frame
 	for i := uint64(1); i <= 3; i++ {
-		f, d, err := r.ReadTimed()
+		d, err := r.ReadTimedInto(&f)
 		if err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
@@ -204,7 +206,7 @@ func TestFrameReaderReadTimed(t *testing.T) {
 			t.Fatalf("negative decode duration %v", d)
 		}
 	}
-	if _, _, err := r.ReadTimed(); err != io.EOF {
+	if _, err := r.ReadTimedInto(&f); err != io.EOF {
 		t.Fatalf("want io.EOF at stream end, got %v", err)
 	}
 }

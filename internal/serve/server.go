@@ -172,8 +172,9 @@ type Server struct {
 	// Test-only fault injection, set before Start: gate, when non-nil,
 	// makes every session worker wait for a token before processing an
 	// item (deterministic inbox filling for backpressure tests);
-	// panicOnSeq, when non-zero, panics inside process() at that seq
-	// (exercises the containment path without corrupting real state).
+	// panicOnSeq, when non-zero, panics inside process() on the request
+	// holding that seq (exercises the containment path without corrupting
+	// real state).
 	gate       chan struct{}
 	panicOnSeq uint64
 
@@ -518,16 +519,10 @@ func (s *Server) handleConn(c net.Conn) {
 			return
 		}
 		switch fr.Type {
-		case FrameAccess:
-			it := inboxItem{fr: fr, conn: w}
-			if s.trace != nil {
-				it.arrival = time.Now()
-				it.decodeDur = decodeDur
-				it.sampled, it.spanStart = s.trace.sample(decodeDur)
-			}
-			s.handleAccess(sess, it)
-		case FrameBatch:
-			if batch == 0 || len(fr.Accesses) == 0 || len(fr.Accesses) > batch {
+		case FrameAccess, FrameBatch:
+			if fr.Type == FrameAccess {
+				batchOfOne(fr)
+			} else if batch == 0 || len(fr.Accesses) == 0 || len(fr.Accesses) > batch {
 				msg := "batch frame on a connection that did not negotiate batching"
 				switch {
 				case len(fr.Accesses) == 0:
@@ -573,9 +568,26 @@ func (s *Server) handleConn(c net.Conn) {
 	}
 }
 
-// handleAccess walks the degradation ladder for one access or batch
-// frame (a batch holds one inbox slot but counts every access against
-// the global in-flight budget):
+// batchOfOne moves an access frame's payload into Accesses[0], so every
+// request past the connection reader is a batch; the frame keeps its type,
+// which picks the reply shape. The Hints pointer moves rather than copies,
+// and the slot's parked Hints moves back to the frame, so pooled frames
+// keep recycling the same allocations.
+func batchOfOne(fr *Frame) {
+	var a *BatchAccess
+	fr.Accesses, a = growAccess(fr.Accesses[:0])
+	spare := a.spareHints
+	*a = fr.Access()
+	if fr.Hints != nil {
+		fr.Hints, fr.spareHints = nil, spare
+	} else {
+		a.spareHints = spare
+	}
+}
+
+// handleAccess walks the degradation ladder for one request (a batch
+// holds one inbox slot but counts every access against the global
+// in-flight budget):
 //
 //  1. global in-flight budget exhausted → explicit busy frame
 //  2. session inbox full → immediate degraded fallback decision(s)
@@ -583,11 +595,8 @@ func (s *Server) handleConn(c net.Conn) {
 //  4. otherwise → enqueue for the session worker
 func (s *Server) handleAccess(sess *session, it inboxItem) {
 	fr, w := it.fr, it.conn
-	n := inflightCost(fr)
-	seq := fr.Seq
-	if fr.Type == FrameBatch {
-		seq = fr.Accesses[0].Seq
-	}
+	n := int64(len(fr.Accesses))
+	seq := fr.Accesses[0].Seq
 	if cur := s.inflight.Add(n); cur > int64(s.cfg.MaxInflight) {
 		s.inflight.Add(-n)
 		s.busyTotal.Add(uint64(n))
@@ -602,11 +611,7 @@ func (s *Server) handleAccess(sess *session, it inboxItem) {
 		s.inflight.Add(-n)
 		s.degradedTotal.Add(uint64(n))
 		sess.degraded.Add(uint64(n))
-		if fr.Type == FrameBatch {
-			w.write(FallbackBatchDecision(fr.Accesses, s.cfg.BlockShift))
-		} else {
-			w.write(FallbackDecision(fr, s.cfg.BlockShift))
-		}
+		w.write(replyFrame(fr, fallbackDecisions(fr.Accesses, s.cfg.BlockShift)))
 		s.putFrame(fr)
 	case enqueueClosed:
 		s.inflight.Add(-n)
@@ -614,6 +619,22 @@ func (s *Server) handleAccess(sess *session, it inboxItem) {
 			Msg: "session closed or expired; reconnect with a new hello"})
 		s.putFrame(fr)
 	}
+}
+
+// replyFrame renders the decisions for request req: a batch request gets
+// one batch frame; an access request gets its decision frame, or a
+// stale-seq error frame when its seq left the replay cache.
+func replyFrame(req *Frame, res []BatchDecision) *Frame {
+	if req.Type == FrameBatch {
+		return &Frame{Type: FrameBatch, Results: res}
+	}
+	d := res[0]
+	if d.Code == CodeStaleSeq {
+		return &Frame{Type: FrameError, Seq: d.Seq, Code: CodeStaleSeq,
+			Msg: fmt.Sprintf("seq %d already applied and evicted from the replay cache", d.Seq)}
+	}
+	return &Frame{Type: FrameDecision, Seq: d.Seq, Prefetch: d.Prefetch, Shadow: d.Shadow,
+		Degraded: d.Degraded, Replayed: d.Replayed}
 }
 
 // SessionStatsAll snapshots every live session's serving statistics,

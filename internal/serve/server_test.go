@@ -101,8 +101,7 @@ func TestServerLifecycleAndDecisionParity(t *testing.T) {
 	}
 	const n = 2000
 	for i := uint64(1); i <= n; i++ {
-		fr := &Frame{Type: FrameAccess, Seq: i, PC: 0x400000, Addr: accessAddr(i)}
-		want := ref.Decide(fr)
+		pf, sh := ref.DecideAccess(&BatchAccess{Seq: i, PC: 0x400000, Addr: accessAddr(i)})
 		got := tc.access(i, accessAddr(i))
 		if got.Type != FrameDecision || got.Seq != i {
 			t.Fatalf("seq %d: got %s/%d", i, got.Type, got.Seq)
@@ -110,9 +109,9 @@ func TestServerLifecycleAndDecisionParity(t *testing.T) {
 		if got.Degraded {
 			t.Fatalf("seq %d: unexpected degraded decision in lockstep", i)
 		}
-		if !SameDecision(got, want) {
+		if !SameDecision(got, &Frame{Prefetch: pf, Shadow: sh}) {
 			t.Fatalf("seq %d: daemon %v/%v, reference %v/%v",
-				i, got.Prefetch, got.Shadow, want.Prefetch, want.Shadow)
+				i, got.Prefetch, got.Shadow, pf, sh)
 		}
 	}
 
@@ -126,9 +125,8 @@ func TestServerLifecycleAndDecisionParity(t *testing.T) {
 	}
 	// The learner kept its state: decisions still match the reference.
 	for i := uint64(n + 1); i <= n+200; i++ {
-		fr := &Frame{Type: FrameAccess, Seq: i, PC: 0x400000, Addr: accessAddr(i)}
-		want := ref.Decide(fr)
-		if got := tc2.access(i, accessAddr(i)); !SameDecision(got, want) {
+		pf, sh := ref.DecideAccess(&BatchAccess{Seq: i, PC: 0x400000, Addr: accessAddr(i)})
+		if got := tc2.access(i, accessAddr(i)); !SameDecision(got, &Frame{Prefetch: pf, Shadow: sh}) {
 			t.Fatalf("post-reattach seq %d: decisions diverged", i)
 		}
 	}
@@ -335,9 +333,8 @@ func TestServerDrainRestoreWarmStart(t *testing.T) {
 	tc := dialServer(t, s1)
 	tc.hello("warm")
 	for i := uint64(1); i <= split; i++ {
-		fr := &Frame{Type: FrameAccess, Seq: i, PC: 0x400000, Addr: accessAddr(i)}
-		want := ref.Decide(fr)
-		if got := tc.access(i, accessAddr(i)); !SameDecision(got, want) {
+		pf, sh := ref.DecideAccess(&BatchAccess{Seq: i, PC: 0x400000, Addr: accessAddr(i)})
+		if got := tc.access(i, accessAddr(i)); !SameDecision(got, &Frame{Prefetch: pf, Shadow: sh}) {
 			t.Fatalf("pre-drain seq %d diverged", i)
 		}
 	}
@@ -361,9 +358,8 @@ func TestServerDrainRestoreWarmStart(t *testing.T) {
 	// The restored learner continues bit-identically to the never-killed
 	// reference — the durability contract the chaos harness leans on.
 	for i := uint64(split + 1); i <= total; i++ {
-		fr := &Frame{Type: FrameAccess, Seq: i, PC: 0x400000, Addr: accessAddr(i)}
-		want := ref.Decide(fr)
-		if got := tc2.access(i, accessAddr(i)); !SameDecision(got, want) {
+		pf, sh := ref.DecideAccess(&BatchAccess{Seq: i, PC: 0x400000, Addr: accessAddr(i)})
+		if got := tc2.access(i, accessAddr(i)); !SameDecision(got, &Frame{Prefetch: pf, Shadow: sh}) {
 			t.Fatalf("post-restore seq %d diverged from uninterrupted reference", i)
 		}
 	}

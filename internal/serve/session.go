@@ -29,7 +29,8 @@ type ReplayEntry struct {
 	Shadow   []uint64 `json:"shadow,omitempty"`
 }
 
-// inboxItem is one access awaiting the session worker, together with the
+// inboxItem is one request awaiting the session worker (its frame's
+// Accesses hold one access or a whole batch), together with the
 // connection to answer on. The trailing fields carry per-frame timing when
 // the server's tracer is enabled; with tracing off they stay zero and cost
 // nothing (the item travels by value through a preallocated channel).
@@ -230,12 +231,11 @@ func (s *session) work() {
 		if g := s.srv.gate; g != nil {
 			<-g
 		}
-		n := inflightCost(it.fr)
 		err := harness.Safely(func() error {
 			s.process(it)
 			return nil
 		})
-		s.srv.inflight.Add(-n)
+		s.srv.inflight.Add(-int64(len(it.fr.Accesses)))
 		if err == nil {
 			s.srv.putFrame(it.fr)
 			continue
@@ -255,72 +255,43 @@ func (s *session) work() {
 		s.srv.putFrame(it.fr)
 		for it := range s.inbox {
 			s.fail(it, err)
-			s.srv.inflight.Add(-inflightCost(it.fr))
+			s.srv.inflight.Add(-int64(len(it.fr.Accesses)))
 			s.srv.putFrame(it.fr)
 		}
 		return
 	}
 }
 
-// inflightCost is how many accesses a queued frame holds against the
-// global in-flight budget: a batch counts each access.
-func inflightCost(fr *Frame) int64 {
-	if fr.Type == FrameBatch {
-		return int64(len(fr.Accesses))
-	}
-	return 1
-}
-
-// fail answers one queued item with a session-closed error.
+// fail answers one queued request with a session-closed error.
 func (s *session) fail(it inboxItem, err error) {
-	seq := it.fr.Seq
-	if it.fr.Type == FrameBatch && len(it.fr.Accesses) > 0 {
-		seq = it.fr.Accesses[0].Seq
-	}
 	it.conn.write(&Frame{
-		Type: FrameError, Seq: seq,
+		Type: FrameError, Seq: it.fr.Accesses[0].Seq,
 		Code: CodeSessionClosed, Msg: fmt.Sprintf("session %s: %v", s.id, err),
 	})
 }
 
-// process applies one access under the exactly-once discipline:
+// process applies one request under a single lock hold and a single inbox
+// hop, per access under the exactly-once discipline:
 //
 //	seq == lastSeq+k (k>=1): fresh — train the learner, cache and reply
 //	seq <= lastSeq, cached:  duplicate — replay the original decision
-//	seq <= lastSeq, evicted: too old — stale-seq error
+//	seq <= lastSeq, evicted: too old — stale-seq code
+//
+// The fresh tail is cached as one replay-ring span, so a resent batch
+// after reconnect splits into Replayed items and (if the span was
+// evicted) per-item stale-seq codes. Holding s.mu across the request
+// means snapshots only ever observe batch-aligned learner state — a
+// restore never lands mid-batch.
 func (s *session) process(it inboxItem) {
-	if it.fr.Type == FrameBatch {
-		s.processBatch(it)
-		return
-	}
-	fr := it.fr
+	accs := it.fr.Accesses
 	s.touch()
-	if q := s.srv.panicOnSeq; q != 0 && fr.Seq == q {
+	if q := s.srv.panicOnSeq; q != 0 && accs[0].Seq <= q && q <= accs[len(accs)-1].Seq {
 		panic(fmt.Sprintf("injected fault at seq %d", q))
 	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
 		s.fail(it, fmt.Errorf("closed"))
-		return
-	}
-	if fr.Seq <= s.lastSeq {
-		entry, ok := s.replay.get(fr.Seq)
-		s.mu.Unlock()
-		if !ok {
-			s.srv.staleTotal.Inc()
-			it.conn.write(&Frame{
-				Type: FrameError, Seq: fr.Seq, Code: CodeStaleSeq,
-				Msg: fmt.Sprintf("seq %d already applied and evicted from the replay cache", fr.Seq),
-			})
-			return
-		}
-		s.srv.replayedTotal.Inc()
-		s.replayedN.Add(1)
-		it.conn.write(&Frame{
-			Type: FrameDecision, Seq: fr.Seq,
-			Prefetch: entry.Prefetch, Shadow: entry.Shadow, Replayed: true,
-		})
 		return
 	}
 	// Stage clocks (fresh decisions only, so every latency histogram's
@@ -332,21 +303,62 @@ func (s *session) process(it inboxItem) {
 	if tr != nil {
 		decideStart = time.Now()
 	}
-	dec := s.learner.Decide(fr)
-	dec.Seq = fr.Seq
-	s.lastSeq = fr.Seq
-	s.replay.put(ReplayEntry{Seq: fr.Seq, Prefetch: dec.Prefetch, Shadow: dec.Shadow})
+	res := make([]BatchDecision, 0, len(accs))
+	var fresh, replayed, stale int
+	for i := range accs {
+		a := &accs[i]
+		if a.Seq <= s.lastSeq {
+			if entry, ok := s.replay.get(a.Seq); ok {
+				replayed++
+				res = append(res, BatchDecision{
+					Seq: a.Seq, Prefetch: entry.Prefetch, Shadow: entry.Shadow, Replayed: true,
+				})
+			} else {
+				stale++
+				res = append(res, BatchDecision{Seq: a.Seq, Code: CodeStaleSeq})
+			}
+			continue
+		}
+		pf, sh := s.learner.DecideAccess(a)
+		d := BatchDecision{Seq: a.Seq}
+		if len(pf) > 0 {
+			d.Prefetch = append([]uint64(nil), pf...)
+		}
+		if len(sh) > 0 {
+			d.Shadow = append([]uint64(nil), sh...)
+		}
+		res = append(res, d)
+		s.lastSeq = a.Seq
+		fresh++
+	}
+	if fresh > 0 {
+		span := make([]ReplayEntry, 0, fresh)
+		for _, d := range res[len(res)-fresh:] {
+			span = append(span, ReplayEntry{Seq: d.Seq, Prefetch: d.Prefetch, Shadow: d.Shadow})
+		}
+		s.replay.putSpan(span)
+	}
 	s.mu.Unlock()
-	s.srv.decisionsTotal.Inc()
-	s.decisions.Add(1)
-	if tr == nil {
-		s.reply(it.conn, dec)
+	if fresh > 0 {
+		s.srv.decisionsTotal.Add(uint64(fresh))
+		s.decisions.Add(uint64(fresh))
+	}
+	if replayed > 0 {
+		s.srv.replayedTotal.Add(uint64(replayed))
+		s.replayedN.Add(uint64(replayed))
+	}
+	if stale > 0 {
+		s.srv.staleTotal.Add(uint64(stale))
+	}
+	out := replyFrame(it.fr, res)
+	if tr == nil || fresh == 0 {
+		s.reply(it.conn, out)
 		return
 	}
 	decided := time.Now()
-	s.reply(it.conn, dec)
+	s.reply(it.conn, out)
 	written := time.Now()
-	tr.observe(s.id, fr.Seq, frameTiming{
+	tr.observe(s.id, accs[0].Seq, len(accs), fresh, frameTiming{
 		decode:    it.decodeDur,
 		queueWait: decideStart.Sub(it.arrival),
 		decide:    decided.Sub(decideStart),
@@ -365,95 +377,6 @@ func (s *session) reply(conn *connWriter, f *Frame) {
 	} else {
 		conn.armFlush()
 	}
-}
-
-// processBatch applies one negotiated batch under a single lock hold and
-// a single inbox hop: per access the same exactly-once discipline as
-// process (fresh / replayed / stale), with the whole fresh tail cached as
-// one replay-ring span so a resent batch after reconnect splits into
-// Replayed items and (if the span was evicted) per-item stale-seq codes.
-// Holding s.mu across the batch means snapshots only ever observe
-// batch-aligned learner state — a restore never lands mid-batch.
-func (s *session) processBatch(it inboxItem) {
-	fr := it.fr
-	s.touch()
-	if q := s.srv.panicOnSeq; q != 0 {
-		first, last := fr.Accesses[0].Seq, fr.Accesses[len(fr.Accesses)-1].Seq
-		if first <= q && q <= last {
-			panic(fmt.Sprintf("injected fault at seq %d", q))
-		}
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.fail(it, fmt.Errorf("closed"))
-		return
-	}
-	tr := s.srv.trace
-	var decideStart time.Time
-	if tr != nil {
-		decideStart = time.Now()
-	}
-	out := &Frame{Type: FrameBatch, Results: make([]BatchDecision, 0, len(fr.Accesses))}
-	var fresh, replayed, stale int
-	for i := range fr.Accesses {
-		a := &fr.Accesses[i]
-		if a.Seq <= s.lastSeq {
-			if entry, ok := s.replay.get(a.Seq); ok {
-				replayed++
-				out.Results = append(out.Results, BatchDecision{
-					Seq: a.Seq, Prefetch: entry.Prefetch, Shadow: entry.Shadow, Replayed: true,
-				})
-			} else {
-				stale++
-				out.Results = append(out.Results, BatchDecision{Seq: a.Seq, Code: CodeStaleSeq})
-			}
-			continue
-		}
-		pf, sh := s.learner.DecideAccess(a)
-		d := BatchDecision{Seq: a.Seq}
-		if len(pf) > 0 {
-			d.Prefetch = append([]uint64(nil), pf...)
-		}
-		if len(sh) > 0 {
-			d.Shadow = append([]uint64(nil), sh...)
-		}
-		out.Results = append(out.Results, d)
-		s.lastSeq = a.Seq
-		fresh++
-	}
-	if fresh > 0 {
-		span := make([]ReplayEntry, 0, fresh)
-		for _, d := range out.Results[len(out.Results)-fresh:] {
-			span = append(span, ReplayEntry{Seq: d.Seq, Prefetch: d.Prefetch, Shadow: d.Shadow})
-		}
-		s.replay.putSpan(span)
-	}
-	s.mu.Unlock()
-	if fresh > 0 {
-		s.srv.decisionsTotal.Add(uint64(fresh))
-		s.decisions.Add(uint64(fresh))
-	}
-	if replayed > 0 {
-		s.srv.replayedTotal.Add(uint64(replayed))
-		s.replayedN.Add(uint64(replayed))
-	}
-	if stale > 0 {
-		s.srv.staleTotal.Add(uint64(stale))
-	}
-	if tr == nil || fresh == 0 {
-		s.reply(it.conn, out)
-		return
-	}
-	decided := time.Now()
-	s.reply(it.conn, out)
-	written := time.Now()
-	tr.observeBatch(s.id, fr.Accesses[0].Seq, len(fr.Accesses), fresh, frameTiming{
-		decode:    it.decodeDur,
-		queueWait: decideStart.Sub(it.arrival),
-		decide:    decided.Sub(decideStart),
-		write:     written.Sub(decided),
-	}, it.sampled, it.spanStart, len(s.inbox))
 }
 
 // snapshot captures the session under its lock.
@@ -491,8 +414,8 @@ func restoreSession(snap SessionSnapshot, srv *Server) (*session, error) {
 }
 
 // replayRing caches the most recent decisions for duplicate suppression:
-// a bounded ring of spans, each span one contiguous seq range (a batch's
-// fresh decisions, or a single decision). One slot per served frame keeps
+// a bounded ring of spans, each span one contiguous seq range (one
+// request's fresh decisions). One slot per served frame keeps
 // the lookup and eviction cost independent of batch size, and a resent
 // batch that straddles the ring edge naturally splits into the entries
 // still cached and the seqs already evicted.
@@ -511,10 +434,6 @@ func (r *replayRing) init(depth int) {
 		depth = 1
 	}
 	r.spans = make([]replaySpan, depth)
-}
-
-func (r *replayRing) put(e ReplayEntry) {
-	r.putSpan([]ReplayEntry{e})
 }
 
 // putSpan caches one contiguous run (ascending seqs), taking ownership of

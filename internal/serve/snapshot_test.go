@@ -17,16 +17,14 @@ func buildSnapshot(t *testing.T, id string, accesses int) *Snapshot {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var last *Frame
+	var pf, sh []uint64
 	for i := 0; i < accesses; i++ {
-		fr := &Frame{Type: FrameAccess, Seq: uint64(i + 1),
-			PC: 0x400000, Addr: uint64(0x10000 + i*64)}
-		last = l.Decide(fr)
-		last.Seq = fr.Seq
+		pf, sh = l.DecideAccess(&BatchAccess{Seq: uint64(i + 1),
+			PC: 0x400000, Addr: uint64(0x10000 + i*64)})
 	}
 	ss := SessionSnapshot{ID: id, LastSeq: uint64(accesses), Learner: l.Save()}
-	if last != nil {
-		ss.Replay = []ReplayEntry{{Seq: ss.LastSeq, Prefetch: last.Prefetch, Shadow: last.Shadow}}
+	if accesses > 0 {
+		ss.Replay = []ReplayEntry{{Seq: ss.LastSeq, Prefetch: pf, Shadow: sh}}
 	}
 	return &Snapshot{Sessions: []SessionSnapshot{ss}}
 }

@@ -123,8 +123,8 @@ func (t *tracer) sample(decodeDur time.Duration) (bool, time.Duration) {
 	return true, t.spans.Now() - decodeDur
 }
 
-// frameTiming carries one fresh decision's stage boundaries from the
-// session worker to observe.
+// frameTiming carries one request's stage boundaries from the session
+// worker to observe.
 type frameTiming struct {
 	decode    time.Duration // DecodeFrame cost (measured on the reader)
 	queueWait time.Duration // arrival → worker dequeue (incl. serialization)
@@ -136,58 +136,15 @@ func (ft frameTiming) total() time.Duration {
 	return ft.decode + ft.queueWait + ft.decide + ft.write
 }
 
-// observe records one fresh decision: histograms always, a span when the
-// request was sampled at arrival, and a slow-request log line when the
-// end-to-end latency crosses the threshold.
-func (t *tracer) observe(sessionID string, seq uint64, ft frameTiming, sampled bool, spanStart time.Duration, inboxLen int) {
-	sec := func(d time.Duration) float64 { return d.Seconds() }
-	t.decode.Observe(sec(ft.decode))
-	t.queueWait.Observe(sec(ft.queueWait))
-	t.decide.Observe(sec(ft.decide))
-	t.write.Observe(sec(ft.write))
-	total := ft.total()
-	t.frame.Observe(sec(total))
-	t.batchSize.Observe(1)
-
-	if sampled {
-		at := spanStart
-		phases := make([]obs.Phase, 0, 4)
-		for _, p := range []struct {
-			name string
-			dur  time.Duration
-		}{
-			{obs.PhaseDecode, ft.decode},
-			{obs.PhaseQueueWait, ft.queueWait},
-			{obs.PhaseDecide, ft.decide},
-			{obs.PhaseWrite, ft.write},
-		} {
-			phases = append(phases, obs.Phase{Name: p.name, Start: at, Dur: p.dur})
-			at += p.dur
-		}
-		t.spans.Add(obs.Span{
-			Cat:      obs.CatServe,
-			Workload: sessionID,
-			Point:    int(seq),
-			Start:    spanStart,
-			Dur:      total,
-			Phases:   phases,
-		})
-	}
-
-	if t.slow > 0 && total > t.slow {
-		t.logf("serve: slow request session=%s seq=%d total=%s decode=%s queue_wait=%s decide=%s write=%s inbox_len=%d",
-			sessionID, seq, total, ft.decode, ft.queueWait, ft.decide, ft.write, inboxLen)
-	}
-}
-
-// observeBatch records one batch frame that produced fresh > 0 new
-// decisions. Per-decision attribution keeps the count-match invariant:
-// each stage duration is split evenly over the fresh decisions and
-// observed fresh times, so serve_*_latency counts advance by fresh (==
-// the serve_decisions_total increment) and the histogram sums still add
-// up to real elapsed stage time. The batch gets one span and one slow-log
-// check, sized by the whole frame.
-func (t *tracer) observeBatch(sessionID string, firstSeq uint64, size, fresh int, ft frameTiming, sampled bool, spanStart time.Duration, inboxLen int) {
+// observe records one request of size accesses that produced fresh > 0
+// new decisions. Per-decision attribution keeps the count-match
+// invariant: each stage duration is split evenly over the fresh decisions
+// and observed fresh times, so serve_*_latency counts advance by fresh
+// (== the serve_decisions_total increment) and the histogram sums still
+// add up to real elapsed stage time. The request gets one span (when
+// sampled at arrival) and one slow-request check, sized by the whole
+// frame.
+func (t *tracer) observe(sessionID string, firstSeq uint64, size, fresh int, ft frameTiming, sampled bool, spanStart time.Duration, inboxLen int) {
 	t.batchSize.Observe(float64(fresh))
 	n := time.Duration(fresh)
 	decode := (ft.decode / n).Seconds()
@@ -230,7 +187,7 @@ func (t *tracer) observeBatch(sessionID string, firstSeq uint64, size, fresh int
 	}
 
 	if t.slow > 0 && total > t.slow {
-		t.logf("serve: slow batch session=%s first_seq=%d size=%d fresh=%d total=%s decode=%s queue_wait=%s decide=%s write=%s inbox_len=%d",
+		t.logf("serve: slow request session=%s seq=%d size=%d fresh=%d total=%s decode=%s queue_wait=%s decide=%s write=%s inbox_len=%d",
 			sessionID, firstSeq, size, fresh, total, ft.decode, ft.queueWait, ft.decide, ft.write, inboxLen)
 	}
 }

@@ -205,7 +205,7 @@ func TestTracerDisabledZeroAlloc(t *testing.T) {
 	ft := frameTiming{decode: 100, queueWait: 200, decide: 300, write: 400}
 	if n := testing.AllocsPerRun(500, func() {
 		sampled, off := tr.sample(time.Microsecond)
-		tr.observe("s", 1, ft, sampled, off, 0)
+		tr.observe("s", 1, 1, 1, ft, sampled, off, 0)
 	}); n != 0 {
 		t.Fatalf("enabled unsampled observe allocates %.1f/op, want 0", n)
 	}
@@ -243,7 +243,7 @@ func TestReplayRingUnit(t *testing.T) {
 	var r replayRing
 	r.init(4)
 	for seq := uint64(1); seq <= 4; seq++ {
-		r.put(ReplayEntry{Seq: seq, Prefetch: []uint64{seq * 64}})
+		r.putSpan([]ReplayEntry{{Seq: seq, Prefetch: []uint64{seq * 64}}})
 	}
 	for seq := uint64(1); seq <= 4; seq++ {
 		e, ok := r.get(seq)
@@ -251,7 +251,7 @@ func TestReplayRingUnit(t *testing.T) {
 			t.Fatalf("seq %d missing from a full ring", seq)
 		}
 	}
-	r.put(ReplayEntry{Seq: 5})
+	r.putSpan([]ReplayEntry{{Seq: 5}})
 	if _, ok := r.get(1); ok {
 		t.Fatal("oldest entry survived eviction at the ring edge")
 	}
