@@ -2,21 +2,21 @@
 # full gate, and runs what CI runs: gofmt + vet (the root module and the
 # perfbench module, which compiles against the repository's packages) +
 # build + race-enabled tests + short fuzz runs of the
-# trace decoder and the prefetchd wire-frame decoder + a quick-mode
-# benchmark smoke that fails unless cmd/bench produces a well-formed
-# report + an overhead guard that pins the disabled-telemetry hot path at
-# zero allocations per access + a race-enabled live observability smoke
-# (sweep with -listen, /metrics scraped mid-run, leak-checked shutdown) +
-# a race-enabled serving smoke (prefetchd SIGTERM drain, snapshot
-# warm-start, chaos transport) + a race-enabled learner-introspection
-# smoke (instrumented sweep rendered via inspect learner, live explain
-# round-trip against prefetchd) + perfbench's own tests (it is a separate
-# Go module, so `go test ./...` skips them).
+# trace decoder and the prefetchd wire-frame decoder + the recorded BENCH
+# diff (the frozen simulator reports must validate and show no
+# regression) + an overhead guard that pins the disabled-telemetry hot
+# path at zero allocations per access + a race-enabled live observability
+# smoke (sweep with -listen, /metrics scraped mid-run, leak-checked
+# shutdown) + a race-enabled serving smoke (prefetchd SIGTERM drain,
+# snapshot warm-start, chaos transport) + a race-enabled load-generator
+# smoke and the recorded LOADGEN gate + a race-enabled
+# learner-introspection smoke (instrumented sweep rendered via inspect
+# learner, live explain round-trip against prefetchd) + perfbench's own
+# tests (it is a separate Go module, so `go test ./...` skips them).
 
 GO ?= go
-BENCH_N ?= 4
 
-.PHONY: all fmt vet build test race fuzz bench bench-smoke bench-diff overhead-guard obs-smoke serve-smoke loadgen-smoke loadgen-gate learner-smoke perfbench-test check clean
+.PHONY: all fmt vet build test race fuzz bench-diff overhead-guard obs-smoke serve-smoke loadgen-smoke loadgen-gate learner-smoke perfbench-test check clean
 
 all: build
 
@@ -45,26 +45,16 @@ fuzz:
 	$(GO) test -fuzz=FuzzReader -fuzztime=10s ./internal/trace
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/serve
 
-# bench runs the full fixed (workload, prefetcher) matrix and records the
-# perf trajectory at the repo root (see DESIGN.md, "Hot path & benchmarking").
-bench:
-	$(GO) run ./cmd/bench -n $(BENCH_N) -v
-
-# bench-smoke is the tier-1 gate: the quick matrix must complete and emit
-# well-formed JSON (cmd/bench validates its own output and exits non-zero
-# otherwise).
-bench-smoke:
-	$(GO) run ./cmd/bench -quick -out .bench-smoke.json
-	rm -f .bench-smoke.json
-
-# bench-diff compares two recorded perf reports and fails on regression
-# (>10% ns/access on any shared matrix cell, or any real allocs/access
-# increase). Override OLD/NEW to compare other baselines:
+# bench-diff checks two of the frozen simulator reports (BENCH_2-4; the
+# schema is in DESIGN.md, "Hot path & benchmarking"): both must validate,
+# and it fails on regression (>10% ns/access on any shared matrix cell, or
+# any real allocs/access increase). Override OLD/NEW to compare other
+# reports:
 #   make bench-diff OLD=BENCH_2.json NEW=BENCH_3.json
 OLD ?= BENCH_3.json
-NEW ?= BENCH_$(BENCH_N).json
+NEW ?= BENCH_4.json
 bench-diff:
-	$(GO) run ./cmd/bench -compare $(OLD) $(NEW)
+	$(GO) run ./cmd/inspect bench $(OLD) $(NEW)
 
 # overhead-guard pins the telemetry overhead contract (DESIGN.md §11):
 # with telemetry disabled, core.Prefetcher.OnAccess must stay at
@@ -147,8 +137,8 @@ learner-smoke:
 perfbench-test:
 	cd perfbench && $(GO) test -count=1 .
 
-check: fmt vet build race fuzz bench-smoke overhead-guard obs-smoke serve-smoke loadgen-smoke loadgen-gate learner-smoke perfbench-test
+check: fmt vet build race fuzz bench-diff overhead-guard obs-smoke serve-smoke loadgen-smoke loadgen-gate learner-smoke perfbench-test
 
 clean:
-	rm -f .bench-smoke.json .overhead-guard.txt
+	rm -f .overhead-guard.txt
 	$(GO) clean ./...

@@ -58,7 +58,7 @@ func run() int {
 		spansPath  = flag.String("spans", "", "write a Chrome trace-event span file (Perfetto-loadable) here on exit")
 	)
 	flag.Parse()
-	logger := obs.NewLogger(os.Stderr, "experiments", *quiet, false)
+	logger := obs.NewLogger(os.Stderr, "experiments", *quiet)
 
 	if *list {
 		for _, e := range exp.Experiments() {

@@ -38,7 +38,7 @@ func runLearner(args []string, stdout io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return harness.ExitUsage
 	}
-	logger := obs.NewLogger(os.Stderr, "inspect", *quiet, false)
+	logger := obs.NewLogger(os.Stderr, "inspect", *quiet)
 
 	if (*runPath == "") == (*explainPath == "") {
 		fmt.Fprintln(os.Stderr, "inspect learner: exactly one of -run or -explain required")

@@ -19,6 +19,7 @@
 //	inspect learner -run ... -curve -format csv                # learner-health curve
 //	inspect learner -run ... -check                            # anomaly gate, exit 0/1
 //	inspect learner -explain explain.json                      # pretty-print a prefetchd explain dump
+//	inspect bench BENCH_3.json BENCH_4.json                    # check two frozen BENCH reports
 //
 // The spans subcommand renders a span file recorded with a command's -spans
 // flag (the same Chrome trace-event JSON Perfetto loads): per-cell phase
@@ -35,8 +36,15 @@
 // per-interval learner-health curve, and a pretty-printer for explain
 // dumps fetched live from prefetchd (the explain protocol frame).
 //
+// The bench subcommand checks the frozen BENCH_<n>.json simulator reports:
+// both must validate, and it prints a per-cell ns/access table that flags
+// a cell as a regression at more than 10% ns/access or any real
+// allocs/access increase. There is no single-report mode.
+//
 // Exit codes follow the harness contract: 0 ok, 1 the artifact or trace
-// is missing/corrupt, 2 usage error.
+// is missing/corrupt or a gate failed (an inspect bench regression, an
+// inspect serve -min-rate-ratio or inspect learner -check failure), 2
+// usage error.
 package main
 
 import (
@@ -68,6 +76,9 @@ func run(args []string, stdout io.Writer) int {
 	if len(args) > 0 && args[0] == "learner" {
 		return runLearner(args[1:], stdout)
 	}
+	if len(args) > 0 && args[0] == "bench" {
+		return runBench(args[1:], stdout)
+	}
 	fs := flag.NewFlagSet("inspect", flag.ContinueOnError)
 	var (
 		runPath   = fs.String("run", "", "per-run artifact JSON (written by exp.Runner / -obs-dir)")
@@ -82,7 +93,7 @@ func run(args []string, stdout io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return harness.ExitUsage
 	}
-	logger := obs.NewLogger(os.Stderr, "inspect", *quiet, false)
+	logger := obs.NewLogger(os.Stderr, "inspect", *quiet)
 
 	if *runPath == "" && *decisions == "" {
 		fmt.Fprintln(os.Stderr, "inspect: -run or -decisions required")

@@ -28,7 +28,7 @@ func runServe(args []string, stdout io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return harness.ExitUsage
 	}
-	logger := obs.NewLogger(os.Stderr, "inspect", *quiet, false)
+	logger := obs.NewLogger(os.Stderr, "inspect", *quiet)
 	if fs.NArg() < 1 || fs.NArg() > 2 {
 		fmt.Fprintln(os.Stderr, "inspect serve: one LOADGEN artifact to render, or two to compare")
 		return harness.ExitUsage

@@ -30,7 +30,7 @@ func runSpans(args []string, stdout io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return harness.ExitUsage
 	}
-	logger := obs.NewLogger(os.Stderr, "inspect", *quiet, false)
+	logger := obs.NewLogger(os.Stderr, "inspect", *quiet)
 	if fs.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "inspect spans: exactly one span file required")
 		return harness.ExitUsage

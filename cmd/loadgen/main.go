@@ -131,7 +131,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "loadgen: unexpected arguments: %v\n", fs.Args())
 		return harness.ExitUsage
 	}
-	logger := obs.NewLogger(stderr, "loadgen", *quiet, false)
+	logger := obs.NewLogger(stderr, "loadgen", *quiet)
 	if *addr == "" {
 		fmt.Fprintln(stderr, "loadgen: -addr is required")
 		return harness.ExitUsage

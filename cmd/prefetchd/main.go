@@ -21,9 +21,9 @@
 //   - Throughput: clients may negotiate batching at hello (up to
 //     -max-batch accesses per frame; one queue hop, one replay span and
 //     one syscall per batch), and worker replies are coalesced per
-//     connection (-write-coalesce/-write-coalesce-delay) so concurrent
-//     sessions share response syscalls. Old clients never ask and keep
-//     speaking frame-per-decision unchanged.
+//     connection (flushed at 4096 bytes, on an idle inbox, or after
+//     200µs) so concurrent sessions share response syscalls. Old clients
+//     never ask and keep speaking frame-per-decision unchanged.
 //
 // Observability: -obs-listen serves /metrics (Prometheus), /healthz,
 // /readyz, /debug/serve (per-session serving stats as JSON) and pprof.
@@ -80,8 +80,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		inbox        = fs.Int("inbox", 64, "per-session inbox depth before accesses shed to the degraded fallback")
 		maxInflight  = fs.Int("max-inflight", 1024, "global cap on accepted-but-unanswered accesses before busy replies")
 		maxBatch     = fs.Int("max-batch", serve.MaxBatch, "largest batch granted to clients at hello (0 disables batching)")
-		wcoalesce    = fs.Int("write-coalesce", 4096, "buffer worker replies per connection and flush at this many bytes or on an idle inbox (0 disables)")
-		wcoalesceDel = fs.Duration("write-coalesce-delay", 200*time.Microsecond, "upper bound on how long a buffered reply waits for company")
 		addrFile     = fs.String("addr-file", "", "write the bound serving address to this file once listening")
 		obsAddrFile  = fs.String("obs-addr-file", "", "write the bound observability address to this file (with -obs-listen)")
 		spansOut     = fs.String("spans", "", "write sampled per-request spans to this Chrome-trace file on drain")
@@ -97,7 +95,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "prefetchd: unexpected arguments: %v\n", fs.Args())
 		return harness.ExitUsage
 	}
-	logger := obs.NewLogger(stderr, "prefetchd", *quiet, false)
+	logger := obs.NewLogger(stderr, "prefetchd", *quiet)
 
 	reg := obs.NewRegistry()
 	// The daemon always carries the stage-latency histograms (the cost is
@@ -111,28 +109,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 		SampleEvery:   *traceSample,
 		SlowThreshold: *slowThresh,
 	}
-	// The flags use 0 for "off"; the config uses negative (0 there means
+	// The flag uses 0 for "off"; the config uses negative (0 there means
 	// "default").
-	cfgMaxBatch, cfgCoalesce := *maxBatch, *wcoalesce
+	cfgMaxBatch := *maxBatch
 	if cfgMaxBatch == 0 {
 		cfgMaxBatch = -1
 	}
-	if cfgCoalesce == 0 {
-		cfgCoalesce = -1
-	}
 	srv, err := serve.NewServer(serve.Config{
-		Listen:             *listen,
-		SessionTTL:         *sessionTTL,
-		InboxDepth:         *inbox,
-		MaxInflight:        *maxInflight,
-		MaxBatch:           cfgMaxBatch,
-		WriteCoalesce:      cfgCoalesce,
-		WriteCoalesceDelay: *wcoalesceDel,
-		SnapshotPath:       *snapshot,
-		SnapshotInterval:   *snapInterval,
-		Shards:             0, // default
-		Reg:                reg,
-		Trace:              trace,
+		Listen:           *listen,
+		SessionTTL:       *sessionTTL,
+		InboxDepth:       *inbox,
+		MaxInflight:      *maxInflight,
+		MaxBatch:         cfgMaxBatch,
+		SnapshotPath:     *snapshot,
+		SnapshotInterval: *snapInterval,
+		Shards:           0, // default
+		Reg:              reg,
+		Trace:            trace,
 		Logf: func(format string, a ...any) {
 			logger.Info(fmt.Sprintf(format, a...))
 		},

@@ -78,7 +78,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "prefetchsim: unexpected arguments: %v\n", fs.Args())
 		return harness.ExitUsage
 	}
-	logger := obs.NewLogger(stderr, "prefetchsim", *quiet, false)
+	logger := obs.NewLogger(stderr, "prefetchsim", *quiet)
 
 	if *list {
 		tb := stats.NewTable("workloads (Table 3)", "name", "suite", "irregular", "description")

@@ -167,7 +167,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return harness.ExitUsage
 	}
-	logger := obs.NewLogger(stderr, "sweep", *quiet, false)
+	logger := obs.NewLogger(stderr, "sweep", *quiet)
 
 	if *list {
 		sort.Slice(params, func(i, j int) bool { return params[i].name < params[j].name })

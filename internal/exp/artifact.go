@@ -131,8 +131,7 @@ func DecisionsPath(dir, workload, prefetcher string) string {
 }
 
 // WriteArtifact validates and persists the artifact, then re-reads and
-// re-validates it (the same trust-but-verify contract cmd/bench applies
-// to its reports).
+// re-validates it, so a truncated or malformed file fails loudly.
 func WriteArtifact(dir string, a *RunArtifact) (string, error) {
 	if err := a.Validate(); err != nil {
 		return "", err

@@ -166,7 +166,7 @@ func TestTraceImmutabilityGuard(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.Traces().VerifyImmutable(); err != nil {
+	if err := r.traces.VerifyImmutable(); err != nil {
 		t.Fatalf("pristine cache failed verification: %v", err)
 	}
 	// A simulated stray write by a buggy run: one access's address

@@ -40,13 +40,6 @@ type Options struct {
 	// see RunArtifact), plus a decision trace when Telemetry.DecisionRate
 	// is set. The directory is created on first use.
 	OutDir string
-	// Traces, when non-nil, shares an already-populated trace cache with
-	// this runner (cmd/bench decodes each trace once and reuses it across
-	// its warm-up and timed runners this way). The cache's generation
-	// parameters must match Scale and Seed; a mismatched cache is ignored
-	// and the runner builds a private one, since silently reusing traces
-	// generated under different parameters would corrupt every result.
-	Traces *TraceCache
 	// Metrics, when non-nil, receives the live batch counters the commands
 	// expose over -listen and feed to the progress reporter: cells
 	// submitted/done/failed, queue-wait and run-time histograms, and
@@ -118,15 +111,7 @@ func NewRunnerContext(ctx context.Context, opts Options) *Runner {
 	if p <= 0 {
 		p = runtime.GOMAXPROCS(0)
 	}
-	tc := opts.Traces
-	if tc != nil {
-		if s, sd := tc.Params(); s != opts.Scale || sd != opts.Seed {
-			tc = nil
-		}
-	}
-	if tc == nil {
-		tc = NewTraceCache(opts.Scale, opts.Seed)
-	}
+	tc := NewTraceCache(opts.Scale, opts.Seed)
 	if opts.Spans != nil {
 		tc.SetSpans(opts.Spans)
 	}
@@ -154,10 +139,6 @@ func NewRunnerContext(ctx context.Context, opts Options) *Runner {
 
 // Options returns the runner's options.
 func (r *Runner) Options() Options { return r.opts }
-
-// Traces returns the runner's trace cache (shared or private); pass it to
-// another runner's Options.Traces to reuse the decoded traces.
-func (r *Runner) Traces() *TraceCache { return r.traces }
 
 // Trace returns the (cached) generated trace for a workload; see
 // TraceCache.Get for the single-flight and supervision contract.

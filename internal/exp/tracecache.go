@@ -19,11 +19,6 @@ import (
 // every sibling run silently — so the cache records a checksum the moment
 // a trace lands and VerifyImmutable re-hashes the store after a batch of
 // runs, turning mutation into a loud failure.
-//
-// A TraceCache can be shared between Runners (Options.Traces): cmd/bench
-// uses this to decode traces once for its parallel warm-up runner and its
-// sequential timed runner. Generation parameters (scale, seed) are fixed
-// at construction, so every sharer sees identical bytes.
 type TraceCache struct {
 	scale float64
 	seed  uint64
@@ -62,9 +57,6 @@ func NewTraceCache(scale float64, seed uint64) *TraceCache {
 		inFly:  make(map[string]*sync.WaitGroup),
 	}
 }
-
-// Params returns the generation scale and seed the cache was built with.
-func (c *TraceCache) Params() (scale float64, seed uint64) { return c.scale, c.seed }
 
 // SetSpans attaches a span recorder: each actual trace generation (not cache
 // hits) is recorded as an obs.CatTrace span. Safe to call before any Get;

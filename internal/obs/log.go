@@ -36,17 +36,13 @@ func NewRunID() string {
 	return fmt.Sprintf("%016x", h)
 }
 
-// LogLevel maps the shared -q/-v command flags onto a slog level: quiet
-// shows warnings and errors only, verbose adds debug detail.
-func LogLevel(quiet, verbose bool) slog.Level {
-	switch {
-	case quiet:
+// LogLevel maps the shared -q command flag onto a slog level: quiet shows
+// warnings and errors only.
+func LogLevel(quiet bool) slog.Level {
+	if quiet {
 		return slog.LevelWarn
-	case verbose:
-		return slog.LevelDebug
-	default:
-		return slog.LevelInfo
 	}
+	return slog.LevelInfo
 }
 
 // NewLogger builds the structured logger the run commands share: text
@@ -54,11 +50,11 @@ func LogLevel(quiet, verbose bool) slog.Level {
 // and reports), tagged with the command name and a fresh run ID. It also
 // installs itself as the slog default, so library-side slog calls join
 // the same stream.
-func NewLogger(w io.Writer, cmd string, quiet, verbose bool) *slog.Logger {
+func NewLogger(w io.Writer, cmd string, quiet bool) *slog.Logger {
 	if w == nil {
 		w = os.Stderr
 	}
-	h := slog.NewTextHandler(w, &slog.HandlerOptions{Level: LogLevel(quiet, verbose)})
+	h := slog.NewTextHandler(w, &slog.HandlerOptions{Level: LogLevel(quiet)})
 	lg := slog.New(h).With("cmd", cmd, "run_id", NewRunID())
 	slog.SetDefault(lg)
 	return lg

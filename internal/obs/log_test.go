@@ -40,18 +40,15 @@ func TestNewRunIDUnique(t *testing.T) {
 
 func TestLogLevel(t *testing.T) {
 	cases := []struct {
-		quiet, verbose bool
-		want           slog.Level
+		quiet bool
+		want  slog.Level
 	}{
-		{false, false, slog.LevelInfo},
-		{true, false, slog.LevelWarn},
-		{false, true, slog.LevelDebug},
-		// quiet wins when both are set: the user asked for silence.
-		{true, true, slog.LevelWarn},
+		{false, slog.LevelInfo},
+		{true, slog.LevelWarn},
 	}
 	for _, c := range cases {
-		if got := LogLevel(c.quiet, c.verbose); got != c.want {
-			t.Errorf("LogLevel(%v, %v) = %v, want %v", c.quiet, c.verbose, got, c.want)
+		if got := LogLevel(c.quiet); got != c.want {
+			t.Errorf("LogLevel(%v) = %v, want %v", c.quiet, got, c.want)
 		}
 	}
 }
@@ -67,19 +64,17 @@ func restoreDefault(t *testing.T) {
 func TestNewLoggerRouting(t *testing.T) {
 	restoreDefault(t)
 	cases := []struct {
-		name           string
-		quiet, verbose bool
-		wantInfo       bool
-		wantDebug      bool
+		name     string
+		quiet    bool
+		wantInfo bool
 	}{
-		{"default", false, false, true, false},
-		{"quiet", true, false, false, false},
-		{"verbose", false, true, true, true},
+		{"default", false, true},
+		{"quiet", true, false},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			var buf bytes.Buffer
-			lg := NewLogger(&buf, "testcmd", c.quiet, c.verbose)
+			lg := NewLogger(&buf, "testcmd", c.quiet)
 			lg.Debug("debug-line")
 			lg.Info("info-line")
 			lg.Warn("warn-line")
@@ -87,8 +82,8 @@ func TestNewLoggerRouting(t *testing.T) {
 			if got := strings.Contains(out, "info-line"); got != c.wantInfo {
 				t.Errorf("info routed = %v, want %v:\n%s", got, c.wantInfo, out)
 			}
-			if got := strings.Contains(out, "debug-line"); got != c.wantDebug {
-				t.Errorf("debug routed = %v, want %v:\n%s", got, c.wantDebug, out)
+			if strings.Contains(out, "debug-line") {
+				t.Errorf("debug lines must never pass:\n%s", out)
 			}
 			if !strings.Contains(out, "warn-line") {
 				t.Errorf("warnings must always pass:\n%s", out)
@@ -100,7 +95,7 @@ func TestNewLoggerRouting(t *testing.T) {
 func TestNewLoggerAttrsAndDefaultInstall(t *testing.T) {
 	restoreDefault(t)
 	var buf bytes.Buffer
-	NewLogger(&buf, "mycmd", false, false)
+	NewLogger(&buf, "mycmd", false)
 	// NewLogger must install itself as the slog default so library-side
 	// slog calls join the command's stream, tagged with cmd and run_id.
 	slog.Info("via-default")
@@ -116,7 +111,7 @@ func TestNewLoggerAttrsAndDefaultInstall(t *testing.T) {
 func TestNewLoggerNilWriterDefaultsToStderr(t *testing.T) {
 	restoreDefault(t)
 	// Must not panic; stderr content is not asserted.
-	lg := NewLogger(nil, "nilw", true, false)
+	lg := NewLogger(nil, "nilw", true)
 	if lg == nil {
 		t.Fatal("NewLogger returned nil")
 	}

@@ -8,17 +8,17 @@ import (
 	"runtime/pprof"
 )
 
-// StartProfiles enables the pprof hooks shared by cmd/bench and
-// cmd/experiments: a CPU profile written for the whole invocation and a
-// heap profile captured at stop time. Either path may be empty. The
-// returned stop function must be called exactly once (defer it); it
-// finishes both profiles unconditionally — the CPU profile is always
-// stopped and its file closed even when the heap path turns out to be
-// unwritable — and reports every failure, joined with errors.Join so a
-// bad heap path cannot mask a CPU-profile write error (or vice versa).
+// StartProfiles enables cmd/experiments' pprof hooks: a CPU profile
+// written for the whole invocation and a heap profile captured at stop
+// time. Either path may be empty. The returned stop function must be
+// called exactly once (defer it); it finishes both profiles
+// unconditionally — the CPU profile is always stopped and its file closed
+// even when the heap path turns out to be unwritable — and reports every
+// failure, joined with errors.Join so a bad heap path cannot mask a
+// CPU-profile write error (or vice versa).
 //
 // Together with the telemetry series these close the observability loop:
-// the overhead guard and BENCH_<n>.json detect a hot-path regression, the
+// the overhead guard and perfbench detect a hot-path regression, the
 // profiles say where it lives.
 func StartProfiles(cpuPath, memPath string) (stop func() error, err error) {
 	var cpuFile *os.File

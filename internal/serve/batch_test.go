@@ -629,16 +629,4 @@ func TestConnWriterCoalesce(t *testing.T) {
 	if c := <-got; c.n != 2 {
 		t.Fatalf("threshold flush wrote %d frames, want 2", c.n)
 	}
-
-	// Write-through mode (coalesce <= 0): every writeq is its own syscall.
-	w3 := newConnWriter(client, time.Second, -1, time.Hour, coalesced)
-	defer w3.close()
-	before := coalesced.Value()
-	w3.writeq(dec(7))
-	if c := <-got; c.n != 1 {
-		t.Fatalf("write-through batched %d frames", c.n)
-	}
-	if coalesced.Value() != before {
-		t.Fatal("write-through counted a coalesced write")
-	}
 }

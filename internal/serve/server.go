@@ -43,16 +43,6 @@ type Config struct {
 	// hello is granted 0 and batch frames are protocol errors).
 	MaxBatch int
 
-	// WriteCoalesce and WriteCoalesceDelay shape the connection writer's
-	// flush policy for worker replies: replies buffer until the session
-	// inbox goes idle, the buffer reaches WriteCoalesce bytes, or the
-	// delay deadline fires — so pipelined clients get replies packed into
-	// fewer syscalls while lockstep clients still flush per reply.
-	// WriteCoalesce 0 means the 4096-byte default; negative writes
-	// through. WriteCoalesceDelay 0 means 200µs.
-	WriteCoalesce      int
-	WriteCoalesceDelay time.Duration
-
 	// ReadTimeout bounds the gap between frames on a connection (a dead
 	// peer is collected instead of pinning a reader goroutine forever);
 	// WriteTimeout bounds one reply write.
@@ -109,12 +99,6 @@ func (c Config) withDefaults() Config {
 		c.MaxBatch = 0
 	case c.MaxBatch == 0 || c.MaxBatch > MaxBatch:
 		c.MaxBatch = MaxBatch
-	}
-	if c.WriteCoalesce == 0 {
-		c.WriteCoalesce = 4096
-	}
-	if c.WriteCoalesceDelay <= 0 {
-		c.WriteCoalesceDelay = 200 * time.Microsecond
 	}
 	if c.ReadTimeout <= 0 {
 		c.ReadTimeout = 60 * time.Second
@@ -447,7 +431,7 @@ func (s *Server) acceptLoop() {
 // handleConn runs one connection: hello/welcome handshake (negotiating
 // the batch size), then a frame loop under a per-frame read deadline.
 func (s *Server) handleConn(c net.Conn) {
-	w := newConnWriter(c, s.cfg.WriteTimeout, s.cfg.WriteCoalesce, s.cfg.WriteCoalesceDelay, s.coalescedTotal)
+	w := newConnWriter(c, s.cfg.WriteTimeout, writeCoalesceBytes, writeCoalesceDelay, s.coalescedTotal)
 	defer w.close()
 	r := NewFrameReader(c)
 
@@ -649,6 +633,15 @@ func (s *Server) SessionStatsAll() []SessionStats {
 	return out
 }
 
+// The connection writer's flush policy for worker replies: replies buffer
+// until the session inbox goes idle, the buffer reaches writeCoalesceBytes,
+// or writeCoalesceDelay passes — so pipelined clients get replies packed
+// into fewer syscalls while lockstep clients still flush per reply.
+const (
+	writeCoalesceBytes = 4096
+	writeCoalesceDelay = 200 * time.Microsecond
+)
+
 // connWriter serializes frame writes to one connection under a write
 // deadline. Both the connection reader (busy/error/fallback replies) and
 // the session worker (decisions) write through it concurrently. Frames
@@ -664,7 +657,7 @@ type connWriter struct {
 
 	// Coalescing policy: buffer worker replies until coalesce bytes are
 	// pending or the delay timer fires (the session worker also flushes
-	// whenever its inbox goes idle). coalesce <= 0 writes through.
+	// whenever its inbox goes idle).
 	coalesce  int
 	delay     time.Duration
 	buf       []byte
@@ -697,12 +690,6 @@ func (w *connWriter) write(f *Frame) bool {
 func (w *connWriter) writeq(f *Frame) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.coalesce <= 0 {
-		if !w.appendLocked(f) {
-			return false
-		}
-		return w.flushLocked()
-	}
 	if len(w.buf) > 0 && w.coalesced != nil {
 		w.coalesced.Inc()
 	}
