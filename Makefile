@@ -1,8 +1,9 @@
 # Development workflow for the semloc reproduction. `make check` is the
 # full gate, and runs what CI runs: gofmt + vet (the root module and the
 # perfbench module, which compiles against the repository's packages) +
-# build + race-enabled tests + short fuzz runs of the
-# trace decoder and the prefetchd wire-frame decoder + the recorded BENCH
+# build + race-enabled tests + the simulated-results golden (which the race
+# build skips) + short fuzz runs of the trace decoder, the trace emitter's
+# compact storage and the prefetchd wire-frame decoder + the recorded BENCH
 # diff (the frozen simulator reports must validate and show no
 # regression) + an overhead guard that pins the disabled-telemetry hot
 # path at zero allocations per access + a race-enabled live observability
@@ -16,7 +17,7 @@
 
 GO ?= go
 
-.PHONY: all fmt vet build test race fuzz bench-diff overhead-guard obs-smoke serve-smoke loadgen-smoke loadgen-gate learner-smoke perfbench-test check clean
+.PHONY: all fmt vet build test race golden fuzz bench-diff overhead-guard obs-smoke serve-smoke loadgen-smoke loadgen-gate learner-smoke perfbench-test check clean
 
 all: build
 
@@ -38,11 +39,22 @@ test:
 race:
 	$(GO) test -race ./...
 
-# fuzz smokes both untrusted-input decoders: the trace reader and the
-# prefetchd wire-protocol frame decoder (go test allows one -fuzz pattern
-# per invocation, hence two runs).
+# golden checks every workload under every prefetcher at scale 0.1 against
+# the committed internal/exp/testdata/golden_scale0.1.txt, so a change to
+# simulated results shows in review (DESIGN.md §10, "Bit-identical
+# refactors"). `race` skips it: the race detector makes it over ten times
+# slower. A change meant to move results reruns it with -update and
+# commits the diff.
+golden:
+	$(GO) test -count=1 -run '^TestGoldenResults$$' ./internal/exp
+
+# fuzz smokes both untrusted-input decoders, the trace reader and the
+# prefetchd wire-protocol frame decoder, and the trace emitter's compact
+# storage against a plain record list (go test allows one -fuzz pattern per
+# invocation, hence three runs).
 fuzz:
 	$(GO) test -fuzz=FuzzReader -fuzztime=10s ./internal/trace
+	$(GO) test -fuzz=FuzzAppend -fuzztime=10s ./internal/trace
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/serve
 
 # bench-diff checks two of the frozen simulator reports (BENCH_2-4; the
@@ -137,7 +149,7 @@ learner-smoke:
 perfbench-test:
 	cd perfbench && $(GO) test -count=1 .
 
-check: fmt vet build race fuzz bench-diff overhead-guard obs-smoke serve-smoke loadgen-smoke loadgen-gate learner-smoke perfbench-test
+check: fmt vet build race golden fuzz bench-diff overhead-guard obs-smoke serve-smoke loadgen-smoke loadgen-gate learner-smoke perfbench-test
 
 clean:
 	rm -f .overhead-guard.txt

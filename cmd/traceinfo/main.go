@@ -1,6 +1,7 @@
 // Command traceinfo summarizes a binary trace file produced by tracegen:
-// record counts, instruction mix, dependency density, hint coverage, and
-// optionally a per-record dump of a window.
+// record counts, instruction mix, dependency density, hint coverage, the
+// bytes its records take in memory, and optionally a per-record dump of a
+// window.
 //
 // Usage:
 //
@@ -67,6 +68,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	tb.AddRow("dependency reach", fmt.Sprintf("%d records", st.DepReach))
 	tb.AddRow("hinted accesses", fmt.Sprintf("%d (%.1f%% of memory ops)", st.Hinted, pct(st.Hinted, st.Loads+st.Stores)))
 	tb.AddRow("warmup marker at", st.WarmupIndex)
+	bytes, whole := tr.Footprint()
+	tb.AddRow("record storage", fmt.Sprintf("%d bytes (%.1f per record)", bytes, float64(bytes)/float64(max(st.Records, 1))))
+	tb.AddRow("records kept whole", whole)
 	tb.Render(stdout)
 
 	if *doRe {

@@ -45,7 +45,7 @@ func TestTraceinfoSummary(t *testing.T) {
 	for _, want := range []string{
 		"trace list", "records", "instructions", "loads", "stores",
 		"dependent loads", "dependency reach", "warmup marker at",
-		"reuse profile", "working set",
+		"record storage", "records kept whole", "reuse profile", "working set",
 	} {
 		if !strings.Contains(s, want) {
 			t.Errorf("summary missing %q:\n%s", want, s)

@@ -6,9 +6,10 @@ func checksumTrace() *Trace {
 	e := NewEmitter("sum")
 	e.Compute(3)
 	e.Branch(0x10, true)
-	e.LoadSpec(MemSpec{PC: 0x20, Addr: 0x1000, Dep: -1,
+	e.LoadSpec(MemSpec{PC: 0x20, Addr: 0x1000, Reg: 5, Dep: -1,
 		Hints: SWHints{Valid: true, TypeID: 7, LinkOffset: 16, RefForm: RefArrow}})
 	e.Store(0x30, 0x2000)
+	e.LoadSpec(MemSpec{PC: 0x40, Addr: 1 << 40, Dep: 2}) // kept whole
 	return e.Finish()
 }
 
@@ -26,20 +27,26 @@ func TestChecksumDetectsMutation(t *testing.T) {
 	tr := checksumTrace()
 	orig := tr.Checksum()
 
-	// Stray writes into the storage: record 2 is the load (payload 0),
-	// record 3 the store (payload 1).
+	// Stray writes into the storage: record 1 is the branch, record 2 the
+	// load (payload 0), record 3 the store (payload 1), record 4 the load
+	// kept whole.
 	mutations := []func(*Trace){
 		func(t *Trace) { t.Name = "other" },
 		func(t *Trace) { t.accs[0].addr++ },
 		func(t *Trace) { t.accs[0].value ^= 1 },
-		func(t *Trace) { t.accs[1].reg++ },
-		func(t *Trace) { t.ops[1].taken = false },
-		func(t *Trace) { t.ops[3].pc++ },
-		func(t *Trace) { t.ops[3].size = 4 },
+		func(t *Trace) { t.regs[0]++ },
+		func(t *Trace) { t.regs[1]++ },
+		func(t *Trace) { t.shapes[t.ops[1].shape].taken = false },
+		func(t *Trace) { t.pcs[t.ops[3].pc]++ },
+		func(t *Trace) { t.ops[3].pc = t.ops[2].pc },
+		func(t *Trace) { t.shapes[t.ops[3].shape].size = 4 },
+		func(t *Trace) { t.ops[3].shape = t.ops[2].shape },
 		func(t *Trace) { t.ops[3].arg = 2 },
-		func(t *Trace) { t.accs[0].hints.LinkOffset = 24 },
-		func(t *Trace) { t.accs[0].hints.Valid = false },
+		func(t *Trace) { t.shapes[t.ops[2].shape].hints.LinkOffset = 24 },
+		func(t *Trace) { t.shapes[t.ops[2].shape].hints.Valid = false },
 		func(t *Trace) { t.ops[0].arg++ },
+		func(t *Trace) { t.whole[0].Addr++ },
+		func(t *Trace) { t.whole[0].Dep = NoDep },
 	}
 	for i, mut := range mutations {
 		m := checksumTrace()

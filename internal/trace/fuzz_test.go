@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"testing"
+
+	"semloc/internal/memmodel"
 )
 
 // FuzzReader proves the streaming decoder (NewReader + Next) never panics
@@ -63,4 +65,83 @@ func FuzzReader(f *testing.F) {
 				tr.DepReach(), back.DepReach(), tr.ComputeStats().DepReach)
 		}
 	})
+}
+
+// FuzzAppend drives an Emitter with the calls the fuzz bytes spell:
+// Append with any kind, size, flags, 64-bit PC, Addr, Value and Reg, hints,
+// Dep and Count, plus Compute, LoadSpec and Branch, and bursts of branches
+// or loads that each bring a new PC or shape, which fill the interned
+// tables in a few bytes. A cursor must read back each record as emitted,
+// with Append's documented drops applied (the model in store_test.go).
+// This reaches the kinds, sizes, table overflows and wide values that
+// FuzzReader's decodable inputs never carry.
+func FuzzAppend(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 1, 8, 3, 2, 0x20, 0x04, 4, 0, 0, 0, 1, 1, 0x2a, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{0, 99, 3, 1, 8, 1, 2, 3, 4, 5, 6, 7, 8, 1, 9, 1, 9, 1, 9, 1, 2, 1, 3, 1, 4, 1, 5, 0, 0, 0, 0, 0})
+	f.Add([]byte{1, 5, 1, 3, 2, 1, 0x40, 8, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 3, 1, 7, 1})
+	// Bursts past the 65,535-entry PC table and the 256-entry shape table.
+	f.Add([]byte{4, 1, 0xff, 0xff, 4, 1, 0x10, 0, 2, 0, 8, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{4, 0, 0x20, 1, 0, 1, 7, 0, 0, 3, 2, 1, 1, 0, 1, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		in := fuzzBytes(data)
+		m := newModel("fuzz")
+		fresh := uint64(1) << 48 // PCs and type IDs no other call can spell
+		for len(in) > 0 {
+			switch in.u8() % 5 {
+			case 0:
+				kind, size, flags := Kind(in.u8()), in.u8(), in.u8()
+				m.append(Record{Kind: kind, Size: size, Taken: flags&1 != 0,
+					PC: in.u64(), Addr: memmodel.Addr(in.u64()), Value: in.u64(), Reg: in.u64(),
+					Hints: in.hints(flags&2 != 0), Dep: int32(in.u64()), Count: uint32(in.u64())})
+			case 1:
+				m.compute(int(int8(in.u8())))
+			case 2:
+				size, flags := in.u8(), in.u8()
+				m.load(MemSpec{Size: size, PC: in.u64(), Addr: memmodel.Addr(in.u64()), Value: in.u64(), Reg: in.u64(),
+					Hints: in.hints(flags&2 != 0), Dep: int(int64(in.u64()))})
+			case 3:
+				m.branch(in.u64(), in.u8()&1 != 0)
+			case 4:
+				loads, n := in.u8()&1 == 0, int(in.u8())|int(in.u8())<<8
+				for j := 0; j < n; j++ {
+					fresh++
+					if loads {
+						m.load(MemSpec{PC: 0x40, Addr: 0x1000, Dep: -1, Hints: SWHints{Valid: true, TypeID: uint16(fresh)}})
+					} else {
+						m.branch(fresh, j&1 == 0)
+					}
+				}
+			}
+		}
+		m.finish(t)
+	})
+}
+
+// fuzzBytes hands out fuzz input a field at a time, reading zeros past its
+// end.
+type fuzzBytes []byte
+
+func (b *fuzzBytes) u8() byte {
+	if len(*b) == 0 {
+		return 0
+	}
+	v := (*b)[0]
+	*b = (*b)[1:]
+	return v
+}
+
+// u64 reads a length byte, then that many bytes (at most 8) little-endian,
+// so small values cost few bytes and wide ones stay reachable.
+func (b *fuzzBytes) u64() uint64 {
+	var v uint64
+	for i, n := 0, int(b.u8()%9); i < n; i++ {
+		v |= uint64(b.u8()) << (8 * i)
+	}
+	return v
+}
+
+// hints reads a type ID, a link offset and a reference form.
+func (b *fuzzBytes) hints(valid bool) SWHints {
+	return SWHints{Valid: valid, TypeID: uint16(b.u64()), LinkOffset: uint16(b.u64()), RefForm: RefForm(b.u8())}
 }

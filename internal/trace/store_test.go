@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math"
 	"testing"
@@ -134,22 +135,55 @@ func TestCursorReturnsAppendedRecords(t *testing.T) {
 	sameRecords(t, back, tr)
 }
 
-// TestStorageFootprint pins the layout's byte budget: a 16-byte op per
-// record, a 32-byte payload per load or store, both arrays exactly sized.
+// TestStorageFootprint pins the layout's byte budget: an 8-byte op per
+// record, an 8-byte payload per load or store, every array exactly sized,
+// and no Reg column unless some access has a nonzero Reg.
 func TestStorageFootprint(t *testing.T) {
-	if s := unsafe.Sizeof(op{}); s != 16 {
-		t.Errorf("op is %d bytes, want 16", s)
+	if s := unsafe.Sizeof(op{}); s != 8 {
+		t.Errorf("op is %d bytes, want 8", s)
 	}
-	if s := unsafe.Sizeof(payload{}); s != 32 {
-		t.Errorf("payload is %d bytes, want 32", s)
+	if s := unsafe.Sizeof(payload{}); s != 8 {
+		t.Errorf("payload is %d bytes, want 8", s)
 	}
 	tr := benchTrace(3*chunkLen + 100) // several chunks of each
 	if len(tr.ops) <= 2*chunkLen || len(tr.accs) <= chunkLen {
 		t.Fatalf("trace of %d ops, %d payloads spans too few chunks", len(tr.ops), len(tr.accs))
 	}
-	if cap(tr.ops) != len(tr.ops) || cap(tr.accs) != len(tr.accs) {
-		t.Errorf("after Finish: ops len %d cap %d, payloads len %d cap %d",
-			len(tr.ops), cap(tr.ops), len(tr.accs), cap(tr.accs))
+	if tr.regs != nil {
+		t.Errorf("every Reg is zero, yet the trace has a Reg column of %d", len(tr.regs))
+	}
+	n, whole := tr.Footprint()
+	if want := 8*len(tr.ops) + 8*len(tr.accs) + 8*len(tr.pcs) + int(unsafe.Sizeof(shape{}))*len(tr.shapes); n != want || whole != 0 {
+		t.Errorf("Footprint %d bytes, %d whole; want %d bytes, 0 whole", n, whole, want)
+	}
+
+	e := NewEmitter("reg")
+	for i := 0; i < 2*chunkLen; i++ {
+		e.LoadSpec(MemSpec{PC: 0x10, Addr: memmodel.Addr(64 * i), Reg: uint64(i / chunkLen), Dep: -1})
+		e.Compute(1)
+	}
+	e.Store(0x20, 0x40) // the column covers the accesses after the last nonzero Reg
+	tr = e.Finish()
+	if len(tr.regs) != len(tr.accs) {
+		t.Fatalf("Reg column of %d for %d accesses", len(tr.regs), len(tr.accs))
+	}
+	for name, lc := range map[string][2]int{
+		"ops": {len(tr.ops), cap(tr.ops)}, "payloads": {len(tr.accs), cap(tr.accs)},
+		"regs": {len(tr.regs), cap(tr.regs)}, "pcs": {len(tr.pcs), cap(tr.pcs)},
+		"shapes": {len(tr.shapes), cap(tr.shapes)},
+	} {
+		if lc[0] != lc[1] {
+			t.Errorf("after Finish: %s len %d cap %d", name, lc[0], lc[1])
+		}
+	}
+	recs := records(tr)
+	for i, r := range recs[:len(recs)-1] {
+		if want := uint64(i / 2 / chunkLen); r.IsMem() && r.Reg != want {
+			t.Fatalf("record %d: Reg %d, want %d", i, r.Reg, want)
+		}
+	}
+	if r := recs[len(recs)-1]; r.Reg != 0 {
+		t.Errorf("final store: Reg %d, want 0", r.Reg)
 	}
 }
 
@@ -200,5 +234,201 @@ func TestBranchHistories(t *testing.T) {
 		if rec.BranchHist != want[i] {
 			t.Errorf("reader record %d: history %#b, want %#b", i, rec.BranchHist, want[i])
 		}
+	}
+}
+
+// model mirrors an Emitter with the plain list of records a cursor must
+// read back from it: each call applies the Emitter's documented rules.
+type model struct {
+	e    *Emitter
+	recs []Record
+}
+
+func newModel(name string) *model { return &model{e: NewEmitter(name)} }
+
+// append applies Append's drops.
+func (m *model) append(r Record) {
+	m.e.Append(r)
+	r.BranchHist = 0
+	if r.Kind == KindCompute {
+		r.Dep = NoDep
+	} else {
+		r.Count = 0
+	}
+	if !r.IsMem() {
+		r.Addr, r.Value, r.Reg, r.Hints = 0, 0, 0, SWHints{}
+	}
+	m.recs = append(m.recs, r)
+}
+
+// compute merges into a compute record before it.
+func (m *model) compute(n int) {
+	m.e.Compute(n)
+	if n <= 0 {
+		return
+	}
+	if k := len(m.recs) - 1; k >= 0 && m.recs[k].Kind == KindCompute {
+		m.recs[k].Count += uint32(n)
+		return
+	}
+	m.recs = append(m.recs, Record{Kind: KindCompute, Count: uint32(n), Dep: NoDep})
+}
+
+// load defaults the size to 8 and drops a Dep that is not an earlier
+// record.
+func (m *model) load(s MemSpec) int {
+	i := m.e.LoadSpec(s)
+	r := Record{Kind: KindLoad, PC: s.PC, Addr: s.Addr, Size: s.Size, Value: s.Value, Reg: s.Reg, Dep: NoDep, Hints: s.Hints}
+	if r.Size == 0 {
+		r.Size = 8
+	}
+	if s.Dep >= 0 && s.Dep < i {
+		r.Dep = int32(s.Dep)
+	}
+	m.recs = append(m.recs, r)
+	return i
+}
+
+func (m *model) branch(pc uint64, taken bool) {
+	m.e.Branch(pc, taken)
+	m.recs = append(m.recs, Record{Kind: KindBranch, PC: pc, Taken: taken, Dep: NoDep})
+}
+
+// finish finishes the trace and fails the test unless a cursor reads back
+// the model's records, with BranchHist derived from the branches before
+// each, and Len, Accesses and DepReach agree with them.
+func (m *model) finish(t testing.TB) *Trace {
+	t.Helper()
+	tr := m.e.Finish()
+	var hist uint16
+	accesses := 0
+	for i := range m.recs {
+		m.recs[i].BranchHist = hist
+		switch m.recs[i].Kind {
+		case KindBranch:
+			hist = foldBranch(hist, m.recs[i].Taken)
+		case KindLoad, KindStore:
+			accesses++
+		}
+	}
+	got := records(tr)
+	if len(got) != len(m.recs) || tr.Len() != len(m.recs) || tr.Accesses() != accesses {
+		t.Fatalf("read %d records (Len %d, Accesses %d), emitted %d with %d accesses",
+			len(got), tr.Len(), tr.Accesses(), len(m.recs), accesses)
+	}
+	for i := range m.recs {
+		if got[i] != m.recs[i] {
+			t.Fatalf("record %d: got %+v want %+v", i, got[i], m.recs[i])
+		}
+	}
+	if tr.DepReach() != tr.ComputeStats().DepReach {
+		t.Fatalf("DepReach %d, ComputeStats %d", tr.DepReach(), tr.ComputeStats().DepReach)
+	}
+	return tr
+}
+
+// TestKeptWholeRecords drives every escape from the compact layout — a
+// full PC table, a full shape table, an Addr, Value or Reg of 2^32 or
+// more — plus an unknown kind, through the generator methods and Append
+// alike, with records that still fit interleaved after the escapes. Each
+// trace must read back as emitted, give the Validate verdict, Checksum and
+// DepReach the 16-byte-op, 32-byte-payload layout gave it, and, where it
+// is encodable, survive Write→Read.
+func TestKeptWholeRecords(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		build func(m *model)
+		whole int
+		sum   uint64
+		reach int
+		err   string
+	}{
+		{"pcs", func(m *model) {
+			dep := -1
+			for i := 1; i <= 1<<16+6; i++ {
+				pc := uint64(i) << 2
+				switch i % 3 {
+				case 0:
+					dep = m.load(MemSpec{PC: pc, Addr: memmodel.Addr(i) << 6, Value: uint64(i), Dep: dep})
+				case 1:
+					m.branch(pc, i%4 == 1)
+				case 2:
+					m.append(Record{Kind: KindStore, PC: pc, Addr: memmodel.Addr(i) << 6, Size: 4, Dep: NoDep})
+				}
+				if i > 1<<16-8 { // around the table filling up, records whose PC it holds
+					m.load(MemSpec{PC: 4, Addr: 0x40, Reg: uint64(i), Dep: dep})
+					m.compute(2)
+				}
+			}
+		}, 8, 0xd591aa461064119c, 9, ""},
+		{"shapes", func(m *model) {
+			dep := -1
+			for i := 0; i < 1<<8+8; i++ {
+				h := SWHints{Valid: true, TypeID: uint16(i), LinkOffset: 8, RefForm: RefArrow}
+				dep = m.load(MemSpec{PC: 0x100, Addr: memmodel.Addr(0x1000 + 64*i), Dep: dep, Hints: h})
+				m.load(MemSpec{PC: 0x104, Addr: 0x40, Dep: dep})
+			}
+			m.append(Record{Kind: KindCompute, Count: 3, Taken: true})
+			m.compute(2) // merges into the compute record kept whole
+			m.branch(0x108, true)
+			m.branch(0x108, false)
+			m.append(Record{Kind: KindStore, PC: 0x10c, Addr: 0x80, Size: 2, Dep: int32(dep)})
+			m.load(MemSpec{PC: 0x104, Addr: 0x40, Dep: dep})
+		}, 13, 0xf6f9ed2f1884c265, 6, ""},
+		{"wide", func(m *model) {
+			vals := []uint64{0, 1<<32 - 1, 1 << 32, 1 << 63, math.MaxUint64}
+			dep := -1
+			for _, a := range vals {
+				for _, v := range vals {
+					for _, r := range vals {
+						dep = m.load(MemSpec{PC: 0x200, Addr: memmodel.Addr(a), Value: v, Reg: r, Dep: dep})
+						m.append(Record{Kind: KindStore, PC: 0x204, Addr: memmodel.Addr(a ^ 0x40), Value: r, Reg: v, Size: 8, Dep: NoDep})
+						m.compute(1)
+					}
+				}
+			}
+		}, 2 * (125 - 8), 0xf6bcd302d3c799ca, 3, ""},
+		{"kind", func(m *model) {
+			m.load(MemSpec{PC: 0x300, Addr: 0x1000, Dep: -1})
+			m.append(Record{Kind: Kind(99), PC: 0x304, Addr: 0x2000, Value: 5, Reg: 6, Count: 7, Size: 3, Taken: true, Dep: 0,
+				Hints: SWHints{Valid: true, TypeID: 1}})
+			m.branch(0x308, true)
+			m.append(Record{Kind: kindCount, Dep: NoDep})
+			m.load(MemSpec{PC: 0x300, Addr: 0x1040, Reg: 1, Dep: 0})
+		}, 0, 0x6ad415836ce3041a, 4, `trace "kind": record 1 has unknown kind 99`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newModel(tc.name)
+			tc.build(m)
+			tr := m.finish(t)
+			if _, whole := tr.Footprint(); whole != tc.whole {
+				t.Errorf("%d records kept whole, want %d", whole, tc.whole)
+			}
+			if got := tr.Checksum(); got != tc.sum {
+				t.Errorf("Checksum %#x, want %#x", got, tc.sum)
+			}
+			if got := tr.DepReach(); got != tc.reach {
+				t.Errorf("DepReach %d, want %d", got, tc.reach)
+			}
+			err := tr.Validate()
+			if got := fmt.Sprint(err); err == nil && tc.err != "" || err != nil && got != tc.err {
+				t.Errorf("Validate: %v, want %q", err, tc.err)
+			}
+			var buf bytes.Buffer
+			if err := Write(&buf, tr); err != nil {
+				if tc.err == "" {
+					t.Fatal(err)
+				}
+				return
+			}
+			back, err := Read(&buf)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameRecords(t, back, tr)
+			if back.Checksum() != tr.Checksum() || back.DepReach() != tr.DepReach() {
+				t.Errorf("read back with checksum %#x, DepReach %d", back.Checksum(), back.DepReach())
+			}
+		})
 	}
 }
