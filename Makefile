@@ -1,8 +1,9 @@
 # Development workflow for the semloc reproduction. `make check` is the
 # full gate, and runs what CI runs: gofmt + vet (the root module and the
 # perfbench module, which compiles against the repository's packages) +
-# build + race-enabled tests + the simulated-results golden (which the race
-# build skips) + short fuzz runs of the trace decoder, the trace emitter's
+# build + race-enabled tests + the simulated-results golden (every named
+# cell plus Figure 13's parameterised cells; the race build skips it) +
+# short fuzz runs of the trace decoder, the trace emitter's
 # compact storage and the prefetchd wire-frame decoder + the recorded BENCH
 # diff (the frozen simulator reports must validate and show no
 # regression) + an overhead guard that pins the disabled-telemetry hot
@@ -14,10 +15,12 @@
 # learner-introspection smoke (instrumented sweep rendered via inspect
 # learner, live explain round-trip against prefetchd) + perfbench's own
 # tests (it is a separate Go module, so `go test ./...` skips them).
+# `make results`, which rewrites results/experiments_scale1.txt at paper
+# scale, stays out of check.
 
 GO ?= go
 
-.PHONY: all fmt vet build test race golden fuzz bench-diff overhead-guard obs-smoke serve-smoke loadgen-smoke loadgen-gate learner-smoke perfbench-test check clean
+.PHONY: all fmt vet build test race golden results fuzz bench-diff overhead-guard obs-smoke serve-smoke loadgen-smoke loadgen-gate learner-smoke perfbench-test check clean
 
 all: build
 
@@ -39,14 +42,22 @@ test:
 race:
 	$(GO) test -race ./...
 
-# golden checks every workload under every prefetcher at scale 0.1 against
-# the committed internal/exp/testdata/golden_scale0.1.txt, so a change to
-# simulated results shows in review (DESIGN.md §10, "Bit-identical
-# refactors"). `race` skips it: the race detector makes it over ten times
-# slower. A change meant to move results reruns it with -update and
-# commits the diff.
+# golden checks every workload under every prefetcher in PrefetcherNames
+# and both policy variants, plus Figure 13's parameterised cells, at scale
+# 0.1 against the committed internal/exp/testdata/golden_scale0.1.txt (367
+# cells, about 8 s), so a change to simulated results shows in review
+# (DESIGN.md §10, "Bit-identical refactors"). `race` skips it: the race
+# detector makes it over ten times slower. A change meant to move results
+# reruns it with -update and commits the diff.
 golden:
 	$(GO) test -count=1 -run '^TestGoldenResults$$' ./internal/exp
+
+# results regenerates the committed record of every table and figure at
+# paper scale (about 70 s on the 2-CPU reference machine). It is not part
+# of check: a change meant to move results reruns it with the golden and
+# commits both diffs.
+results:
+	$(GO) run ./cmd/experiments -q -scale 1 -seed 1 > results/experiments_scale1.txt
 
 # fuzz smokes both untrusted-input decoders, the trace reader and the
 # prefetchd wire-protocol frame decoder, and the trace emitter's compact

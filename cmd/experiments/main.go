@@ -2,8 +2,10 @@
 //
 // Usage:
 //
-//	experiments                 # run everything (Table 2/3, Figures 1-14)
+//	experiments                 # run everything (Table 2/3, Figures 1-14, limit, ablations)
 //	experiments -run fig12      # one experiment
+//	experiments -run ablations  # reward shape, reducer, shadow, adaptive ε,
+//	                            # granularity, sampling, softmax/UCB policies
 //	experiments -run fig12,fig14 -scale 0.5
 //	experiments -list           # list experiment ids
 //	experiments -run fig12 -obs-dir results/obs -obs-interval 4096 -obs-rate 64

@@ -10,6 +10,14 @@
 //	prefetchsim -workload list -remote 127.0.0.1:7077 # cross-check prefetchd
 //	prefetchsim -list             # list available workloads
 //
+// Each row is built by exp.NewCellPrefetcher, the rule behind every
+// figure: -seed seeds both the workload and the context prefetcher's
+// learner, so a row equals the matching cmd/experiments cell at the same
+// -scale and -seed. The names it accepts are exp.PrefetcherNames plus
+// context-softmax, context-ucb and oracle. A -config file's context section
+// replaces the default configuration of the context rows only; it may not
+// set Seed, which -seed derives.
+//
 // -remote streams the workload's access records to a running prefetchd
 // (see cmd/prefetchd) and cross-checks every remote decision against an
 // in-process learner: the daemon is a deterministic replica, so any
@@ -42,7 +50,6 @@ import (
 	"semloc/internal/exp"
 	"semloc/internal/harness"
 	"semloc/internal/obs"
-	"semloc/internal/prefetch"
 	"semloc/internal/serve"
 	"semloc/internal/serve/client"
 	"semloc/internal/stats"
@@ -60,7 +67,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		traceFile   = fs.String("trace", "", "replay a serialized trace instead of generating a workload")
 		prefetchers = fs.String("prefetchers", "none,stride,ghb-gdc,ghb-pcdc,sms,markov,context", "comma-separated prefetcher names")
 		scale       = fs.Float64("scale", 1, "workload scale factor")
-		seed        = fs.Uint64("seed", 1, "workload seed")
+		seed        = fs.Uint64("seed", 1, "seed for the workload and the context prefetcher's learner (the figures' base seed)")
 		list        = fs.Bool("list", false, "list available workloads")
 		verbose     = fs.Bool("v", false, "print access-category breakdown")
 		configPath  = fs.String("config", "", "JSON machine/prefetcher config (see exp.FileConfig)")
@@ -141,7 +148,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runRemote(ctx, logger, stdout, tr, *remote, name, *timeout)
 	}
 
-	var fc *exp.FileConfig
+	fc := &exp.FileConfig{}
 	if *configPath != "" {
 		var err error
 		fc, err = exp.LoadConfig(*configPath)
@@ -181,13 +188,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			break
 		}
 		name = strings.TrimSpace(name)
-		var pf prefetch.Prefetcher
-		var err error
-		if name == "oracle" {
-			pf = prefetch.NewOracle(tr, 0)
-		} else {
-			pf, err = exp.NewPrefetcherWith(name, fc)
-		}
+		pf, err := exp.NewCellPrefetcher(tr, exp.Job{Workload: tr.Name, Prefetcher: name, Config: fc.Context}, *seed)
 		if err != nil {
 			logger.Error("building prefetcher", "prefetcher", name, "err", err)
 			return harness.ExitUsage

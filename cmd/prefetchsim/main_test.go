@@ -2,9 +2,13 @@ package main
 
 import (
 	"bytes"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
+	"semloc/internal/exp"
 	"semloc/internal/harness"
 	"semloc/internal/serve"
 )
@@ -37,11 +41,81 @@ func TestUsageErrors(t *testing.T) {
 		{"-workload", "no-such"},   // unknown workload
 		{"-workload", "list", "x"}, // stray positional
 		{"-workload", "list", "-prefetchers", "no-such", "-scale", "0.05"},
+		{"-workload", "list", "-prefetchers", "context-egreedy", "-scale", "0.05"},
 	}
 	for _, args := range cases {
 		if _, _, code := simOut(t, append(args, "-q")...); code != harness.ExitUsage {
 			t.Errorf("prefetchsim %v exited %d, want %d", args, code, harness.ExitUsage)
 		}
+	}
+}
+
+// TestMatchesFigureCell pins that prefetchsim builds a cell the way the
+// figures do: at -seed N its context row prints the cycles of the engine's
+// mcf/context cell at base seed N, because -seed seeds the learner too.
+func TestMatchesFigureCell(t *testing.T) {
+	for _, seed := range []uint64{1, 2} {
+		opts := exp.DefaultOptions()
+		opts.Scale, opts.Seed = 0.1, seed
+		want, err := exp.NewRunner(opts).Result("mcf", "context")
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, errOut, code := simOut(t, "-workload", "mcf", "-scale", "0.1", "-seed", fmt.Sprint(seed),
+			"-prefetchers", "none,context", "-q")
+		if code != harness.ExitOK {
+			t.Fatalf("seed %d exited %d\nstderr:\n%s", seed, code, errOut)
+		}
+		if got := rowCycles(out, "context"); got != fmt.Sprint(want.CPU.Cycles) {
+			t.Errorf("seed %d: prefetchsim context cycles %q, engine cell %d\n%s", seed, got, want.CPU.Cycles, out)
+		}
+	}
+}
+
+// rowCycles returns the cycles column of prefetchsim's row for prefetcher
+// name, or "" when the table has no such row.
+func rowCycles(out, name string) string {
+	for _, line := range strings.Split(out, "\n") {
+		if f := strings.Fields(line); len(f) > 0 && f[0] == name {
+			return f[len(f)-1]
+		}
+	}
+	return ""
+}
+
+// TestConfigFileReachesContextRow: a -config file's context section
+// configures the context row, which equals the engine's Config job for the
+// same configuration, while the other rows of the default -prefetchers list
+// ignore it and still run (exit 0).
+func TestConfigFileReachesContextRow(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cfg.json")
+	if err := os.WriteFile(path, []byte(`{"context": {"MaxDegree": 2, "Epsilon": 0.1}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	fc, err := exp.LoadConfig(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := exp.DefaultOptions()
+	opts.Scale = 0.05
+	r := exp.NewRunner(opts)
+	jr, err := r.RunJobs([]exp.Job{{Workload: "mcf", Prefetcher: "context", Config: fc.Context}})
+	if err != nil || jr[0].Err != nil {
+		t.Fatal(err, jr[0].Err)
+	}
+	def, err := r.Result("mcf", "context")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if jr[0].Result.CPU.Cycles == def.CPU.Cycles {
+		t.Fatalf("the override does not change the mcf/context cell (%d cycles)", def.CPU.Cycles)
+	}
+	out, errOut, code := simOut(t, "-workload", "mcf", "-scale", "0.05", "-config", path, "-q")
+	if code != harness.ExitOK {
+		t.Fatalf("-config exited %d\nstderr:\n%s", code, errOut)
+	}
+	if got := rowCycles(out, "context"); got != fmt.Sprint(jr[0].Result.CPU.Cycles) {
+		t.Errorf("context row cycles %q, engine Config job %d\n%s", got, jr[0].Result.CPU.Cycles, out)
 	}
 }
 

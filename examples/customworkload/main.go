@@ -29,14 +29,18 @@ const (
 	typeVersion uint16 = 2
 )
 
+// seed drives the workload's heap and key choices, and is the base seed
+// the context prefetcher's learner seed derives from.
+const seed = 99
+
 func buildTrace() *trace.Trace {
 	const (
 		pcBucket  = 0x501000 // bucket array load site
 		pcVersion = 0x501010 // version-chain load site
 		pcValue   = 0x501020 // record payload load site
 	)
-	rng := memmodel.NewRNG(99)
-	heap := memmodel.NewHeap(memmodel.HeapConfig{Seed: 99})
+	rng := memmodel.NewRNG(seed)
+	heap := memmodel.NewHeap(memmodel.HeapConfig{Seed: seed})
 
 	const buckets = 1 << 14
 	const records = buckets * 2
@@ -104,7 +108,7 @@ func main() {
 	tb := stats.NewTable("key-value store lookups", "prefetcher", "IPC", "speedup", "L1 MPKI")
 	var base float64
 	for _, pn := range []string{"none", "stride", "ghb-pcdc", "sms", "context"} {
-		pf, err := exp.NewPrefetcher(pn)
+		pf, err := exp.NewCellPrefetcher(tr, exp.Job{Workload: tr.Name, Prefetcher: pn}, seed)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -30,11 +30,12 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		p, err := exp.NewPrefetcher(pf)
+		tr := w.Generate(gen)
+		p, err := exp.NewCellPrefetcher(tr, exp.Job{Workload: name, Prefetcher: pf}, gen.Seed)
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := sim.Run(w.Generate(gen), p, machine)
+		res, err := sim.Run(tr, p, machine)
 		if err != nil {
 			log.Fatal(err)
 		}

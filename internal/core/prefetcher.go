@@ -184,8 +184,15 @@ func MustNew(cfg Config) *Prefetcher {
 	return p
 }
 
-// Name implements prefetch.Prefetcher.
-func (*Prefetcher) Name() string { return "context" }
+// Name implements prefetch.Prefetcher: "context" for the paper's ε-greedy
+// learner, "context-<policy>" for the alternative policies (as GHB reports
+// its localization in "ghb-gdc" and "ghb-pcdc").
+func (p *Prefetcher) Name() string {
+	if p.cfg.Policy == PolicyEpsilonGreedy {
+		return "context"
+	}
+	return "context-" + p.cfg.Policy.String()
+}
 
 // Metrics returns a snapshot of the internal counters. The snapshot's
 // OutcomeUseless is the current pending-issued population (the internal

@@ -10,22 +10,27 @@ import (
 	"semloc/internal/sim"
 )
 
-// FileConfig is the JSON configuration accepted by the -config flag of
-// cmd/prefetchsim and cmd/experiments: optional overrides for the machine
-// and for the context prefetcher. Omitted sections keep the Table 2
-// defaults; within a provided section, zero-valued fields are filled from
-// the defaults before validation, so a file only needs the fields it
-// changes, e.g.
+// FileConfig is the JSON configuration accepted by cmd/prefetchsim's
+// -config flag: optional overrides for the machine and for the context
+// prefetcher. Omitted sections keep the Table 2 defaults; within a
+// provided section, zero-valued fields are filled from the defaults before
+// validation, so a file only needs the fields it changes, e.g.
 //
 //	{"sim": {"Cache": {"DRAMLatency": 200}},
 //	 "context": {"MaxDegree": 2, "Epsilon": 0.1}}
+//
+// The context section becomes the Job.Config of each context row (the
+// other prefetchers ignore it), so NewCellPrefetcher sets its Policy for a
+// policy variant's name and derives its Seed from -seed; a file that sets
+// Seed is refused.
 type FileConfig struct {
 	Sim     *sim.Config  `json:"sim,omitempty"`
 	Context *core.Config `json:"context,omitempty"`
 }
 
-// LoadConfig reads and validates a FileConfig. The returned SimConfig and
-// ContextConfig are always usable (defaults where the file is silent).
+// LoadConfig reads and validates a FileConfig. SimConfig is always usable
+// (defaults where the file is silent); Context is nil when the file has no
+// context section.
 func LoadConfig(path string) (*FileConfig, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -47,6 +52,9 @@ func LoadConfig(path string) (*FileConfig, error) {
 		}
 	}
 	if fc.Context != nil {
+		if fc.Context.Seed != 0 {
+			return nil, fmt.Errorf("exp: config %s: context Seed is not configurable: the learner's seed is derived from -seed", path)
+		}
 		fillContextDefaults(fc.Context)
 		if err := fc.Context.Validate(); err != nil {
 			return nil, fmt.Errorf("exp: config %s: %w", path, err)
@@ -61,15 +69,6 @@ func (fc *FileConfig) SimConfig() sim.Config {
 		return sim.DefaultConfig()
 	}
 	return *fc.Sim
-}
-
-// ContextConfig returns the context prefetcher configuration (defaults if
-// absent).
-func (fc *FileConfig) ContextConfig() core.Config {
-	if fc == nil || fc.Context == nil {
-		return core.DefaultConfig()
-	}
-	return *fc.Context
 }
 
 // fillSimDefaults replaces zero-valued machine fields with Table 2 values.
@@ -143,8 +142,5 @@ func fillContextDefaults(c *core.Config) {
 	}
 	if c.BlockShift == 0 {
 		c.BlockShift = def.BlockShift
-	}
-	if c.Seed == 0 {
-		c.Seed = def.Seed
 	}
 }

@@ -23,8 +23,8 @@ func TestLoadConfigDefaults(t *testing.T) {
 	if fc.SimConfig().Cache.DRAMLatency != 300 {
 		t.Error("empty config should yield Table 2 defaults")
 	}
-	if fc.ContextConfig().CSTEntries != 2048 {
-		t.Error("empty config should yield default prefetcher")
+	if fc.Context != nil {
+		t.Error("empty config should leave the prefetcher at its defaults")
 	}
 }
 
@@ -43,7 +43,7 @@ func TestLoadConfigPartialOverride(t *testing.T) {
 	if mc.Cache.L1.Size != 64<<10 {
 		t.Error("unspecified fields should keep defaults")
 	}
-	cc := fc.ContextConfig()
+	cc := fc.Context
 	if cc.MaxDegree != 2 || cc.Epsilon != 0.1 {
 		t.Errorf("context overrides lost: %+v", cc)
 	}
@@ -65,6 +65,9 @@ func TestLoadConfigRejectsInvalidValues(t *testing.T) {
 	if _, err := LoadConfig(writeConfig(t, `{"sim": {"Cache": {"L1": {"Name":"x","Size": 100, "Ways": 3, "MSHRs": 1, "Latency": 1}}}}`)); err == nil {
 		t.Error("expected validation error for bad cache geometry")
 	}
+	if _, err := LoadConfig(writeConfig(t, `{"context": {"Seed": 7}}`)); err == nil {
+		t.Error("expected an error for a context Seed, which -seed derives")
+	}
 }
 
 func TestLoadConfigMissingFile(t *testing.T) {
@@ -83,8 +86,5 @@ func TestNilFileConfig(t *testing.T) {
 	var fc *FileConfig
 	if fc.SimConfig().CPU.Width != 4 {
 		t.Error("nil FileConfig should yield defaults")
-	}
-	if fc.ContextConfig().QueueDepth != 128 {
-		t.Error("nil FileConfig should yield default prefetcher")
 	}
 }

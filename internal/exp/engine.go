@@ -1,14 +1,10 @@
 package exp
 
 import (
-	"context"
-	"fmt"
-	"strings"
 	"sync"
 	"sync/atomic"
 
 	"semloc/internal/core"
-	"semloc/internal/harness"
 	"semloc/internal/prefetch"
 	"semloc/internal/sim"
 )
@@ -20,15 +16,20 @@ import (
 //     memoized Result path, so a job that several figures share (e.g.
 //     "mcf"/"none") simulates once no matter how many batches request it.
 //   - Config != nil: a parameterised context-prefetcher run (sweeps,
-//     sensitivity studies). These are never memoized — each job builds a
-//     fresh prefetcher from the config, with its RNG seed derived from
-//     (base seed, workload, prefetcher, point) so the result is a pure
-//     function of the job, not of scheduling order or sibling jobs.
+//     sensitivity studies, ablations). These are never memoized — each
+//     job builds a fresh prefetcher from the config.
+//
+// Both build their prefetcher with NewCellPrefetcher, so a context run's
+// RNG seed derives from (base seed, workload, prefetcher, point) and the
+// result is a pure function of the job, not of scheduling order or
+// sibling jobs. A Config job with core.DefaultConfig() at point 0 is
+// therefore the same run as the named cell it is labelled with.
 type Job struct {
 	// Workload is the trace to replay (Table 3 name).
 	Workload string
-	// Prefetcher is the prefetcher name. For Config jobs it only labels
-	// the run and salts the derived seed.
+	// Prefetcher is the prefetcher name. It labels the run and salts the
+	// derived seed; a policy variant's name sets a Config job's policy, and
+	// a name without a learner ignores the Config (see NewCellPrefetcher).
 	Prefetcher string
 	// Point is the sweep-point index (0 for non-sweep jobs); it salts the
 	// derived seed so two points with identical configs still get
@@ -36,7 +37,7 @@ type Job struct {
 	Point int
 	// Config, when non-nil, requests a fresh context-prefetcher run with
 	// this configuration (its Seed field is overwritten by the derived
-	// seed).
+	// seed, its Policy by a policy variant's name).
 	Config *core.Config
 }
 
@@ -105,29 +106,6 @@ func DeriveSeed(base uint64, workload, prefetcher string, point int) uint64 {
 	return h
 }
 
-// contextConfigFor builds the configuration for a named context-prefetcher
-// run, with the exploration seed derived from the run's coordinates. Named
-// context variants share DefaultConfig parameters; only the bandit policy
-// and the seed differ.
-func contextConfigFor(name, workload string, base uint64) (core.Config, error) {
-	cfg := core.DefaultConfig()
-	if name != "context" {
-		pol, err := core.ParsePolicy(strings.TrimPrefix(name, "context-"))
-		if err != nil {
-			return core.Config{}, err
-		}
-		cfg.Policy = pol
-	}
-	cfg.Seed = DeriveSeed(base, workload, name, 0)
-	return cfg, nil
-}
-
-// isContextName reports whether a prefetcher name is a context variant
-// (the only prefetchers with an RNG to seed).
-func isContextName(name string) bool {
-	return name == "context" || strings.HasPrefix(name, "context-")
-}
-
 // RunJobs executes a job matrix on the runner's worker pool and returns one
 // JobResult per job, in submission order. Parallelism is bounded by
 // Options.Parallelism; with Parallelism 1 the jobs run strictly in order,
@@ -170,60 +148,14 @@ func (r *Runner) RunJobs(jobs []Job) ([]JobResult, error) {
 	return out, nil
 }
 
-// runJob dispatches one job to the memoized or the parameterised path.
+// runJob dispatches one job: named jobs go through the memoized Result
+// path, parameterised ones run fresh and expose their prefetcher.
 func (r *Runner) runJob(index int, job Job) JobResult {
 	jr := JobResult{Job: job, Index: index}
 	if job.Config == nil {
 		jr.Result, jr.Err = r.Result(job.Workload, job.Prefetcher)
 		return jr
 	}
-	jr.Result, jr.Prefetcher, jr.Err = r.runConfig(job)
+	jr.Result, jr.Prefetcher, jr.Err = r.run(job)
 	return jr
-}
-
-// runConfig runs one parameterised context-prefetcher job: fresh
-// prefetcher, derived seed, pooled scratch, no memoization. Telemetry and
-// artifact persistence are intentionally not applied here — sweep points
-// are throwaway measurements, and the artifact namespace is keyed by
-// (workload, prefetcher name) which a sweep would collide all over.
-func (r *Runner) runConfig(job Job) (*sim.Result, prefetch.Prefetcher, error) {
-	ct := r.beginCell(job.Workload, job.Prefetcher, job.Point)
-	tr, err := r.Trace(job.Workload)
-	if err != nil {
-		ct.finish(nil, err)
-		return nil, nil, err
-	}
-	ct.decodeDone()
-	cfg := *job.Config
-	cfg.Seed = DeriveSeed(r.opts.Seed, job.Workload, job.Prefetcher, job.Point)
-	pf, err := core.New(cfg)
-	if err != nil {
-		err = fmt.Errorf("exp: %s/%s[%d]: %w", job.Workload, job.Prefetcher, job.Point, err)
-		ct.finish(nil, err)
-		return nil, nil, err
-	}
-	ct.queueStart()
-	select {
-	case r.sem <- struct{}{}:
-	case <-r.ctx.Done():
-		err := fmt.Errorf("exp: %s/%s[%d]: %w", job.Workload, job.Prefetcher, job.Point, context.Cause(r.ctx))
-		ct.finish(nil, err)
-		return nil, nil, err
-	}
-	ct.queueDone()
-	r.met.workerAcquired()
-	defer func() {
-		<-r.sem
-		r.met.workerReleased()
-	}()
-
-	simCfg := r.opts.Sim
-	simCfg.Pool = r.pool
-	ct.installWarmup(&simCfg)
-	res, err := harness.Run(r.ctx, tr, pf, simCfg, r.opts.Harness)
-	ct.finish(res, err)
-	if err != nil {
-		return nil, nil, fmt.Errorf("exp: %s/%s[%d]: %w", job.Workload, job.Prefetcher, job.Point, err)
-	}
-	return res, pf, nil
 }

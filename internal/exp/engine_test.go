@@ -132,6 +132,39 @@ func TestRunJobsDerivedSeedsIndependent(t *testing.T) {
 	}
 }
 
+// TestConfigJobMatchesNamedCell pins the equivalence the one run path and
+// the ablation table rest on: a Config job holding an unmodified
+// core.DefaultConfig(), labelled with a context variant's name at point 0,
+// is that named cell — the same seed, the same policy and a DeepEqual
+// sim.Result — on every workload.
+func TestConfigJobMatchesNamedCell(t *testing.T) {
+	opts := DefaultOptions()
+	opts.Scale = 0.1
+	if raceEnabled {
+		opts.Scale = 0.02
+	}
+	cfg := core.DefaultConfig()
+	var jobs []Job
+	for _, wl := range AllWorkloads() {
+		for _, pf := range []string{"context", "context-softmax"} {
+			jobs = append(jobs, Job{Workload: wl, Prefetcher: pf}, Job{Workload: wl, Prefetcher: pf, Config: &cfg})
+		}
+	}
+	results, err := NewRunner(opts).RunJobs(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(results); i += 2 {
+		named, param := results[i], results[i+1]
+		if named.Err != nil || param.Err != nil {
+			t.Fatalf("%s/%s: named %v, config %v", named.Job.Workload, named.Job.Prefetcher, named.Err, param.Err)
+		}
+		if !reflect.DeepEqual(named.Result, param.Result) {
+			t.Errorf("%s/%s: the default Config job differs from the named cell", named.Job.Workload, named.Job.Prefetcher)
+		}
+	}
+}
+
 // TestDeriveSeedProperties pins the seed map: deterministic, sensitive to
 // every coordinate, never zero, and free of the delimiter ambiguity that a
 // naive string concatenation would have.

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"semloc/internal/core"
 )
 
 func tinyRunner() *Runner {
@@ -14,18 +16,35 @@ func tinyRunner() *Runner {
 	return NewRunner(opts)
 }
 
+// TestNewPrefetcherAllNames pins the one set of accepted names: every
+// evaluated prefetcher, both policy variants and the oracle build and
+// report their own name; anything else, and a Config on a non-context
+// name, is refused.
 func TestNewPrefetcherAllNames(t *testing.T) {
-	for _, n := range PrefetcherNames {
-		pf, err := NewPrefetcher(n)
+	tr, err := tinyRunner().Trace("list")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := append(append([]string{}, PrefetcherNames...), "context-softmax", "context-ucb", "oracle")
+	for _, n := range names {
+		pf, err := NewCellPrefetcher(tr, Job{Workload: "list", Prefetcher: n}, 1)
 		if err != nil {
-			t.Fatalf("NewPrefetcher(%q): %v", n, err)
+			t.Fatalf("NewCellPrefetcher(%q): %v", n, err)
 		}
 		if pf.Name() != n {
 			t.Errorf("prefetcher %q reports name %q", n, pf.Name())
 		}
 	}
-	if _, err := NewPrefetcher("bogus"); err == nil {
-		t.Error("expected error for unknown prefetcher")
+	for _, n := range []string{"bogus", "context-egreedy"} {
+		if _, err := NewCellPrefetcher(tr, Job{Workload: "list", Prefetcher: n}, 1); err == nil {
+			t.Errorf("NewCellPrefetcher(%q) did not fail", n)
+		}
+	}
+	// A Config configures the context variants only; prefetchsim hands its
+	// -config file's context section to every row.
+	cfg := core.DefaultConfig()
+	if pf, err := NewCellPrefetcher(tr, Job{Workload: "list", Prefetcher: "sms", Config: &cfg}, 1); err != nil || pf.Name() != "sms" {
+		t.Errorf("NewCellPrefetcher(sms with a Config) = %v, %v; want the sms prefetcher", pf, err)
 	}
 }
 
@@ -130,7 +149,7 @@ func TestWorkloadLists(t *testing.T) {
 }
 
 func TestExperimentRegistry(t *testing.T) {
-	want := []string{"table2", "table3", "fig1", "fig5", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "limit"}
+	want := []string{"table2", "table3", "fig1", "fig5", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "limit", "ablations"}
 	got := IDs()
 	if len(got) != len(want) {
 		t.Fatalf("IDs = %v", got)

@@ -60,6 +60,8 @@ func Experiments() []Experiment {
 			}},
 		{ID: "limit", Title: "Limit study (extension): fraction of oracle benefit captured", Run: RunLimit,
 			Jobs: func() []Job { return crossJobs(limitWorkloads, []string{"none", "oracle", "context", "sms"}) }},
+		{ID: "ablations", Title: "Ablations and policy extensions: speedup of each design toggle", Run: RunAblations,
+			Jobs: ablationJobs},
 	}
 }
 

@@ -42,7 +42,7 @@ func TestRunJobsLearnerObsMatchesDisabled(t *testing.T) {
 			continue
 		}
 		// Parameterised sweep points intentionally skip telemetry (see
-		// runConfig); named jobs must carry a series and match modulo it.
+		// Runner.run); named jobs must carry a series and match modulo it.
 		got := *instr[i].Result
 		if instr[i].Job.Config == nil {
 			if got.Series == nil {

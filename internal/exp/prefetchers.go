@@ -5,15 +5,17 @@ package exp
 
 import (
 	"fmt"
-	"strings"
 
 	"semloc/internal/core"
 	"semloc/internal/prefetch"
+	"semloc/internal/trace"
 )
 
 // PrefetcherNames lists the evaluated prefetchers in the paper's plotting
 // order: the no-prefetch baseline, the spatio-temporal competitors, and
-// the context prefetcher.
+// the context prefetcher. NewCellPrefetcher also accepts the §8 policy
+// variants "context-softmax" and "context-ucb", and the limit study's
+// "oracle".
 var PrefetcherNames = []string{"none", "stride", "ghb-gdc", "ghb-pcdc", "sms", "markov", "context"}
 
 // FigurePrefetchers is the subset shown in the paper's figures (the stride
@@ -21,16 +23,43 @@ var PrefetcherNames = []string{"none", "stride", "ghb-gdc", "ghb-pcdc", "sms", "
 // repo's extra temporal baseline).
 var FigurePrefetchers = []string{"none", "ghb-gdc", "ghb-pcdc", "sms", "context"}
 
-// NewPrefetcher builds a fresh prefetcher by name with its default (Table
-// 2 scaled) configuration. Prefetchers are stateful: every simulation run
-// needs a new instance.
-func NewPrefetcher(name string) (prefetch.Prefetcher, error) {
-	return NewPrefetcherWith(name, nil)
+// NewCellPrefetcher builds the prefetcher for one cell, the one rule
+// behind every figure, sweep point, ablation and prefetchsim row:
+//
+//   - "oracle" is built from the trace;
+//   - a context variant starts from job.Config, or core.DefaultConfig()
+//     when that is nil, takes the policy its name carries ("context" keeps
+//     the config's), and explores with the seed DeriveSeed(base,
+//     job.Workload, job.Prefetcher, job.Point);
+//   - every other name goes to NewPrefetcher.
+//
+// job.Config configures only the context variants; the other names ignore
+// it, so one prefetchsim -config file serves a mixed -prefetchers list.
+func NewCellPrefetcher(tr *trace.Trace, job Job, base uint64) (prefetch.Prefetcher, error) {
+	cfg := core.DefaultConfig()
+	if job.Config != nil {
+		cfg = *job.Config
+	}
+	switch job.Prefetcher {
+	case "context":
+	case "context-softmax":
+		cfg.Policy = core.PolicySoftmax
+	case "context-ucb":
+		cfg.Policy = core.PolicyUCB
+	case "oracle":
+		return prefetch.NewOracle(tr, 0), nil
+	default:
+		return NewPrefetcher(job.Prefetcher)
+	}
+	cfg.Seed = DeriveSeed(base, job.Workload, job.Prefetcher, job.Point)
+	return core.New(cfg)
 }
 
-// NewPrefetcherWith builds a prefetcher by name, applying the context
-// prefetcher overrides of fc (when non-nil) to the "context*" variants.
-func NewPrefetcherWith(name string, fc *FileConfig) (prefetch.Prefetcher, error) {
+// NewPrefetcher builds one of the non-learning prefetchers by name with its
+// default (Table 2 scaled) configuration; the context prefetchers and the
+// oracle come from NewCellPrefetcher. Prefetchers are stateful: every
+// simulation run needs a new instance.
+func NewPrefetcher(name string) (prefetch.Prefetcher, error) {
 	switch name {
 	case "none":
 		return prefetch.NewNone(), nil
@@ -44,23 +73,7 @@ func NewPrefetcherWith(name string, fc *FileConfig) (prefetch.Prefetcher, error)
 		return prefetch.NewSMS(prefetch.SMSConfig{}), nil
 	case "markov":
 		return prefetch.NewMarkov(prefetch.MarkovConfig{}), nil
-	case "context":
-		return core.New(fc.ContextConfig())
-	case "context-softmax", "context-ucb":
-		cfg := fc.ContextConfig()
-		var err error
-		cfg.Policy, err = core.ParsePolicy(strings.TrimPrefix(name, "context-"))
-		if err != nil {
-			return nil, err
-		}
-		return core.New(cfg)
 	default:
 		return nil, fmt.Errorf("exp: unknown prefetcher %q", name)
 	}
-}
-
-// NewContext builds a context prefetcher with a custom configuration
-// (used by the storage sweep and the ablation benches).
-func NewContext(cfg core.Config) (prefetch.Prefetcher, error) {
-	return core.New(cfg)
 }

@@ -173,7 +173,7 @@ func (r *Runner) Result(workload, prefetcher string) (*sim.Result, error) {
 	r.inFly[key] = wg
 	r.mu.Unlock()
 
-	res, err := r.run(workload, prefetcher)
+	res, _, err := r.run(Job{Workload: workload, Prefetcher: prefetcher})
 
 	r.mu.Lock()
 	switch {
@@ -191,46 +191,38 @@ func (r *Runner) Result(workload, prefetcher string) (*sim.Result, error) {
 	return res, err
 }
 
-// newPrefetcher builds the prefetcher for a named run. Context variants
-// get their exploration seed derived from (base seed, workload, name), so
-// every named run's random stream is a pure function of its coordinates —
-// the same property parameterised RunJobs runs have.
-func (r *Runner) newPrefetcher(workload, prefetcher string, tr *trace.Trace) (prefetch.Prefetcher, error) {
-	switch {
-	case prefetcher == "oracle":
-		// The limit-study oracle needs the trace itself.
-		return prefetch.NewOracle(tr, 0), nil
-	case isContextName(prefetcher):
-		cfg, err := contextConfigFor(prefetcher, workload, r.opts.Seed)
-		if err != nil {
-			return nil, err
-		}
-		return NewContext(cfg)
-	default:
-		return NewPrefetcher(prefetcher)
+// run simulates one cell: it builds the cell's prefetcher with
+// NewCellPrefetcher, waits for a worker slot and runs the simulation under
+// the harness with pooled scratch. Only named cells (Config == nil), the
+// memoized ones, get telemetry, a decision trace and an artifact: the
+// artifact namespace is keyed by (workload, prefetcher name), which a
+// sweep's points would collide all over. The prefetcher instance comes
+// back for parameterised callers that read its learned state.
+func (r *Runner) run(job Job) (*sim.Result, prefetch.Prefetcher, error) {
+	named := job.Config == nil
+	cell := job.Workload + "/" + job.Prefetcher
+	if !named {
+		cell += fmt.Sprintf("[%d]", job.Point)
 	}
-}
-
-func (r *Runner) run(workload, prefetcher string) (*sim.Result, error) {
-	ct := r.beginCell(workload, prefetcher, 0)
-	tr, err := r.Trace(workload)
-	if err != nil {
+	ct := r.beginCell(job.Workload, job.Prefetcher, job.Point)
+	fail := func(err error) (*sim.Result, prefetch.Prefetcher, error) {
 		ct.finish(nil, err)
-		return nil, err
+		return nil, nil, err
+	}
+	tr, err := r.Trace(job.Workload)
+	if err != nil {
+		return fail(err)
 	}
 	ct.decodeDone()
-	pf, err := r.newPrefetcher(workload, prefetcher, tr)
+	pf, err := NewCellPrefetcher(tr, job, r.opts.Seed)
 	if err != nil {
-		ct.finish(nil, err)
-		return nil, err
+		return fail(fmt.Errorf("exp: %s: %w", cell, err))
 	}
 	ct.queueStart()
 	select {
 	case r.sem <- struct{}{}:
 	case <-r.ctx.Done():
-		err := fmt.Errorf("exp: %s/%s: %w", workload, prefetcher, context.Cause(r.ctx))
-		ct.finish(nil, err)
-		return nil, err
+		return fail(fmt.Errorf("exp: %s: %w", cell, context.Cause(r.ctx)))
 	}
 	ct.queueDone()
 	r.met.workerAcquired()
@@ -243,7 +235,7 @@ func (r *Runner) run(workload, prefetcher string) (*sim.Result, error) {
 	simCfg.Pool = r.pool
 	ct.installWarmup(&simCfg)
 	var decFile *os.File
-	if r.opts.Telemetry.Interval > 0 || r.opts.Telemetry.DecisionRate > 0 {
+	if named && (r.opts.Telemetry.Interval > 0 || r.opts.Telemetry.DecisionRate > 0) {
 		simCfg.Obs = r.opts.Telemetry
 		simCfg.Obs.DecisionSink = nil
 		// Live learner-health gauges are last-writer-wins across parallel
@@ -254,11 +246,11 @@ func (r *Runner) run(workload, prefetcher string) (*sim.Result, error) {
 		_, instrumented := pf.(obs.Attachable)
 		if r.opts.OutDir != "" && r.opts.Telemetry.DecisionRate > 0 && instrumented {
 			if err := os.MkdirAll(r.opts.OutDir, 0o755); err != nil {
-				return nil, fmt.Errorf("exp: %s/%s: telemetry dir: %w", workload, prefetcher, err)
+				return fail(fmt.Errorf("exp: %s: telemetry dir: %w", cell, err))
 			}
-			decFile, err = os.Create(DecisionsPath(r.opts.OutDir, workload, prefetcher))
+			decFile, err = os.Create(DecisionsPath(r.opts.OutDir, job.Workload, job.Prefetcher))
 			if err != nil {
-				return nil, fmt.Errorf("exp: %s/%s: decision trace: %w", workload, prefetcher, err)
+				return fail(fmt.Errorf("exp: %s: decision trace: %w", cell, err))
 			}
 			defer decFile.Close()
 			simCfg.Obs.DecisionSink = decFile
@@ -268,19 +260,19 @@ func (r *Runner) run(workload, prefetcher string) (*sim.Result, error) {
 	res, err := harness.Run(r.ctx, tr, pf, simCfg, r.opts.Harness)
 	ct.finish(res, err)
 	if err != nil {
-		return nil, fmt.Errorf("exp: %s/%s: %w", workload, prefetcher, err)
+		return nil, nil, fmt.Errorf("exp: %s: %w", cell, err)
 	}
 	if decFile != nil {
 		if err := decFile.Close(); err != nil {
-			return nil, fmt.Errorf("exp: %s/%s: decision trace: %w", workload, prefetcher, err)
+			return nil, nil, fmt.Errorf("exp: %s: decision trace: %w", cell, err)
 		}
 	}
-	if r.opts.OutDir != "" {
+	if named && r.opts.OutDir != "" {
 		if _, err := WriteArtifact(r.opts.OutDir, newRunArtifact(res, pf, r.opts)); err != nil {
-			return nil, fmt.Errorf("exp: %s/%s: %w", workload, prefetcher, err)
+			return nil, nil, fmt.Errorf("exp: %s: %w", cell, err)
 		}
 	}
-	return res, nil
+	return res, pf, nil
 }
 
 // ResultsFor runs every listed prefetcher on the workload concurrently and
