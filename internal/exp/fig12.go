@@ -73,8 +73,18 @@ func RunFig12(r *Runner, w io.Writer) error {
 		ctxMax, ctxMaxName, 100*(ctxAvg-1))
 	fmt.Fprintf(w, "SPEC2006-only average: %.1f%% over baseline\n", 100*(stats.Mean(specPF["context"])-1))
 	if bestOther > 1 {
-		fmt.Fprintf(w, "average speedup gain vs best competitor (%s): %.0f%% better\n",
-			bestName, 100*(ctxAvg-1)/(bestOther-1)-100)
+		fmt.Fprintln(w, gainVsBest(bestName, ctxAvg, bestOther))
 	}
 	return nil
+}
+
+// gainVsBest compares the context prefetcher's average gain over the
+// baseline (ctxAvg − 1) with the best competitor's (bestAvg − 1), which
+// must be positive, and words the margin by its sign.
+func gainVsBest(bestName string, ctxAvg, bestAvg float64) string {
+	margin, side := 100*(ctxAvg-1)/(bestAvg-1)-100, "above"
+	if margin < 0 {
+		margin, side = -margin, "below"
+	}
+	return fmt.Sprintf("average speedup gain vs best competitor (%s): %.0f%% %s", bestName, margin, side)
 }

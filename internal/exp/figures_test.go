@@ -106,6 +106,23 @@ func TestFig12Output(t *testing.T) {
 	}
 }
 
+// TestGainVsBestWordsTheSign pins Fig. 12's closing sentence on both sides
+// of the best competitor: a context average below it reads "below", never
+// a negative gain called "better".
+func TestGainVsBestWordsTheSign(t *testing.T) {
+	for _, tc := range []struct {
+		ctx, best float64
+		want      string
+	}{
+		{1.763, 1.816, "average speedup gain vs best competitor (sms): 6% below"},
+		{1.76, 1.68, "average speedup gain vs best competitor (sms): 12% above"},
+	} {
+		if got := gainVsBest("sms", tc.ctx, tc.best); got != tc.want {
+			t.Errorf("gainVsBest(%v, %v) = %q, want %q", tc.ctx, tc.best, got, tc.want)
+		}
+	}
+}
+
 func TestFig13SweepShapes(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Scale = 0.02

@@ -10,6 +10,7 @@ func checksumTrace() *Trace {
 		Hints: SWHints{Valid: true, TypeID: 7, LinkOffset: 16, RefForm: RefArrow}})
 	e.Store(0x30, 0x2000)
 	e.LoadSpec(MemSpec{PC: 0x40, Addr: 1 << 40, Dep: 2}) // kept whole
+	e.LoadDep(0x50, 0x3000, 4)
 	return e.Finish()
 }
 
@@ -27,24 +28,27 @@ func TestChecksumDetectsMutation(t *testing.T) {
 	tr := checksumTrace()
 	orig := tr.Checksum()
 
-	// Stray writes into the storage: record 1 is the branch, record 2 the
-	// load (payload 0), record 3 the store (payload 1), record 4 the load
-	// kept whole.
+	// Stray writes into the storage: record 0 is the compute block, 1 the
+	// branch, 2 the load (payload 0), 3 the store (payload 1), 4 the load
+	// kept whole and 5 the load that depends on it (payload 3). Each table
+	// field is written through the op of a record that reads it.
 	mutations := []func(*Trace){
 		func(t *Trace) { t.Name = "other" },
 		func(t *Trace) { t.accs[0].addr++ },
 		func(t *Trace) { t.accs[0].value ^= 1 },
 		func(t *Trace) { t.regs[0]++ },
 		func(t *Trace) { t.regs[1]++ },
-		func(t *Trace) { t.shapes[t.ops[1].shape].taken = false },
-		func(t *Trace) { t.pcs[t.ops[3].pc]++ },
-		func(t *Trace) { t.ops[3].pc = t.ops[2].pc },
-		func(t *Trace) { t.shapes[t.ops[3].shape].size = 4 },
-		func(t *Trace) { t.ops[3].shape = t.ops[2].shape },
-		func(t *Trace) { t.ops[3].arg = 2 },
-		func(t *Trace) { t.shapes[t.ops[2].shape].hints.LinkOffset = 24 },
-		func(t *Trace) { t.shapes[t.ops[2].shape].hints.Valid = false },
-		func(t *Trace) { t.ops[0].arg++ },
+		func(t *Trace) { t.ops[3] = t.ops[2] },
+		func(t *Trace) { t.table[t.ops[3]].pc++ },
+		func(t *Trace) { t.table[t.ops[3]].kind = KindLoad },
+		func(t *Trace) { t.table[t.ops[3]].size = 4 },
+		func(t *Trace) { t.table[t.ops[1]].taken = false },
+		func(t *Trace) { t.table[t.ops[2]].hints.LinkOffset = 24 },
+		func(t *Trace) { t.table[t.ops[2]].hints.Valid = false },
+		func(t *Trace) { t.table[t.ops[0]].count++ },
+		func(t *Trace) { t.table[t.ops[5]].dist++ },
+		func(t *Trace) { t.table[t.ops[5]].noDep = true },
+		func(t *Trace) { t.table[t.ops[3]].noDep = false },
 		func(t *Trace) { t.whole[0].Addr++ },
 		func(t *Trace) { t.whole[0].Dep = NoDep },
 	}

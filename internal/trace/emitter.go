@@ -12,92 +12,180 @@ import "semloc/internal/memmodel"
 // generators can express pointer-chasing dependencies.
 //
 // Records accumulate in fixed-size chunks, which growth never copies, and
-// Finish assembles them once into the trace's exact-length arrays.
+// Finish assembles them once into the trace's exact-length arrays. The
+// op byte of a record is found through a direct-mapped memo of the raw
+// ops seen last, and only on a miss through the interners.
 type Emitter struct {
 	name string
-	ops  chunks[op]
+	ops  chunks[uint8]
 	accs chunks[payload]
 	// regs is empty until the first nonzero Reg, then parallel to accs.
 	regs chunks[uint32]
-	// pcs and shapes intern the PCs and packed shapes (shapeKey) ops
-	// index; both start with 0, so a zero op means PC 0 and the zero
-	// shape.
-	pcs, shapes interner
-	whole       []Record
+	// pcs and shapes intern the PCs and packed shapes (shapeKey) of the
+	// ops, and keys the packed ops the op bytes index.
+	pcs, shapes, keys interner
+	// memo maps a raw op's slot to the op and its byte. A zero slot
+	// matches no op: a compute op always carries the no-dep bit.
+	memo [256]struct {
+		pc, shape, ka uint64
+		b             uint8
+	}
+	whole []Record
+	// pend is the compute record still growing while pending; Len counts
+	// it, and the next record or Finish emits it.
+	pend    Record
+	pending bool
 	// reach is the dependency reach of the records so far (Trace.DepReach).
 	reach int
 }
 
 // NewEmitter creates an emitter for a workload with the given name.
 func NewEmitter(name string) *Emitter {
-	return &Emitter{name: name, pcs: newInterner(escPC), shapes: newInterner(1 << 8)}
+	// PC 0 and the zero shape sit at index 0 of their tables, where the
+	// zero entries of the interners' caches point, so each holds one more
+	// key than the op table can use; the op table starts empty, and no op
+	// packs to 0.
+	return &Emitter{name: name, pcs: newInterner(maxEntries + 1), shapes: newInterner(maxEntries + 1),
+		keys: interner{ids: map[uint64]uint16{}, limit: maxEntries}}
 }
 
 // Len returns the number of records emitted so far.
-func (e *Emitter) Len() int { return e.ops.len() }
+func (e *Emitter) Len() int {
+	if e.pending {
+		return e.ops.len() + 1
+	}
+	return e.ops.len()
+}
 
-// Compute emits n back-to-back non-memory instructions (folded into one
-// record). n <= 0 is ignored.
+// Compute emits n back-to-back non-memory instructions, merged into the
+// compute record before it if there is one. n <= 0 is ignored.
 func (e *Emitter) Compute(n int) {
 	if n <= 0 {
 		return
 	}
-	// Merge adjacent compute blocks to keep traces compact.
-	if last := e.ops.last(); last != nil && last.kind == KindCompute {
-		last.arg += uint32(n)
-		if last.pc == escPC {
-			e.whole[len(e.whole)-1].Count = last.arg
-		}
+	if e.pending {
+		e.pend.Count += uint32(n)
 		return
 	}
-	e.ops.push(op{kind: KindCompute, arg: uint32(n)})
+	e.pending, e.pend = true, Record{Count: uint32(n), Dep: NoDep, Kind: KindCompute}
+}
+
+// flush emits the pending compute record, if any.
+func (e *Emitter) flush() {
+	if !e.pending {
+		return
+	}
+	e.pending = false
+	p := &e.pend
+	if b, ok := e.op(p.PC, shapeKey(p.Size, p.Taken, SWHints{}), KindCompute, true, p.Count); ok {
+		e.ops.push(b)
+		return
+	}
+	e.keepWhole(*p)
 }
 
 // Append emits r. Every kind keeps PC, Size and Taken, and every kind but
-// compute keeps Dep; a compute record keeps Count and reads back with Dep
-// NoDep. Only loads and stores keep Addr, Value, Reg and Hints. The
-// fields a kind does not keep read back as zero, and BranchHist is
-// derived by the cursor. Append checks nothing; Validate does. The
-// decoder builds traces through it.
+// compute keeps Dep; a compute record keeps Count, reads back with Dep
+// NoDep, and grows by the Compute calls after it (Append never merges).
+// Only loads and stores keep Addr, Value, Reg and Hints. The fields a
+// kind does not keep read back as zero, and BranchHist is derived by the
+// cursor. Append checks nothing; Validate does. The decoder builds traces
+// through it.
 func (e *Emitter) Append(r Record) {
-	r.BranchHist = 0
-	o := op{arg: uint32(r.Dep), kind: r.Kind}
+	e.flush()
 	if r.Kind == KindCompute {
-		o.arg, r.Dep = r.Count, NoDep
-	} else {
-		r.Count = 0
-	}
-	if !r.IsMem() {
-		r.Addr, r.Value, r.Reg, r.Hints = 0, 0, 0, SWHints{}
-	} else if i := e.Len(); r.Dep >= 0 && int(r.Dep) < i {
-		e.reach = max(e.reach, i-int(r.Dep))
-	}
-	if !e.fit(&o, r.PC, shapeKey(r.Size, r.Taken, r.Hints)) || (uint64(r.Addr)|r.Value|r.Reg)>>32 != 0 {
-		e.keepWhole(o, r)
+		e.pending, e.pend = true, Record{PC: r.PC, Count: r.Count, Dep: NoDep, Kind: KindCompute, Size: r.Size, Taken: r.Taken}
 		return
 	}
-	e.ops.push(o)
+	r.BranchHist, r.Count = 0, 0
+	i := e.ops.len()
+	if !r.IsMem() {
+		r.Addr, r.Value, r.Reg, r.Hints = 0, 0, 0, SWHints{}
+	} else if r.Dep >= 0 && int(r.Dep) < i {
+		e.reach = max(e.reach, i-int(r.Dep))
+	}
+	dist := uint32(i) - uint32(r.Dep) // modulo 2^32, as the cursor undoes it
+	if r.Dep == NoDep {
+		dist = 0
+	}
+	if r.Kind >= kindCount || (uint64(r.Addr)|r.Value|r.Reg)>>32 != 0 {
+		e.keepWhole(r)
+		return
+	}
+	b, ok := e.op(r.PC, shapeKey(r.Size, r.Taken, r.Hints), r.Kind, r.Dep == NoDep, dist)
+	if !ok {
+		e.keepWhole(r)
+		return
+	}
+	e.ops.push(b)
 	if r.IsMem() {
 		e.accs.push(payload{addr: uint32(r.Addr), value: uint32(r.Value)})
 		e.pushReg(uint32(r.Reg))
 	}
 }
 
-// fit sets o's PC and shape indices, interning pc and the shape key, and
-// reports whether both fit their tables.
-func (e *Emitter) fit(o *op, pc, shape uint64) bool {
+// op returns the byte of the op (pc, shape, kind, noDep, arg), interning
+// it if it is new, and false when it does not fit the table. arg is the
+// count of a compute op and the dependency distance of any other.
+func (e *Emitter) op(pc, shape uint64, kind Kind, noDep bool, arg uint32) (uint8, bool) {
+	ka := uint64(arg) | uint64(kind)<<32
+	if noDep {
+		ka |= 1 << 40
+	}
+	m := &e.memo[(pc*0x9e3779b97f4a7c15^shape*0xbf58476d1ce4e5b9^ka*0x94d049bb133111eb)>>56]
+	if m.pc == pc && m.shape == shape && m.ka == ka {
+		return m.b, true
+	}
 	p, okPC := e.pcs.index(pc)
 	s, okShape := e.shapes.index(shape)
-	o.pc, o.shape = p, uint8(s)
-	return okPC && okShape
+	if !okPC || !okShape {
+		return 0, false
+	}
+	b, ok := e.keys.index(ka | uint64(p)<<41 | uint64(s)<<49) // 57 bits
+	if !ok {
+		return 0, false
+	}
+	m.pc, m.shape, m.ka, m.b = pc, shape, ka, uint8(b)
+	return uint8(b), true
 }
 
-// keepWhole emits r, which does not fit an op and a payload, into the
+// entry decodes the op key k: ka (argument, kind, no-dep bit), then the
+// indices of its PC and shape.
+func (e *Emitter) entry(k uint64) entry {
+	s := e.shapes.keys[uint8(k>>49)]
+	en := entry{pc: e.pcs.keys[uint8(k>>41)], kind: Kind(k >> 32), size: uint8(s), taken: s&(1<<48) != 0,
+		noDep: k&(1<<40) != 0,
+		hints: SWHints{Valid: s&(1<<49) != 0, TypeID: uint16(s >> 8), LinkOffset: uint16(s >> 24), RefForm: RefForm(s >> 40)}}
+	if en.kind == KindCompute {
+		en.count = uint32(k)
+	} else {
+		en.dist = int32(uint32(k))
+	}
+	return en
+}
+
+// shapeKey packs a size, a branch outcome and hints into the 50 bits the
+// emitter interns them by; the zero shape packs to 0.
+func shapeKey(size uint8, taken bool, h SWHints) uint64 {
+	k := uint64(size) | uint64(h.TypeID)<<8 | uint64(h.LinkOffset)<<24 | uint64(h.RefForm)<<40
+	if taken {
+		k |= 1 << 48
+	}
+	if h.Valid {
+		k |= 1 << 49
+	}
+	return k
+}
+
+// keepWhole emits r, which does not fit the table and a payload, into the
 // side list. A load or store still takes a payload slot, so payload
 // indices stay access indices.
-func (e *Emitter) keepWhole(o op, r Record) {
-	o.pc, o.shape = escPC, 0
-	e.ops.push(o)
+func (e *Emitter) keepWhole(r Record) {
+	b := uint8(escOther)
+	if r.Kind == KindLoad {
+		b = escLoad
+	}
+	e.ops.push(b)
 	e.whole = append(e.whole, r)
 	if r.IsMem() {
 		e.accs.push(payload{})
@@ -153,55 +241,58 @@ func (e *Emitter) Store(pc uint64, addr memmodel.Addr) int {
 }
 
 func (e *Emitter) mem(kind Kind, s MemSpec) int {
+	e.flush()
 	if s.Size == 0 {
 		s.Size = 8
 	}
-	i := e.Len()
-	dep := NoDep
+	i := e.ops.len()
+	dep, dist := NoDep, 0
 	if s.Dep >= 0 && s.Dep < i {
-		dep = int32(s.Dep)
-		e.reach = max(e.reach, i-s.Dep)
+		dep, dist = int32(s.Dep), i-s.Dep
+		e.reach = max(e.reach, dist)
 	}
 	// The generator methods push ops and payloads directly: routing them
 	// through Append's Record made generating the perfbench sim traces a
 	// quarter slower.
-	o := op{arg: uint32(dep), kind: kind}
-	if !e.fit(&o, s.PC, shapeKey(s.Size, false, s.Hints)) || (uint64(s.Addr)|s.Value|s.Reg)>>32 != 0 {
-		e.keepWhole(o, Record{PC: s.PC, Addr: s.Addr, Value: s.Value, Reg: s.Reg, Dep: dep, Kind: kind, Size: s.Size, Hints: s.Hints})
-		return i
+	if (uint64(s.Addr)|s.Value|s.Reg)>>32 == 0 {
+		if b, ok := e.op(s.PC, shapeKey(s.Size, false, s.Hints), kind, dep == NoDep, uint32(dist)); ok {
+			e.ops.push(b)
+			e.accs.push(payload{addr: uint32(s.Addr), value: uint32(s.Value)})
+			e.pushReg(uint32(s.Reg))
+			return i
+		}
 	}
-	e.ops.push(o)
-	e.accs.push(payload{addr: uint32(s.Addr), value: uint32(s.Value)})
-	e.pushReg(uint32(s.Reg))
+	e.keepWhole(Record{PC: s.PC, Addr: s.Addr, Value: s.Value, Reg: s.Reg, Dep: dep, Kind: kind, Size: s.Size, Hints: s.Hints})
 	return i
 }
 
 // Branch emits a conditional branch.
 func (e *Emitter) Branch(pc uint64, taken bool) {
-	o := op{arg: noDepArg, kind: KindBranch}
-	if !e.fit(&o, pc, shapeKey(0, taken, SWHints{})) {
-		e.keepWhole(o, Record{PC: pc, Dep: NoDep, Kind: KindBranch, Taken: taken})
+	e.flush()
+	if b, ok := e.op(pc, shapeKey(0, taken, SWHints{}), KindBranch, true, 0); ok {
+		e.ops.push(b)
 		return
 	}
-	e.ops.push(o)
+	e.keepWhole(Record{PC: pc, Dep: NoDep, Kind: KindBranch, Taken: taken})
 }
 
 // EndWarmup marks the warm-up boundary: the simulator resets statistics
 // here. Only the first marker is honoured by the simulator.
 func (e *Emitter) EndWarmup() {
-	e.ops.push(op{arg: noDepArg, kind: KindWarmupEnd})
+	e.Append(Record{Kind: KindWarmupEnd, Dep: NoDep})
 }
 
 // Finish returns the accumulated trace. The emitter must not be used after
 // Finish.
 func (e *Emitter) Finish() *Trace {
-	t := &Trace{Name: e.name, ops: e.ops.flatten(), accs: e.accs.flatten(), pcs: exact(e.pcs.keys),
-		shapes: make([]shape, len(e.shapes.keys)), whole: exact(e.whole), depReach: e.reach}
+	e.flush()
+	t := &Trace{Name: e.name, ops: e.ops.flatten(), accs: e.accs.flatten(), table: make([]entry, len(e.keys.keys)),
+		whole: exact(e.whole), depReach: e.reach}
 	if e.regs.len() > 0 {
 		t.regs = e.regs.flatten()
 	}
-	for i, k := range e.shapes.keys {
-		t.shapes[i] = unpackShape(k)
+	for i, k := range e.keys.keys {
+		t.table[i] = e.entry(k)
 	}
 	*e = Emitter{}
 	return t
@@ -209,12 +300,12 @@ func (e *Emitter) Finish() *Trace {
 
 // interner assigns dense indices to the distinct values it is given, up to
 // a limit. A small direct-mapped cache in front of the map answers the
-// few values a trace repeats without hashing them through it.
+// few values a trace repeats without hashing them through it. Its zero
+// entries map key 0 to index 0, so a table either holds 0 at index 0 or
+// is never asked for 0.
 type interner struct {
-	keys []uint64
-	ids  map[uint64]uint16
-	// cache maps a key's slot to the key and its index; the zero entry
-	// maps key 0 to index 0, which newInterner interns first.
+	keys  []uint64
+	ids   map[uint64]uint16
 	cache [64]struct {
 		key uint64
 		idx uint16
@@ -246,8 +337,8 @@ func (in *interner) index(k uint64) (uint16, bool) {
 	return idx, true
 }
 
-// chunkLen is the number of elements in one emitter chunk: 32 KiB of ops
-// or payloads.
+// chunkLen is the number of elements in one emitter chunk: 4 KiB of op
+// bytes, 32 KiB of payloads.
 const chunkLen = 4096
 
 // chunks is an append-only sequence held in fixed-size blocks.
@@ -266,14 +357,6 @@ func (c *chunks[T]) push(v T) {
 		c.cur = make([]T, 0, chunkLen)
 	}
 	c.cur = append(c.cur, v)
-}
-
-// last returns the newest element, or nil when there is none.
-func (c *chunks[T]) last() *T {
-	if len(c.cur) == 0 {
-		return nil
-	}
-	return &c.cur[len(c.cur)-1]
 }
 
 // flatten copies the elements into one slice of exactly their length.

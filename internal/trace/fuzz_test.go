@@ -69,25 +69,33 @@ func FuzzReader(f *testing.F) {
 
 // FuzzAppend drives an Emitter with the calls the fuzz bytes spell:
 // Append with any kind, size, flags, 64-bit PC, Addr, Value and Reg, hints,
-// Dep and Count, plus Compute, LoadSpec and Branch, and bursts of branches
-// or loads that each bring a new PC or shape, which fill the interned
-// tables in a few bytes. A cursor must read back each record as emitted,
-// with Append's documented drops applied (the model in store_test.go).
-// This reaches the kinds, sizes, table overflows and wide values that
-// FuzzReader's decodable inputs never carry.
+// Dep and Count, plus Compute, LoadSpec and Branch, and bursts of records
+// that each bring a new op — a load with a new shape, a branch with a new
+// PC, a compute block with a new count (every other one merged from two
+// calls), or a load with a new dependency distance — which fill the op
+// table in a few bytes. A cursor must read back each record as emitted,
+// with Append's documented drops applied, and Len must count each as it
+// comes (the model in store_test.go). This reaches the kinds, sizes, table
+// overflows and wide values that FuzzReader's decodable inputs never
+// carry.
 func FuzzAppend(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 8, 3, 2, 0x20, 0x04, 4, 0, 0, 0, 1, 1, 0x2a, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{0, 99, 3, 1, 8, 1, 2, 3, 4, 5, 6, 7, 8, 1, 9, 1, 9, 1, 9, 1, 2, 1, 3, 1, 4, 1, 5, 0, 0, 0, 0, 0})
 	f.Add([]byte{1, 5, 1, 3, 2, 1, 0x40, 8, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 3, 1, 7, 1})
-	// Bursts past the 65,535-entry PC table and the 256-entry shape table.
+	// Bursts of 300 new ops of each sort, past the 254-entry op table,
+	// with records that fit after them.
 	f.Add([]byte{4, 1, 0xff, 0xff, 4, 1, 0x10, 0, 2, 0, 8, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
-	f.Add([]byte{4, 0, 0x20, 1, 0, 1, 7, 0, 0, 3, 2, 1, 1, 0, 1, 1})
+	f.Add([]byte{4, 0, 0x2c, 1, 0, 1, 7, 0, 0, 3, 2, 1, 1, 0, 1, 1})
+	f.Add([]byte{4, 2, 0x2c, 1, 1, 3, 3, 1, 0x40, 1, 1, 4, 2, 0x2c, 1})
+	f.Add([]byte{4, 3, 0x2c, 1, 2, 8, 0, 1, 0x40, 1, 0x80, 0, 0, 1, 0, 1, 2, 4, 3, 8, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzBytes(data)
 		m := newModel("fuzz")
 		fresh := uint64(1) << 48 // PCs and type IDs no other call can spell
-		for len(in) > 0 {
+		// Repeated bursts could spell millions of records; past 2^16 an
+		// input reaches nothing new, only time and memory.
+		for len(in) > 0 && len(m.recs) < 1<<16 {
 			switch in.u8() % 5 {
 			case 0:
 				kind, size, flags := Kind(in.u8()), in.u8(), in.u8()
@@ -103,13 +111,22 @@ func FuzzAppend(f *testing.F) {
 			case 3:
 				m.branch(in.u64(), in.u8()&1 != 0)
 			case 4:
-				loads, n := in.u8()&1 == 0, int(in.u8())|int(in.u8())<<8
+				sort, n := in.u8()%4, int(in.u8())|int(in.u8())<<8
+				producer := m.load(MemSpec{PC: 0x44, Addr: 0x2000, Dep: -1})
 				for j := 0; j < n; j++ {
 					fresh++
-					if loads {
+					switch sort {
+					case 0:
 						m.load(MemSpec{PC: 0x40, Addr: 0x1000, Dep: -1, Hints: SWHints{Valid: true, TypeID: uint16(fresh)}})
-					} else {
+					case 1:
 						m.branch(fresh, j&1 == 0)
+					case 2:
+						m.compute(int(uint32(fresh)))
+						if j&1 == 0 {
+							m.branch(0x48, true)
+						}
+					case 3:
+						m.load(MemSpec{PC: 0x40, Addr: 0x1000, Dep: producer})
 					}
 				}
 			}

@@ -214,7 +214,7 @@ func (t *Trace) Validate() error {
 				if r.Dep < 0 || int(r.Dep) >= i {
 					return fmt.Errorf("trace %q: record %d dep %d out of range", t.Name, i, r.Dep)
 				}
-				if t.ops[r.Dep].kind != KindLoad {
+				if !t.isLoad(int(r.Dep)) {
 					return fmt.Errorf("trace %q: record %d depends on non-load %d", t.Name, i, r.Dep)
 				}
 			}

@@ -10,84 +10,67 @@ import (
 // stored compactly and read in order through a Cursor; an Emitter builds
 // one.
 //
-// Every record keeps one 8-byte op, and each load or store also one 8-byte
-// payload, so compute and branch records carry no address or value bytes.
-// An op names its PC and its (size, taken, hints) shape by index into two
-// small tables of the values the trace uses, and a payload holds the low
-// 32 bits of Addr and Value. Reg lives in a column of its own, present only
-// when some access has a nonzero Reg. A record that does not fit — an
-// Addr, Value or Reg of 2^32 or more, or a new PC or shape when its table
-// is full — is kept whole in a side list instead, its op marked escPC.
-// Every array is allocated at its exact length.
+// A program walks its data structures from a few instruction sites, so a
+// trace holds few distinct ops: a record less its Addr, Value and Reg,
+// with its dependency as a distance back from the record. Every record
+// keeps one byte, an index into a table of at most maxEntries such ops,
+// and each load or store also one 8-byte payload with the low 32 bits of
+// its Addr and Value, so compute and branch records carry no address or
+// value bytes. Reg lives in a column of its own, present only when some
+// access has a nonzero Reg. A record that does not fit — an Addr, Value
+// or Reg of 2^32 or more, an unknown kind, or a new op once the table is
+// full — is kept whole in a side list instead, its byte escLoad for a
+// load and escOther for any other kind. Every array is allocated at its
+// exact length.
 type Trace struct {
 	// Name identifies the workload (Table 3 naming).
 	Name string
-	// ops holds one entry per record; Dep indices refer into it.
-	ops []op
+	// ops holds one byte per record, an index into table or an escape;
+	// Dep indices refer into it.
+	ops []uint8
 	// accs holds the payload of each load and store, in record order.
 	accs []payload
 	// regs holds each load's and store's Reg, parallel to accs; nil when
 	// every Reg is zero.
 	regs []uint32
-	// pcs and shapes are the interned tables ops index.
-	pcs    []uint64
-	shapes []shape
+	// table holds the distinct ops ops index.
+	table []entry
 	// whole holds the records kept whole, in record order.
 	whole []Record
 	// depReach is derived as records are emitted, never serialized.
 	depReach int
 }
 
-// op is the part of a record every kind has.
-type op struct {
-	// arg is Count for KindCompute and uint32(Dep) for every other kind.
-	arg uint32
-	// pc indexes Trace.pcs, or is escPC for a record kept whole.
-	pc    uint16
+// entry is one distinct op: every field of a record but Addr, Value, Reg
+// and the derived BranchHist, with Dep relative to the record.
+type entry struct {
+	pc    uint64
+	hints SWHints
+	// count is Count for KindCompute and 0 for every other kind.
+	count uint32
+	// dist is i − Dep modulo 2^32 for the record at index i, and 0 when
+	// noDep; the cursor's int32 arithmetic wraps back to Dep exactly.
+	dist  int32
 	kind  Kind
-	shape uint8
+	size  uint8
+	taken bool
+	// noDep marks Dep NoDep; every compute op carries it.
+	noDep bool
 }
 
-// escPC is the op pc index of a record kept whole; Trace.pcs never holds
-// an entry at it.
-const escPC = 1<<16 - 1
+// maxEntries is the most distinct ops a trace's table holds; the op bytes
+// at and above it are the escapes of records kept whole.
+const maxEntries = 254
 
-// noDepArg is NoDep as an op arg.
-const noDepArg = ^uint32(0)
+const (
+	escLoad  = maxEntries     // a load kept whole
+	escOther = maxEntries + 1 // any other record kept whole
+)
 
 // payload is the rest of a load or store record: the low 32 bits of its
 // Addr and Value.
 type payload struct {
 	addr, value uint32
-}
-
-// shape is the part of a record that takes few distinct values per trace.
-type shape struct {
-	hints SWHints
-	size  uint8
-	taken bool
-}
-
-// shapeKey packs a shape into the 50 bits the emitter interns it by; the
-// zero shape packs to 0.
-func shapeKey(size uint8, taken bool, h SWHints) uint64 {
-	k := uint64(size) | uint64(h.TypeID)<<8 | uint64(h.LinkOffset)<<24 | uint64(h.RefForm)<<40
-	if taken {
-		k |= 1 << 48
-	}
-	if h.Valid {
-		k |= 1 << 49
-	}
-	return k
-}
-
-// unpackShape inverts shapeKey.
-func unpackShape(k uint64) shape {
-	return shape{
-		size:  uint8(k),
-		taken: k&(1<<48) != 0,
-		hints: SWHints{Valid: k&(1<<49) != 0, TypeID: uint16(k >> 8), LinkOffset: uint16(k >> 24), RefForm: RefForm(k >> 40)},
-	}
 }
 
 // Len returns the number of records.
@@ -103,17 +86,28 @@ func (t *Trace) Accesses() int { return len(t.accs) }
 // one.
 func (t *Trace) DepReach() int { return t.depReach }
 
-// Footprint returns the bytes the trace's records occupy — ops, payloads,
-// the Reg column, the interned tables and the records kept whole — and the
-// number of records kept whole.
+// Footprint returns the bytes the trace's records occupy — op bytes,
+// payloads, the Reg column, the op table and the records kept whole — and
+// the number of records kept whole.
 func (t *Trace) Footprint() (bytes, whole int) {
-	bytes = len(t.ops)*int(unsafe.Sizeof(op{})) +
+	bytes = len(t.ops) +
 		len(t.accs)*int(unsafe.Sizeof(payload{})) +
 		len(t.regs)*4 +
-		len(t.pcs)*8 +
-		len(t.shapes)*int(unsafe.Sizeof(shape{})) +
+		len(t.table)*int(unsafe.Sizeof(entry{})) +
 		len(t.whole)*int(unsafe.Sizeof(Record{}))
 	return bytes, len(t.whole)
+}
+
+// isLoad reports whether record i is a load.
+func (t *Trace) isLoad(i int) bool {
+	switch b := t.ops[i]; b {
+	case escLoad:
+		return true
+	case escOther:
+		return false
+	default:
+		return t.table[b].kind == KindLoad
+	}
 }
 
 // Cursor walks a trace's records in order:
@@ -129,13 +123,12 @@ func (t *Trace) Footprint() (bytes, whole int) {
 // trace concurrently. Declare the cursor outside the loop statement: a
 // variable declared in it is copied on every iteration.
 type Cursor struct {
-	ops    []op
-	accs   []payload
-	regs   []uint32
-	pcs    []uint64
-	shapes []shape
-	whole  []Record
-	i      int
+	ops   []uint8
+	accs  []payload
+	regs  []uint32
+	table []entry
+	whole []Record
+	i     int
 	// acc is the payload index of the next load or store, w the index of
 	// the next record kept whole.
 	acc, w int
@@ -146,7 +139,7 @@ type Cursor struct {
 
 // Cursor returns a cursor positioned before the first record.
 func (t *Trace) Cursor() Cursor {
-	return Cursor{ops: t.ops, accs: t.accs, regs: t.regs, pcs: t.pcs, shapes: t.shapes, whole: t.whole, i: -1}
+	return Cursor{ops: t.ops, accs: t.accs, regs: t.regs, table: t.table, whole: t.whole, i: -1}
 }
 
 // Next advances to the next record and reports whether there was one.
@@ -156,9 +149,9 @@ func (c *Cursor) Next() bool {
 		return false
 	}
 	c.i++
-	o := c.ops[c.i]
+	b := c.ops[c.i]
 	r := &c.rec
-	if o.pc == escPC {
+	if b >= escLoad {
 		*r = c.whole[c.w]
 		c.w++
 		r.BranchHist = c.hist
@@ -171,13 +164,14 @@ func (c *Cursor) Next() bool {
 	}
 	// Field by field: building a whole Record and copying it in stalls
 	// on store forwarding, several times the cost of the walk itself.
-	s := &c.shapes[o.shape]
-	r.PC, r.Count, r.Dep = c.pcs[o.pc], 0, int32(o.arg)
-	r.Kind, r.Size, r.Taken, r.BranchHist = o.kind, s.size, s.taken, c.hist
-	r.Addr, r.Value, r.Reg, r.Hints = 0, 0, 0, s.hints
-	switch o.kind {
-	case KindCompute:
-		r.Count, r.Dep = o.arg, NoDep
+	e := &c.table[b]
+	r.PC, r.Count, r.Dep = e.pc, e.count, NoDep
+	if !e.noDep {
+		r.Dep = int32(c.i) - e.dist
+	}
+	r.Kind, r.Size, r.Taken, r.BranchHist = e.kind, e.size, e.taken, c.hist
+	r.Addr, r.Value, r.Reg, r.Hints = 0, 0, 0, e.hints
+	switch e.kind {
 	case KindLoad, KindStore:
 		p := c.accs[c.acc]
 		r.Addr, r.Value = memmodel.Addr(p.addr), uint64(p.value)
@@ -186,7 +180,7 @@ func (c *Cursor) Next() bool {
 		}
 		c.acc++
 	case KindBranch:
-		c.hist = foldBranch(c.hist, s.taken)
+		c.hist = foldBranch(c.hist, e.taken)
 	}
 	return true
 }

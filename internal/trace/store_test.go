@@ -135,13 +135,11 @@ func TestCursorReturnsAppendedRecords(t *testing.T) {
 	sameRecords(t, back, tr)
 }
 
-// TestStorageFootprint pins the layout's byte budget: an 8-byte op per
-// record, an 8-byte payload per load or store, every array exactly sized,
-// and no Reg column unless some access has a nonzero Reg.
+// TestStorageFootprint pins the layout's byte budget: one op byte per
+// record, an 8-byte payload per load or store, a table of exactly the
+// trace's distinct ops, every array exactly sized, and no Reg column
+// unless some access has a nonzero Reg.
 func TestStorageFootprint(t *testing.T) {
-	if s := unsafe.Sizeof(op{}); s != 8 {
-		t.Errorf("op is %d bytes, want 8", s)
-	}
 	if s := unsafe.Sizeof(payload{}); s != 8 {
 		t.Errorf("payload is %d bytes, want 8", s)
 	}
@@ -152,9 +150,41 @@ func TestStorageFootprint(t *testing.T) {
 	if tr.regs != nil {
 		t.Errorf("every Reg is zero, yet the trace has a Reg column of %d", len(tr.regs))
 	}
+	// A distinct op is a record less Addr, Value and Reg, with its Dep as
+	// a distance back or none.
+	type distinct struct {
+		r     Record
+		dist  int64
+		noDep bool
+	}
+	ops := map[distinct]bool{}
+	c := tr.Cursor()
+	for c.Next() {
+		d := distinct{r: *c.Record(), noDep: c.Record().Dep == NoDep}
+		if !d.noDep {
+			d.dist = int64(c.Index()) - int64(d.r.Dep)
+		}
+		d.r.Addr, d.r.Value, d.r.Reg, d.r.Dep, d.r.BranchHist = 0, 0, 0, 0, 0
+		ops[d] = true
+	}
+	if len(tr.table) != len(ops) {
+		t.Errorf("table of %d entries for %d distinct ops", len(tr.table), len(ops))
+	}
 	n, whole := tr.Footprint()
-	if want := 8*len(tr.ops) + 8*len(tr.accs) + 8*len(tr.pcs) + int(unsafe.Sizeof(shape{}))*len(tr.shapes); n != want || whole != 0 {
+	if want := 1*len(tr.ops) + 8*len(tr.accs) + int(unsafe.Sizeof(entry{}))*len(ops); n != want || whole != 0 {
 		t.Errorf("Footprint %d bytes, %d whole; want %d bytes, 0 whole", n, whole, want)
+	}
+	// The decoder builds through Append, and must reach the same layout.
+	var buf bytes.Buffer
+	if err := Write(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	back, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bn, bw := back.Footprint(); bn != n || bw != 0 {
+		t.Errorf("decoded: Footprint %d bytes, %d whole; want %d bytes, 0 whole", bn, bw, n)
 	}
 
 	e := NewEmitter("reg")
@@ -169,8 +199,7 @@ func TestStorageFootprint(t *testing.T) {
 	}
 	for name, lc := range map[string][2]int{
 		"ops": {len(tr.ops), cap(tr.ops)}, "payloads": {len(tr.accs), cap(tr.accs)},
-		"regs": {len(tr.regs), cap(tr.regs)}, "pcs": {len(tr.pcs), cap(tr.pcs)},
-		"shapes": {len(tr.shapes), cap(tr.shapes)},
+		"regs": {len(tr.regs), cap(tr.regs)}, "table": {len(tr.table), cap(tr.table)},
 	} {
 		if lc[0] != lc[1] {
 			t.Errorf("after Finish: %s len %d cap %d", name, lc[0], lc[1])
@@ -240,8 +269,17 @@ func TestBranchHistories(t *testing.T) {
 // model mirrors an Emitter with the plain list of records a cursor must
 // read back from it: each call applies the Emitter's documented rules.
 type model struct {
-	e    *Emitter
-	recs []Record
+	e      *Emitter
+	recs   []Record
+	lenErr string // set by sync
+}
+
+// sync notes the first call after which the emitter's Len disagrees with
+// the model's record count.
+func (m *model) sync(call string) {
+	if n := m.e.Len(); n != len(m.recs) && m.lenErr == "" {
+		m.lenErr = fmt.Sprintf("Len %d after %s, want %d", n, call, len(m.recs))
+	}
 }
 
 func newModel(name string) *model { return &model{e: NewEmitter(name)} }
@@ -259,6 +297,7 @@ func (m *model) append(r Record) {
 		r.Addr, r.Value, r.Reg, r.Hints = 0, 0, 0, SWHints{}
 	}
 	m.recs = append(m.recs, r)
+	m.sync("Append")
 }
 
 // compute merges into a compute record before it.
@@ -269,9 +308,10 @@ func (m *model) compute(n int) {
 	}
 	if k := len(m.recs) - 1; k >= 0 && m.recs[k].Kind == KindCompute {
 		m.recs[k].Count += uint32(n)
-		return
+	} else {
+		m.recs = append(m.recs, Record{Kind: KindCompute, Count: uint32(n), Dep: NoDep})
 	}
-	m.recs = append(m.recs, Record{Kind: KindCompute, Count: uint32(n), Dep: NoDep})
+	m.sync("Compute")
 }
 
 // load defaults the size to 8 and drops a Dep that is not an earlier
@@ -286,19 +326,25 @@ func (m *model) load(s MemSpec) int {
 		r.Dep = int32(s.Dep)
 	}
 	m.recs = append(m.recs, r)
+	m.sync("LoadSpec")
 	return i
 }
 
 func (m *model) branch(pc uint64, taken bool) {
 	m.e.Branch(pc, taken)
 	m.recs = append(m.recs, Record{Kind: KindBranch, PC: pc, Taken: taken, Dep: NoDep})
+	m.sync("Branch")
 }
 
-// finish finishes the trace and fails the test unless a cursor reads back
-// the model's records, with BranchHist derived from the branches before
-// each, and Len, Accesses and DepReach agree with them.
+// finish finishes the trace and fails the test unless the emitter's Len
+// kept up with the model, a cursor reads back the model's records, with
+// BranchHist derived from the branches before each, and Len, Accesses and
+// DepReach agree with them.
 func (m *model) finish(t testing.TB) *Trace {
 	t.Helper()
+	if m.lenErr != "" {
+		t.Fatal(m.lenErr)
+	}
 	tr := m.e.Finish()
 	var hist uint16
 	accesses := 0
@@ -327,13 +373,15 @@ func (m *model) finish(t testing.TB) *Trace {
 	return tr
 }
 
-// TestKeptWholeRecords drives every escape from the compact layout — a
-// full PC table, a full shape table, an Addr, Value or Reg of 2^32 or
-// more — plus an unknown kind, through the generator methods and Append
-// alike, with records that still fit interleaved after the escapes. Each
-// trace must read back as emitted, give the Validate verdict, Checksum and
-// DepReach the 16-byte-op, 32-byte-payload layout gave it, and, where it
-// is encodable, survive Write→Read.
+// TestKeptWholeRecords drives every escape from the compact layout
+// through the generator methods and Append alike: a full op table, reached
+// with distinct PCs, shapes, compute counts, dependency distances and
+// merged compute blocks; an Addr, Value or Reg of 2^32 or more; a
+// dependency Validate rejects; an unknown kind. Records that still fit
+// are interleaved after the escapes. Each trace must read back as
+// emitted, give the Validate verdict, Checksum and DepReach the 8-byte-op
+// layout gave it (the first three and the last also the 16-byte-op,
+// 32-byte-payload one), and, where it is valid, survive Write→Read.
 func TestKeptWholeRecords(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -355,12 +403,12 @@ func TestKeptWholeRecords(t *testing.T) {
 				case 2:
 					m.append(Record{Kind: KindStore, PC: pc, Addr: memmodel.Addr(i) << 6, Size: 4, Dep: NoDep})
 				}
-				if i > 1<<16-8 { // around the table filling up, records whose PC it holds
+				if i > 1<<16-8 { // around the 8-byte ops' PC table filling up
 					m.load(MemSpec{PC: 4, Addr: 0x40, Reg: uint64(i), Dep: dep})
 					m.compute(2)
 				}
 			}
-		}, 8, 0xd591aa461064119c, 9, ""},
+		}, 65316, 0xd591aa461064119c, 9, ""},
 		{"shapes", func(m *model) {
 			dep := -1
 			for i := 0; i < 1<<8+8; i++ {
@@ -374,7 +422,7 @@ func TestKeptWholeRecords(t *testing.T) {
 			m.branch(0x108, false)
 			m.append(Record{Kind: KindStore, PC: 0x10c, Addr: 0x80, Size: 2, Dep: int32(dep)})
 			m.load(MemSpec{PC: 0x104, Addr: 0x40, Dep: dep})
-		}, 13, 0xf6f9ed2f1884c265, 6, ""},
+		}, 16, 0xf6f9ed2f1884c265, 6, ""},
 		{"wide", func(m *model) {
 			vals := []uint64{0, 1<<32 - 1, 1 << 32, 1 << 63, math.MaxUint64}
 			dep := -1
@@ -388,6 +436,65 @@ func TestKeptWholeRecords(t *testing.T) {
 				}
 			}
 		}, 2 * (125 - 8), 0xf6bcd302d3c799ca, 3, ""},
+		{"counts", func(m *model) {
+			for n := 1; n <= maxEntries+6; n++ {
+				m.compute(n)
+				m.branch(0x10, true)
+				if n > maxEntries-8 { // around the table filling up, ops it holds
+					m.compute(1)
+					m.load(MemSpec{PC: 0x14, Addr: memmodel.Addr(n) << 6, Dep: -1})
+				}
+			}
+		}, 8, 0xf5ed78b774452062, 0, ""},
+		{"distances", func(m *model) {
+			first := m.load(MemSpec{PC: 0x20, Addr: 0x1000, Dep: -1})
+			for i := 1; i <= maxEntries+6; i++ {
+				m.load(MemSpec{PC: 0x24, Addr: memmodel.Addr(0x1000 + 64*i), Value: uint64(i), Dep: first})
+				if i > maxEntries-8 { // around the table filling up, an op it holds
+					m.load(MemSpec{PC: 0x24, Addr: 0x40, Dep: len(m.recs) - 1})
+				}
+			}
+			// Dependencies Validate rejects, as distances forward, onto
+			// the record itself and before the trace, one of them beyond
+			// int32.
+			m.append(Record{Kind: KindLoad, PC: 0x28, Size: 8, Dep: 1 << 30})
+			m.append(Record{Kind: KindLoad, PC: 0x28, Size: 8, Dep: int32(len(m.recs))})
+			m.append(Record{Kind: KindStore, PC: 0x28, Size: 8, Dep: -7})
+			m.append(Record{Kind: KindBranch, PC: 0x28, Dep: math.MinInt32})
+		}, 11, 0x79ba480b2d62fe4b, 273, `trace "distances": record 275 dep 1073741824 out of range`},
+		{"merge", func(m *model) {
+			for i := 1; i <= maxEntries-2; i++ {
+				m.branch(uint64(i)<<2, true)
+			}
+			// A compute block is one op, its merged count: the parts'
+			// counts never take an entry.
+			m.compute(1000)
+			m.compute(1) // the table's last entry but one
+			m.branch(4, true)
+			m.compute(1000)
+			m.compute(2) // its last entry
+			m.branch(4, true)
+			m.compute(1000)
+			m.compute(3) // kept whole
+			m.branch(4, true)
+			m.compute(1001) // fits
+			m.append(Record{Kind: KindCompute, Count: 1, Taken: true})
+			m.compute(1001) // merges into the appended record, kept whole
+			m.append(Record{Kind: KindCompute, Count: 1})
+			m.compute(1000) // merges into the appended record, which fits
+			m.branch(4, true)
+			m.compute(999) // Finish emits the last block, kept whole
+		}, 3, 0xd55aa9fcddd617bb, 0, ""},
+		{"producers", func(m *model) {
+			for i := 1; i <= maxEntries; i++ {
+				m.branch(uint64(i)<<2, false)
+			}
+			ld := m.load(MemSpec{PC: 0x1000, Addr: 0x40, Dep: -1})
+			m.load(MemSpec{PC: 0x1004, Addr: 0x80, Dep: ld}) // on a load kept whole
+			st := len(m.recs)
+			m.append(Record{Kind: KindStore, PC: 0x1008, Addr: 0xc0, Size: 8, Dep: NoDep})
+			m.load(MemSpec{PC: 0x100c, Addr: 0x100, Dep: st}) // on a store kept whole
+		}, 4, 0x6c590b2cd07ba57e, 1, `trace "producers": record 257 depends on non-load 256`},
 		{"kind", func(m *model) {
 			m.load(MemSpec{PC: 0x300, Addr: 0x1000, Dep: -1})
 			m.append(Record{Kind: Kind(99), PC: 0x304, Addr: 0x2000, Value: 5, Reg: 6, Count: 7, Size: 3, Taken: true, Dep: 0,
@@ -395,7 +502,7 @@ func TestKeptWholeRecords(t *testing.T) {
 			m.branch(0x308, true)
 			m.append(Record{Kind: kindCount, Dep: NoDep})
 			m.load(MemSpec{PC: 0x300, Addr: 0x1040, Reg: 1, Dep: 0})
-		}, 0, 0x6ad415836ce3041a, 4, `trace "kind": record 1 has unknown kind 99`},
+		}, 2, 0x6ad415836ce3041a, 4, `trace "kind": record 1 has unknown kind 99`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			m := newModel(tc.name)
@@ -414,12 +521,12 @@ func TestKeptWholeRecords(t *testing.T) {
 			if got := fmt.Sprint(err); err == nil && tc.err != "" || err != nil && got != tc.err {
 				t.Errorf("Validate: %v, want %q", err, tc.err)
 			}
+			if tc.err != "" {
+				return // not a trace the codec need carry
+			}
 			var buf bytes.Buffer
 			if err := Write(&buf, tr); err != nil {
-				if tc.err == "" {
-					t.Fatal(err)
-				}
-				return
+				t.Fatal(err)
 			}
 			back, err := Read(&buf)
 			if err != nil {
