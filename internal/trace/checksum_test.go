@@ -9,8 +9,8 @@ func checksumTrace() *Trace {
 	e.LoadSpec(MemSpec{PC: 0x20, Addr: 0x1000, Reg: 5, Dep: -1,
 		Hints: SWHints{Valid: true, TypeID: 7, LinkOffset: 16, RefForm: RefArrow}})
 	e.Store(0x30, 0x2000)
-	e.LoadSpec(MemSpec{PC: 0x40, Addr: 1 << 40, Dep: 2}) // kept whole
-	e.LoadDep(0x50, 0x3000, 4)
+	e.Append(Record{Kind: kindCount, PC: 0x40, Size: 8, Dep: 2}) // an unknown kind, kept whole
+	e.LoadDep(0x50, 0x3000, 2)
 	return e.Finish()
 }
 
@@ -29,13 +29,18 @@ func TestChecksumDetectsMutation(t *testing.T) {
 	orig := tr.Checksum()
 
 	// Stray writes into the storage: record 0 is the compute block, 1 the
-	// branch, 2 the load (payload 0), 3 the store (payload 1), 4 the load
-	// kept whole and 5 the load that depends on it (payload 3). Each table
-	// field is written through the op of a record that reads it.
+	// branch, 2 the load, 3 the store, 4 the record kept whole and 5 a
+	// load that depends on record 2. The payload stream holds the Addr
+	// and Value differences of records 2 (0x80 0x40, 0x00), 3 (0x80 0x80
+	// 0x01, 0x00) and 5 (0x80 0xc0 0x01, 0x00), the Reg stream those of
+	// records 2 (0x0a), 3 and 5 (0x00 each); each write keeps every
+	// varint's length. Each table field is written through the op of a
+	// record that reads it.
 	mutations := []func(*Trace){
 		func(t *Trace) { t.Name = "other" },
-		func(t *Trace) { t.accs[0].addr++ },
-		func(t *Trace) { t.accs[0].value ^= 1 },
+		func(t *Trace) { t.pay[1]++ },
+		func(t *Trace) { t.pay[2] ^= 2 },
+		func(t *Trace) { t.pay[len(t.pay)-2]++ },
 		func(t *Trace) { t.regs[0]++ },
 		func(t *Trace) { t.regs[1]++ },
 		func(t *Trace) { t.ops[3] = t.ops[2] },

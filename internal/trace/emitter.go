@@ -1,6 +1,10 @@
 package trace
 
-import "semloc/internal/memmodel"
+import (
+	"encoding/binary"
+
+	"semloc/internal/memmodel"
+)
 
 // Emitter is the instrumentation layer workload generators write through.
 // It plays the role of the paper's modified LLVM pass: every memory access
@@ -13,20 +17,28 @@ import "semloc/internal/memmodel"
 //
 // Records accumulate in fixed-size chunks, which growth never copies, and
 // Finish assembles them once into the trace's exact-length arrays. The
-// op byte of a record is found through a direct-mapped memo of the raw
-// ops seen last, and only on a miss through the interners.
+// op byte of a record is found through a two-way set-associative memo of
+// the raw ops seen last, and only on a miss through the interners. Each
+// load or store then appends its differences from the last access of its
+// op to the streams (see Trace).
 type Emitter struct {
 	name string
 	ops  chunks[uint8]
-	accs chunks[payload]
-	// regs is empty until the first nonzero Reg, then parallel to accs.
-	regs chunks[uint32]
+	// pay and regs are the streams of Trace; regs is empty until the
+	// first nonzero Reg.
+	pay, regs chunks[byte]
+	// last holds each op's last access; coded counts the accesses in the
+	// streams.
+	last  [256]last
+	coded int
 	// pcs and shapes intern the PCs and packed shapes (shapeKey) of the
 	// ops, and keys the packed ops the op bytes index.
 	pcs, shapes, keys interner
-	// memo maps a raw op's slot to the op and its byte. A zero slot
-	// matches no op: a compute op always carries the no-dep bit.
-	memo [256]struct {
+	// memo maps a raw op's set to the two ops that last entered it, the
+	// later first, and their bytes; two hot ops whose hashes collide both
+	// stay. A zero way matches no op: a compute op always carries the
+	// no-dep bit.
+	memo [256][2]struct {
 		pc, shape, ka uint64
 		b             uint8
 	}
@@ -77,40 +89,44 @@ func (e *Emitter) flush() {
 	}
 	e.pending = false
 	p := &e.pend
-	if b, ok := e.op(p.PC, shapeKey(p.Size, p.Taken, SWHints{}), KindCompute, true, p.Count); ok {
+	if b, ok := e.op(0, shapeKey(0, p.Taken, SWHints{}), KindCompute, true, p.Count); ok {
 		e.ops.push(b)
 		return
 	}
 	e.keepWhole(*p)
 }
 
-// Append emits r. Every kind keeps PC, Size and Taken, and every kind but
-// compute keeps Dep; a compute record keeps Count, reads back with Dep
-// NoDep, and grows by the Compute calls after it (Append never merges).
-// Only loads and stores keep Addr, Value, Reg and Hints. The fields a
-// kind does not keep read back as zero, and BranchHist is derived by the
-// cursor. Append checks nothing; Validate does. The decoder builds traces
-// through it.
+// Append emits r, keeping per kind exactly the fields Write encodes. Every
+// kind keeps Taken. A load or store keeps PC, Addr, Value, Reg, Size and
+// Dep, and its Hints when they are Valid; a branch keeps PC; a compute
+// record keeps Count, and grows by the Compute calls after it (Append
+// never merges). A record of an unknown kind, which Write refuses, keeps
+// PC, Size and Dep. The fields a record does not keep read back as zero,
+// and its Dep as NoDep; BranchHist is derived by the cursor. Append checks
+// nothing; Validate does. The decoder builds traces through it.
 func (e *Emitter) Append(r Record) {
 	e.flush()
-	if r.Kind == KindCompute {
-		e.pending, e.pend = true, Record{PC: r.PC, Count: r.Count, Dep: NoDep, Kind: KindCompute, Size: r.Size, Taken: r.Taken}
-		return
-	}
-	r.BranchHist, r.Count = 0, 0
 	i := e.ops.len()
-	if !r.IsMem() {
-		r.Addr, r.Value, r.Reg, r.Hints = 0, 0, 0, SWHints{}
-	} else if r.Dep >= 0 && int(r.Dep) < i {
-		e.reach = max(e.reach, i-int(r.Dep))
+	switch r.Kind {
+	case KindCompute:
+		e.pending, e.pend = true, Record{Count: r.Count, Dep: NoDep, Kind: KindCompute, Taken: r.Taken}
+		return
+	case KindLoad, KindStore:
+		r.Count, r.BranchHist = 0, 0
+		if r.Dep >= 0 && int(r.Dep) < i {
+			e.reach = max(e.reach, i-int(r.Dep))
+		}
+	case KindBranch:
+		r = Record{PC: r.PC, Dep: NoDep, Kind: KindBranch, Taken: r.Taken}
+	case KindWarmupEnd:
+		r = Record{Dep: NoDep, Kind: KindWarmupEnd, Taken: r.Taken}
+	default:
+		e.keepWhole(Record{PC: r.PC, Dep: r.Dep, Kind: r.Kind, Size: r.Size, Taken: r.Taken})
+		return
 	}
 	dist := uint32(i) - uint32(r.Dep) // modulo 2^32, as the cursor undoes it
 	if r.Dep == NoDep {
 		dist = 0
-	}
-	if r.Kind >= kindCount || (uint64(r.Addr)|r.Value|r.Reg)>>32 != 0 {
-		e.keepWhole(r)
-		return
 	}
 	b, ok := e.op(r.PC, shapeKey(r.Size, r.Taken, r.Hints), r.Kind, r.Dep == NoDep, dist)
 	if !ok {
@@ -119,8 +135,7 @@ func (e *Emitter) Append(r Record) {
 	}
 	e.ops.push(b)
 	if r.IsMem() {
-		e.accs.push(payload{addr: uint32(r.Addr), value: uint32(r.Value)})
-		e.pushReg(uint32(r.Reg))
+		e.code(b, uint64(r.Addr), r.Value, r.Reg)
 	}
 }
 
@@ -132,8 +147,11 @@ func (e *Emitter) op(pc, shape uint64, kind Kind, noDep bool, arg uint32) (uint8
 	if noDep {
 		ka |= 1 << 40
 	}
-	m := &e.memo[(pc*0x9e3779b97f4a7c15^shape*0xbf58476d1ce4e5b9^ka*0x94d049bb133111eb)>>56]
-	if m.pc == pc && m.shape == shape && m.ka == ka {
+	set := &e.memo[(pc*0x9e3779b97f4a7c15^shape*0xbf58476d1ce4e5b9^ka*0x94d049bb133111eb)>>56]
+	if m := &set[0]; m.pc == pc && m.shape == shape && m.ka == ka {
+		return m.b, true
+	}
+	if m := &set[1]; m.pc == pc && m.shape == shape && m.ka == ka {
 		return m.b, true
 	}
 	p, okPC := e.pcs.index(pc)
@@ -145,6 +163,8 @@ func (e *Emitter) op(pc, shape uint64, kind Kind, noDep bool, arg uint32) (uint8
 	if !ok {
 		return 0, false
 	}
+	set[1] = set[0]
+	m := &set[0]
 	m.pc, m.shape, m.ka, m.b = pc, shape, ka, uint8(b)
 	return uint8(b), true
 }
@@ -167,52 +187,68 @@ func (e *Emitter) entry(k uint64) entry {
 // shapeKey packs a size, a branch outcome and hints into the 50 bits the
 // emitter interns them by; the zero shape packs to 0.
 func shapeKey(size uint8, taken bool, h SWHints) uint64 {
-	k := uint64(size) | uint64(h.TypeID)<<8 | uint64(h.LinkOffset)<<24 | uint64(h.RefForm)<<40
+	k := uint64(size)
 	if taken {
 		k |= 1 << 48
 	}
-	if h.Valid {
-		k |= 1 << 49
+	if h.Valid { // hints that are not Valid pack, and read back, as zero
+		k |= uint64(h.TypeID)<<8 | uint64(h.LinkOffset)<<24 | uint64(h.RefForm)<<40 | 1<<49
 	}
 	return k
 }
 
-// keepWhole emits r, which does not fit the table and a payload, into the
-// side list. A load or store still takes a payload slot, so payload
-// indices stay access indices.
+// keepWhole emits r, which does not fit the table, into the side list.
+// Like the table, it keeps Hints only when they are Valid.
 func (e *Emitter) keepWhole(r Record) {
+	if !r.Hints.Valid {
+		r.Hints = SWHints{}
+	}
 	b := uint8(escOther)
 	if r.Kind == KindLoad {
 		b = escLoad
 	}
 	e.ops.push(b)
 	e.whole = append(e.whole, r)
-	if r.IsMem() {
-		e.accs.push(payload{})
-		e.pushReg(0)
-	}
 }
 
-// pushReg records the Reg of the access whose payload was just pushed.
-func (e *Emitter) pushReg(reg uint32) {
-	if reg == 0 && e.regs.len() == 0 {
+// code appends the access of op b to the streams: its Addr and Value, and
+// its Reg once the Reg stream exists, each as a difference from the op's
+// last access.
+func (e *Emitter) code(b uint8, addr, value, reg uint64) {
+	l := &e.last[b]
+	e.pay.reserve(2 * binary.MaxVarintLen64)
+	n := len(e.pay.cur)
+	buf := e.pay.cur[n : n+2*binary.MaxVarintLen64]
+	k := binary.PutVarint(buf, int64(addr-l.addr))
+	k += binary.PutVarint(buf[k:], int64(value-l.value))
+	e.pay.cur = e.pay.cur[:n+k] // a reslice: no write barrier
+	l.addr, l.value = addr, value
+	e.coded++
+	if reg == l.reg && e.regs.cur == nil {
 		return
 	}
-	for e.regs.len() < e.accs.len()-1 { // the first nonzero Reg backfills
-		e.regs.push(0)
+	if e.regs.cur == nil {
+		// The first nonzero Reg: every access before it differed by 0.
+		for range e.coded - 1 {
+			e.regs.push(0)
+		}
 	}
-	e.regs.push(reg)
+	e.regs.reserve(binary.MaxVarintLen64)
+	n = len(e.regs.cur)
+	k = binary.PutVarint(e.regs.cur[n:n+binary.MaxVarintLen64], int64(reg-l.reg))
+	e.regs.cur = e.regs.cur[:n+k]
+	l.reg = reg
 }
 
 // MemSpec fully describes an annotated memory access for LoadSpec/StoreSpec.
 type MemSpec struct {
 	PC    uint64
 	Addr  memmodel.Addr
-	Size  uint8  // defaults to 8
-	Value uint64 // loaded/stored value (e.g. the pointer fetched)
-	Reg   uint64 // register-operand context (e.g. search key)
-	Dep   int    // absolute index of producer load, or <0 for none
-	Hints SWHints
+	Size  uint8   // defaults to 8
+	Value uint64  // loaded/stored value (e.g. the pointer fetched)
+	Reg   uint64  // register-operand context (e.g. search key)
+	Dep   int     // absolute index of producer load, or <0 for none
+	Hints SWHints // kept only when Valid
 }
 
 // LoadSpec emits a fully annotated load and returns its record index.
@@ -251,16 +287,13 @@ func (e *Emitter) mem(kind Kind, s MemSpec) int {
 		dep, dist = int32(s.Dep), i-s.Dep
 		e.reach = max(e.reach, dist)
 	}
-	// The generator methods push ops and payloads directly: routing them
-	// through Append's Record made generating the perfbench sim traces a
-	// quarter slower.
-	if (uint64(s.Addr)|s.Value|s.Reg)>>32 == 0 {
-		if b, ok := e.op(s.PC, shapeKey(s.Size, false, s.Hints), kind, dep == NoDep, uint32(dist)); ok {
-			e.ops.push(b)
-			e.accs.push(payload{addr: uint32(s.Addr), value: uint32(s.Value)})
-			e.pushReg(uint32(s.Reg))
-			return i
-		}
+	// The generator methods push ops and code accesses directly: routing
+	// them through Append's Record made generating the perfbench sim traces
+	// a quarter slower.
+	if b, ok := e.op(s.PC, shapeKey(s.Size, false, s.Hints), kind, dep == NoDep, uint32(dist)); ok {
+		e.ops.push(b)
+		e.code(b, uint64(s.Addr), s.Value, s.Reg)
+		return i
 	}
 	e.keepWhole(Record{PC: s.PC, Addr: s.Addr, Value: s.Value, Reg: s.Reg, Dep: dep, Kind: kind, Size: s.Size, Hints: s.Hints})
 	return i
@@ -286,10 +319,15 @@ func (e *Emitter) EndWarmup() {
 // Finish.
 func (e *Emitter) Finish() *Trace {
 	e.flush()
-	t := &Trace{Name: e.name, ops: e.ops.flatten(), accs: e.accs.flatten(), table: make([]entry, len(e.keys.keys)),
-		whole: exact(e.whole), depReach: e.reach}
-	if e.regs.len() > 0 {
+	t := &Trace{Name: e.name, ops: e.ops.flatten(), pay: e.pay.flatten(), table: make([]entry, len(e.keys.keys)),
+		whole: exact(e.whole), accesses: e.coded, depReach: e.reach}
+	if e.regs.cur != nil {
 		t.regs = e.regs.flatten()
+	}
+	for i := range t.whole {
+		if t.whole[i].IsMem() {
+			t.accesses++
+		}
 	}
 	for i, k := range e.keys.keys {
 		t.table[i] = e.entry(k)
@@ -337,26 +375,34 @@ func (in *interner) index(k uint64) (uint16, bool) {
 	return idx, true
 }
 
-// chunkLen is the number of elements in one emitter chunk: 4 KiB of op
-// bytes, 32 KiB of payloads.
+// chunkLen is the capacity of one emitter chunk.
 const chunkLen = 4096
 
-// chunks is an append-only sequence held in fixed-size blocks.
+// chunks is an append-only sequence held in blocks of chunkLen capacity.
 type chunks[T any] struct {
 	full [][]T
 	cur  []T
+	n    int // elements in full
 }
 
-func (c *chunks[T]) len() int { return len(c.full)*chunkLen + len(c.cur) }
+func (c *chunks[T]) len() int { return c.n + len(c.cur) }
 
 func (c *chunks[T]) push(v T) {
-	if len(c.cur) == cap(c.cur) {
-		if c.cur != nil {
-			c.full = append(c.full, c.cur)
-		}
-		c.cur = make([]T, 0, chunkLen)
-	}
+	c.reserve(1)
 	c.cur = append(c.cur, v)
+}
+
+// reserve makes room for k more elements in cur, k <= chunkLen, starting
+// a new block if cur has less.
+func (c *chunks[T]) reserve(k int) {
+	if cap(c.cur)-len(c.cur) >= k {
+		return
+	}
+	if c.cur != nil {
+		c.full = append(c.full, c.cur)
+		c.n += len(c.cur)
+	}
+	c.cur = make([]T, 0, chunkLen)
 }
 
 // flatten copies the elements into one slice of exactly their length.

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
 	"testing"
 
 	"semloc/internal/memmodel"
@@ -75,7 +76,9 @@ func FuzzReader(f *testing.F) {
 // calls), or a load with a new dependency distance — which fill the op
 // table in a few bytes. A cursor must read back each record as emitted,
 // with Append's documented drops applied, and Len must count each as it
-// comes (the model in store_test.go). This reaches the kinds, sizes, table
+// comes (the model in store_test.go). Every trace Validate accepts must
+// also come back from Write→Read with the same Checksum, so Append keeps
+// no field the codec drops. This reaches the kinds, sizes, table
 // overflows and wide values that FuzzReader's decodable inputs never
 // carry.
 func FuzzAppend(f *testing.F) {
@@ -89,6 +92,26 @@ func FuzzAppend(f *testing.F) {
 	f.Add([]byte{4, 0, 0x2c, 1, 0, 1, 7, 0, 0, 3, 2, 1, 1, 0, 1, 1})
 	f.Add([]byte{4, 2, 0x2c, 1, 1, 3, 3, 1, 0x40, 1, 1, 4, 2, 0x2c, 1})
 	f.Add([]byte{4, 3, 0x2c, 1, 2, 8, 0, 1, 0x40, 1, 0x80, 0, 0, 1, 0, 1, 2, 4, 3, 8, 0})
+	// 64-bit Addr, Value and Reg on one op, whose differences wrap modulo
+	// 2^64: 2^64−1, then 0, then alternating extremes, through LoadSpec
+	// and through Append.
+	extremes := []uint64{math.MaxUint64, 0, 1 << 63, 0, math.MaxUint64, 1 << 63, 1, math.MaxUint64 - 1}
+	var loads, stores []byte
+	for i, v := range extremes {
+		loads = append(loads, 2, 8, 0, 1, 0x40) // LoadSpec: size, flags, PC
+		for _, w := range []uint64{v, ^v, extremes[len(extremes)-1-i]} {
+			loads = append(append(loads, 8), binary.LittleEndian.AppendUint64(nil, w)...) // Addr, Value, Reg
+		}
+		loads = append(loads, 0, 0, 0, 8, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff) // hints, Dep −1
+		stores = append(stores, 0, byte(KindStore), 8, 0, 1, 0x44)                        // Append: kind, size, flags, PC
+		for _, w := range []uint64{^v, v, v} {
+			stores = append(append(stores, 8), binary.LittleEndian.AppendUint64(nil, w)...)
+		}
+		stores = append(stores, 0, 0, 0, 4, 0xff, 0xff, 0xff, 0xff, 0) // hints, Dep NoDep, Count
+	}
+	f.Add(loads)
+	f.Add(stores)
+	f.Add(append(append([]byte(nil), stores...), loads...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		in := fuzzBytes(data)
 		m := newModel("fuzz")
@@ -131,7 +154,22 @@ func FuzzAppend(f *testing.F) {
 				}
 			}
 		}
-		m.finish(t)
+		tr := m.finish(t)
+		if tr.Validate() != nil {
+			return // not a trace the codec need carry
+		}
+		var buf bytes.Buffer
+		if err := Write(&buf, tr); err != nil {
+			t.Fatalf("encoding a valid trace: %v", err)
+		}
+		back, err := Read(&buf)
+		if err != nil {
+			t.Fatalf("decoding a valid trace: %v", err)
+		}
+		if back.Checksum() != tr.Checksum() {
+			sameRecords(t, back, tr)
+			t.Fatalf("checksum %#x read back as %#x", tr.Checksum(), back.Checksum())
+		}
 	})
 }
 

@@ -198,7 +198,8 @@ func (t *Trace) ComputeStats() Stats {
 }
 
 // Validate checks structural invariants: dependency indices must point
-// backwards at loads, kinds must be known, and compute counts non-zero.
+// backwards at loads, kinds must be known, and compute counts lie in
+// 1..2^31, the range the decoder reads back.
 func (t *Trace) Validate() error {
 	c := t.Cursor()
 	for c.Next() {
@@ -206,8 +207,8 @@ func (t *Trace) Validate() error {
 		if r.Kind >= kindCount {
 			return fmt.Errorf("trace %q: record %d has unknown kind %d", t.Name, i, r.Kind)
 		}
-		if r.Kind == KindCompute && r.Count == 0 {
-			return fmt.Errorf("trace %q: record %d is a zero-count compute block", t.Name, i)
+		if r.Kind == KindCompute && (r.Count == 0 || r.Count > 1<<31) {
+			return fmt.Errorf("trace %q: record %d compute count %d invalid", t.Name, i, r.Count)
 		}
 		if r.IsMem() {
 			if r.Dep != NoDep {

@@ -14,13 +14,16 @@ import (
 // trace holds few distinct ops: a record less its Addr, Value and Reg,
 // with its dependency as a distance back from the record. Every record
 // keeps one byte, an index into a table of at most maxEntries such ops,
-// and each load or store also one 8-byte payload with the low 32 bits of
-// its Addr and Value, so compute and branch records carry no address or
-// value bytes. Reg lives in a column of its own, present only when some
-// access has a nonzero Reg. A record that does not fit — an Addr, Value
-// or Reg of 2^32 or more, an unknown kind, or a new op once the table is
-// full — is kept whole in a side list instead, its byte escLoad for a
-// load and escOther for any other kind. Every array is allocated at its
+// so compute and branch records carry no address or value bytes. Each
+// load or store appends its Addr and Value to a byte stream as two zigzag
+// varints in encoding/binary's format, each the difference modulo 2^64
+// from the Addr or Value of the last access with the same op byte: one
+// instruction's successive accesses are related, so most differences take
+// a byte or two. Reg is coded the same way into a second stream, present
+// only once some access has a nonzero Reg. A record that does not fit — an
+// unknown kind, or a new op once the table is full — is kept whole in a
+// side list instead, its byte escLoad for a load and escOther for any
+// other kind, and takes no stream bytes. Every array is allocated at its
 // exact length.
 type Trace struct {
 	// Name identifies the workload (Table 3 naming).
@@ -28,15 +31,17 @@ type Trace struct {
 	// ops holds one byte per record, an index into table or an escape;
 	// Dep indices refer into it.
 	ops []uint8
-	// accs holds the payload of each load and store, in record order.
-	accs []payload
-	// regs holds each load's and store's Reg, parallel to accs; nil when
-	// every Reg is zero.
-	regs []uint32
+	// pay holds the Addr and Value differences of each load and store
+	// with an op byte, in record order.
+	pay []byte
+	// regs holds their Reg differences; nil when every Reg is zero.
+	regs []byte
 	// table holds the distinct ops ops index.
 	table []entry
 	// whole holds the records kept whole, in record order.
 	whole []Record
+	// accesses counts the loads and stores, those kept whole included.
+	accesses int
 	// depReach is derived as records are emitted, never serialized.
 	depReach int
 }
@@ -67,17 +72,18 @@ const (
 	escOther = maxEntries + 1 // any other record kept whole
 )
 
-// payload is the rest of a load or store record: the low 32 bits of its
-// Addr and Value.
-type payload struct {
-	addr, value uint32
+// last holds the Addr, Value and Reg of an op's last access, which the
+// streams' differences for the op's next access are taken from. Emitter
+// and Cursor keep one per op byte.
+type last struct {
+	addr, value, reg uint64
 }
 
 // Len returns the number of records.
 func (t *Trace) Len() int { return len(t.ops) }
 
 // Accesses returns the number of loads and stores.
-func (t *Trace) Accesses() int { return len(t.accs) }
+func (t *Trace) Accesses() int { return t.accesses }
 
 // DepReach returns the trace's dependency reach: the largest distance
 // i − Dep from a load or store at index i back to its producer, over the
@@ -86,13 +92,11 @@ func (t *Trace) Accesses() int { return len(t.accs) }
 // one.
 func (t *Trace) DepReach() int { return t.depReach }
 
-// Footprint returns the bytes the trace's records occupy — op bytes,
-// payloads, the Reg column, the op table and the records kept whole — and
-// the number of records kept whole.
+// Footprint returns the bytes the trace's records occupy — op bytes, both
+// streams, the op table and the records kept whole — and the number of
+// records kept whole.
 func (t *Trace) Footprint() (bytes, whole int) {
-	bytes = len(t.ops) +
-		len(t.accs)*int(unsafe.Sizeof(payload{})) +
-		len(t.regs)*4 +
+	bytes = len(t.ops) + len(t.pay) + len(t.regs) +
 		len(t.table)*int(unsafe.Sizeof(entry{})) +
 		len(t.whole)*int(unsafe.Sizeof(Record{}))
 	return bytes, len(t.whole)
@@ -119,27 +123,29 @@ func (t *Trace) isLoad(i int) bool {
 //	}
 //
 // Record returns a view the cursor reuses, so walking a trace never
-// allocates. A cursor only reads the trace, and any number may walk one
-// trace concurrently. Declare the cursor outside the loop statement: a
-// variable declared in it is copied on every iteration.
+// allocates. The cursor keeps each op's last access inline, to add the
+// streams' differences to, so a copy of a cursor walks on independently.
+// A cursor only reads the trace, and any number may walk one trace
+// concurrently. Declare the cursor outside the loop statement: a variable
+// declared in it is copied on every iteration.
 type Cursor struct {
-	ops   []uint8
-	accs  []payload
-	regs  []uint32
-	table []entry
-	whole []Record
-	i     int
-	// acc is the payload index of the next load or store, w the index of
-	// the next record kept whole.
-	acc, w int
+	ops       []uint8
+	pay, regs []byte
+	table     []entry
+	whole     []Record
+	i         int
+	// p and g index the next bytes of pay and regs, w the next record
+	// kept whole.
+	p, g, w int
 	// hist is the branch history before record i+1.
 	hist uint16
 	rec  Record
+	last [256]last
 }
 
 // Cursor returns a cursor positioned before the first record.
 func (t *Trace) Cursor() Cursor {
-	return Cursor{ops: t.ops, accs: t.accs, regs: t.regs, table: t.table, whole: t.whole, i: -1}
+	return Cursor{ops: t.ops, pay: t.pay, regs: t.regs, table: t.table, whole: t.whole, i: -1}
 }
 
 // Next advances to the next record and reports whether there was one.
@@ -155,9 +161,7 @@ func (c *Cursor) Next() bool {
 		*r = c.whole[c.w]
 		c.w++
 		r.BranchHist = c.hist
-		if r.IsMem() {
-			c.acc++ // its payload slot is unused
-		} else if r.Kind == KindBranch {
+		if r.Kind == KindBranch {
 			c.hist = foldBranch(c.hist, r.Taken)
 		}
 		return true
@@ -173,16 +177,38 @@ func (c *Cursor) Next() bool {
 	r.Addr, r.Value, r.Reg, r.Hints = 0, 0, 0, e.hints
 	switch e.kind {
 	case KindLoad, KindStore:
-		p := c.accs[c.acc]
-		r.Addr, r.Value = memmodel.Addr(p.addr), uint64(p.value)
+		l := &c.last[b]
+		da, p := diff(c.pay, c.p)
+		dv, p := diff(c.pay, p)
+		c.p = p
+		l.addr += da
+		l.value += dv
 		if c.regs != nil {
-			r.Reg = uint64(c.regs[c.acc])
+			var d uint64
+			d, c.g = diff(c.regs, c.g)
+			l.reg += d
 		}
-		c.acc++
+		r.Addr, r.Value, r.Reg = memmodel.Addr(l.addr), l.value, l.reg
 	case KindBranch:
 		c.hist = foldBranch(c.hist, e.taken)
 	}
 	return true
+}
+
+// diff returns the difference coded at s[k] and the index after it.
+// Written as a loop, it stays within the inlining budget, so the cursor
+// decodes without a call; masking the shift drops the compiler's
+// out-of-range check from each byte.
+func diff(s []byte, k int) (uint64, int) {
+	var x uint64
+	for sh := uint(0); ; sh += 7 {
+		b := s[k]
+		k++
+		x |= uint64(b&0x7f) << (sh & 63)
+		if b < 0x80 {
+			return x>>1 ^ -(x & 1), k
+		}
+	}
 }
 
 // Index returns the current record's index.

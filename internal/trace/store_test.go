@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"math"
@@ -135,43 +136,97 @@ func TestCursorReturnsAppendedRecords(t *testing.T) {
 	sameRecords(t, back, tr)
 }
 
-// TestStorageFootprint pins the layout's byte budget: one op byte per
-// record, an 8-byte payload per load or store, a table of exactly the
-// trace's distinct ops, every array exactly sized, and no Reg column
-// unless some access has a nonzero Reg.
-func TestStorageFootprint(t *testing.T) {
-	if s := unsafe.Sizeof(payload{}); s != 8 {
-		t.Errorf("payload is %d bytes, want 8", s)
-	}
-	tr := benchTrace(3*chunkLen + 100) // several chunks of each
-	if len(tr.ops) <= 2*chunkLen || len(tr.accs) <= chunkLen {
-		t.Fatalf("trace of %d ops, %d payloads spans too few chunks", len(tr.ops), len(tr.accs))
-	}
-	if tr.regs != nil {
-		t.Errorf("every Reg is zero, yet the trace has a Reg column of %d", len(tr.regs))
-	}
-	// A distinct op is a record less Addr, Value and Reg, with its Dep as
-	// a distance back or none.
-	type distinct struct {
-		r     Record
-		dist  int64
-		noDep bool
-	}
-	ops := map[distinct]bool{}
+// opKey is a record's op: the record less Addr, Value, Reg and
+// BranchHist, with its Dep as a distance back or none.
+type opKey struct {
+	r     Record
+	dist  int64
+	noDep bool
+}
+
+// streamBytes returns the distinct ops of tr's records and the lengths
+// its streams must have: for each load and store not kept whole, the
+// varints of its Addr and Value differences from the last access of its
+// op, and of its Reg difference when some such access has a nonzero Reg.
+func streamBytes(tr *Trace) (ops map[opKey]bool, pay, regs int) {
+	ops = map[opKey]bool{}
+	prev := map[opKey]Record{}
+	varint := func(d uint64) int { return len(binary.AppendVarint(nil, int64(d))) }
+	anyReg := false
 	c := tr.Cursor()
 	for c.Next() {
-		d := distinct{r: *c.Record(), noDep: c.Record().Dep == NoDep}
-		if !d.noDep {
-			d.dist = int64(c.Index()) - int64(d.r.Dep)
+		r := *c.Record()
+		k := opKey{r: r, noDep: r.Dep == NoDep}
+		if !k.noDep {
+			k.dist = int64(c.Index()) - int64(r.Dep)
 		}
-		d.r.Addr, d.r.Value, d.r.Reg, d.r.Dep, d.r.BranchHist = 0, 0, 0, 0, 0
-		ops[d] = true
+		k.r.Addr, k.r.Value, k.r.Reg, k.r.Dep, k.r.BranchHist = 0, 0, 0, 0, 0
+		ops[k] = true
+		if !r.IsMem() || tr.ops[c.Index()] >= escLoad {
+			continue
+		}
+		p := prev[k]
+		pay += varint(uint64(r.Addr)-uint64(p.Addr)) + varint(r.Value-p.Value)
+		regs += varint(r.Reg - p.Reg)
+		anyReg = anyReg || r.Reg != 0
+		prev[k] = r
 	}
+	if !anyReg {
+		regs = 0
+	}
+	return ops, pay, regs
+}
+
+// TestAppendKeepsWhatWriteEncodes appends a record of every kind with
+// every field set, Hints included but not Valid: each must read back with
+// only the fields Write encodes for its kind (the model's drops), so the
+// trace comes back from Write→Read with the same records and Checksum.
+func TestAppendKeepsWhatWriteEncodes(t *testing.T) {
+	m := newModel("drops")
+	m.load(MemSpec{PC: 0x10, Addr: 0x80, Dep: -1}) // the producer of each Dep below
+	for _, k := range []Kind{KindCompute, KindBranch, KindWarmupEnd, KindLoad, KindStore} {
+		m.append(Record{Kind: k, PC: 0x40, Addr: 0x1000, Value: 7, Reg: 9, Dep: 0, Count: 5, Size: 4, Taken: true,
+			BranchHist: 3, Hints: SWHints{TypeID: 2, LinkOffset: 8, RefForm: RefArrow}})
+	}
+	tr := m.finish(t)
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, tr); err != nil {
+		t.Fatal(err)
+	}
+	back, err := Read(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameRecords(t, back, tr)
+	if back.Checksum() != tr.Checksum() {
+		t.Errorf("checksum %#x read back as %#x", tr.Checksum(), back.Checksum())
+	}
+}
+
+// TestStorageFootprint pins the layout's byte budget: one op byte per
+// record, the exact varint lengths of each access's differences, a table
+// of exactly the trace's distinct ops, every array exactly sized, and no
+// Reg stream unless some access has a nonzero Reg.
+func TestStorageFootprint(t *testing.T) {
+	tr := benchTrace(3*chunkLen + 100) // several chunks of each
+	if len(tr.ops) <= 2*chunkLen || len(tr.pay) <= 2*chunkLen {
+		t.Fatalf("trace of %d ops, %d payload bytes spans too few chunks", len(tr.ops), len(tr.pay))
+	}
+	if tr.regs != nil {
+		t.Errorf("every Reg is zero, yet the trace has a Reg stream of %d bytes", len(tr.regs))
+	}
+	ops, pay, _ := streamBytes(tr)
 	if len(tr.table) != len(ops) {
 		t.Errorf("table of %d entries for %d distinct ops", len(tr.table), len(ops))
 	}
+	if len(tr.pay) != pay {
+		t.Errorf("payload stream of %d bytes, want %d", len(tr.pay), pay)
+	}
 	n, whole := tr.Footprint()
-	if want := 1*len(tr.ops) + 8*len(tr.accs) + int(unsafe.Sizeof(entry{}))*len(ops); n != want || whole != 0 {
+	if want := 1*len(tr.ops) + pay + int(unsafe.Sizeof(entry{}))*len(ops); n != want || whole != 0 {
 		t.Errorf("Footprint %d bytes, %d whole; want %d bytes, 0 whole", n, whole, want)
 	}
 	// The decoder builds through Append, and must reach the same layout.
@@ -192,13 +247,14 @@ func TestStorageFootprint(t *testing.T) {
 		e.LoadSpec(MemSpec{PC: 0x10, Addr: memmodel.Addr(64 * i), Reg: uint64(i / chunkLen), Dep: -1})
 		e.Compute(1)
 	}
-	e.Store(0x20, 0x40) // the column covers the accesses after the last nonzero Reg
+	e.Store(0x20, 0x40) // the stream covers the accesses after the last nonzero Reg
 	tr = e.Finish()
-	if len(tr.regs) != len(tr.accs) {
-		t.Fatalf("Reg column of %d for %d accesses", len(tr.regs), len(tr.accs))
+	// Every Reg difference is 0 or 1: one byte per access.
+	if _, _, regs := streamBytes(tr); len(tr.regs) != regs || regs != tr.Accesses() {
+		t.Fatalf("Reg stream of %d bytes, want %d for %d accesses", len(tr.regs), regs, tr.Accesses())
 	}
 	for name, lc := range map[string][2]int{
-		"ops": {len(tr.ops), cap(tr.ops)}, "payloads": {len(tr.accs), cap(tr.accs)},
+		"ops": {len(tr.ops), cap(tr.ops)}, "pay": {len(tr.pay), cap(tr.pay)},
 		"regs": {len(tr.regs), cap(tr.regs)}, "table": {len(tr.table), cap(tr.table)},
 	} {
 		if lc[0] != lc[1] {
@@ -284,19 +340,26 @@ func (m *model) sync(call string) {
 
 func newModel(name string) *model { return &model{e: NewEmitter(name)} }
 
-// append applies Append's drops.
+// append applies Append's drops: a record keeps Kind and Taken, and
+// the fields Write encodes for its kind.
 func (m *model) append(r Record) {
 	m.e.Append(r)
-	r.BranchHist = 0
-	if r.Kind == KindCompute {
-		r.Dep = NoDep
-	} else {
-		r.Count = 0
+	kept := Record{Kind: r.Kind, Taken: r.Taken, Dep: NoDep}
+	switch r.Kind {
+	case KindLoad, KindStore:
+		kept.PC, kept.Addr, kept.Value, kept.Reg, kept.Size, kept.Dep = r.PC, r.Addr, r.Value, r.Reg, r.Size, r.Dep
+		if r.Hints.Valid {
+			kept.Hints = r.Hints
+		}
+	case KindBranch:
+		kept.PC = r.PC
+	case KindCompute:
+		kept.Count = r.Count
+	case KindWarmupEnd:
+	default:
+		kept.PC, kept.Size, kept.Dep = r.PC, r.Size, r.Dep
 	}
-	if !r.IsMem() {
-		r.Addr, r.Value, r.Reg, r.Hints = 0, 0, 0, SWHints{}
-	}
-	m.recs = append(m.recs, r)
+	m.recs = append(m.recs, kept)
 	m.sync("Append")
 }
 
@@ -314,13 +377,16 @@ func (m *model) compute(n int) {
 	m.sync("Compute")
 }
 
-// load defaults the size to 8 and drops a Dep that is not an earlier
-// record.
+// load defaults the size to 8 and drops Hints that are not Valid and a
+// Dep that is not an earlier record.
 func (m *model) load(s MemSpec) int {
 	i := m.e.LoadSpec(s)
-	r := Record{Kind: KindLoad, PC: s.PC, Addr: s.Addr, Size: s.Size, Value: s.Value, Reg: s.Reg, Dep: NoDep, Hints: s.Hints}
+	r := Record{Kind: KindLoad, PC: s.PC, Addr: s.Addr, Size: s.Size, Value: s.Value, Reg: s.Reg, Dep: NoDep}
 	if r.Size == 0 {
 		r.Size = 8
+	}
+	if s.Hints.Valid {
+		r.Hints = s.Hints
 	}
 	if s.Dep >= 0 && s.Dep < i {
 		r.Dep = int32(s.Dep)
@@ -373,15 +439,102 @@ func (m *model) finish(t testing.TB) *Trace {
 	return tr
 }
 
+// TestDeltaCoding drives the streams' per-op differences: each trace
+// must read back as emitted, its streams must take exactly the varint
+// lengths of its differences (streamBytes), and the payload and Reg
+// streams the byte counts given, which only differences taken per op
+// byte, modulo 2^64, reach.
+func TestDeltaCoding(t *testing.T) {
+	fill := func(m *model, n int) { // n distinct branch ops
+		for i := 1; i <= n; i++ {
+			m.branch(uint64(i)<<2|1<<20, true)
+		}
+	}
+	for _, tc := range []struct {
+		name      string
+		build     func(m *model)
+		pay, regs int
+		whole     int
+	}{
+		{"wrap", func(m *model) {
+			// Every difference wraps modulo 2^64: 2^64−1 is −1 from 0, and
+			// 0 is 1 from it, one byte each; 2^63 and back take ten.
+			for _, v := range []uint64{math.MaxUint64, 0, math.MaxUint64, 1 << 63, math.MaxUint64} {
+				m.load(MemSpec{PC: 0x10, Addr: memmodel.Addr(v), Value: v, Reg: v, Dep: -1})
+			}
+		}, 2 * (1 + 1 + 1 + 10 + 10), 1 + 1 + 1 + 10 + 10, 0},
+		{"interleaved", func(m *model) {
+			// Two ops of one PC, told apart by their size, walk apart in
+			// opposite directions: after each op's first access (4 and 5
+			// bytes of Addr), the differences take one byte, where
+			// differences from the PC's last access would take four.
+			for i := 0; i < 100; i++ {
+				m.load(MemSpec{PC: 0x20, Addr: memmodel.Addr(0x1000000 + 8*i), Value: uint64(i), Dep: -1})
+				m.load(MemSpec{PC: 0x20, Addr: memmodel.Addr(0x9000000 - 8*i), Value: uint64(2 * i), Size: 4, Dep: -1})
+			}
+		}, (4 + 1) + (5 + 1) + 198*2, 0, 0},
+		{"late reg", func(m *model) {
+			// The first nonzero Reg after 3 chunks of accesses backfills
+			// one zero byte for each. Every access takes two payload
+			// bytes, the first of each op three.
+			n := 3*chunkLen + 5
+			for i := 0; i < n; i++ {
+				m.load(MemSpec{PC: 0x30, Addr: 0x40, Dep: -1})
+			}
+			m.load(MemSpec{PC: 0x34, Addr: 0x40, Reg: 7, Dep: -1})
+			m.load(MemSpec{PC: 0x30, Addr: 0x40, Dep: -1})
+		}, 2*(3*chunkLen+7) + 2, 3*chunkLen + 7, 0},
+		{"reg kept whole", func(m *model) {
+			// The first nonzero Reg arrives on a load kept whole: it
+			// starts no stream. The next one does, backfilling 3 bytes.
+			m.load(MemSpec{PC: 0x40, Addr: 0x80, Dep: -1})
+			fill(m, maxEntries-1)
+			m.load(MemSpec{PC: 0x44, Addr: 0x80, Reg: 9, Dep: -1}) // a new op: kept whole
+			m.load(MemSpec{PC: 0x40, Addr: 0x80, Dep: -1})
+			m.append(Record{Kind: KindStore, PC: 0x48, Addr: 0xc0, Reg: 3, Size: 8, Dep: NoDep}) // kept whole
+			m.load(MemSpec{PC: 0x40, Addr: 0x80, Dep: -1})
+			m.load(MemSpec{PC: 0x40, Addr: 0x80, Reg: 5, Dep: -1})
+			m.load(MemSpec{PC: 0x40, Addr: 0x80, Reg: 5, Dep: -1})
+		}, 2 + 1 + 2*4, 5, 2},
+		{"whole between", func(m *model) {
+			// Records kept whole between accesses of one op, a load of a
+			// new op and a record of an unknown kind, leave the op's last
+			// access where it was: its next difference is 8.
+			m.load(MemSpec{PC: 0x50, Addr: 0x1000, Value: 0x2000, Dep: -1})
+			fill(m, maxEntries-1)
+			m.load(MemSpec{PC: 0x54, Addr: 0x9000, Value: 0x9000, Dep: -1})
+			m.append(Record{Kind: kindCount, PC: 0x50, Addr: 0x9000, Value: 0x9000, Size: 8, Dep: NoDep})
+			m.load(MemSpec{PC: 0x50, Addr: 0x1008, Value: 0x2008, Dep: -1})
+		}, 2 + 3 + 1 + 1, 0, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			m := newModel(tc.name)
+			tc.build(m)
+			tr := m.finish(t)
+			_, pay, regs := streamBytes(tr)
+			if len(tr.pay) != pay || len(tr.regs) != regs {
+				t.Errorf("streams of %d and %d bytes, their differences take %d and %d", len(tr.pay), len(tr.regs), pay, regs)
+			}
+			if len(tr.pay) != tc.pay || len(tr.regs) != tc.regs {
+				t.Errorf("streams of %d and %d bytes, want %d and %d", len(tr.pay), len(tr.regs), tc.pay, tc.regs)
+			}
+			if _, whole := tr.Footprint(); whole != tc.whole {
+				t.Errorf("%d records kept whole, want %d", whole, tc.whole)
+			}
+		})
+	}
+}
+
 // TestKeptWholeRecords drives every escape from the compact layout
 // through the generator methods and Append alike: a full op table, reached
 // with distinct PCs, shapes, compute counts, dependency distances and
-// merged compute blocks; an Addr, Value or Reg of 2^32 or more; a
-// dependency Validate rejects; an unknown kind. Records that still fit
-// are interleaved after the escapes. Each trace must read back as
-// emitted, give the Validate verdict, Checksum and DepReach the 8-byte-op
-// layout gave it (the first three and the last also the 16-byte-op,
-// 32-byte-payload one), and, where it is valid, survive Write→Read.
+// merged compute blocks; an unknown kind; and, which the table holds, an
+// Addr, Value or Reg of 2^32 or more and a dependency Validate rejects.
+// Records that still fit are interleaved after the escapes. Each
+// trace must read back as emitted, give the Validate verdict, Checksum and
+// DepReach the 8-byte-op layout gave it (the first three and the last also
+// the 16-byte-op, 32-byte-payload one), and, where it is valid, survive
+// Write→Read.
 func TestKeptWholeRecords(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
@@ -435,7 +588,7 @@ func TestKeptWholeRecords(t *testing.T) {
 					}
 				}
 			}
-		}, 2 * (125 - 8), 0xf6bcd302d3c799ca, 3, ""},
+		}, 0, 0xf6bcd302d3c799ca, 3, ""},
 		{"counts", func(m *model) {
 			for n := 1; n <= maxEntries+6; n++ {
 				m.compute(n)
@@ -460,8 +613,8 @@ func TestKeptWholeRecords(t *testing.T) {
 			m.append(Record{Kind: KindLoad, PC: 0x28, Size: 8, Dep: 1 << 30})
 			m.append(Record{Kind: KindLoad, PC: 0x28, Size: 8, Dep: int32(len(m.recs))})
 			m.append(Record{Kind: KindStore, PC: 0x28, Size: 8, Dep: -7})
-			m.append(Record{Kind: KindBranch, PC: 0x28, Dep: math.MinInt32})
-		}, 11, 0x79ba480b2d62fe4b, 273, `trace "distances": record 275 dep 1073741824 out of range`},
+			m.append(Record{Kind: KindStore, PC: 0x28, Size: 8, Dep: math.MinInt32})
+		}, 11, 0xac3e04c933097c78, 273, `trace "distances": record 275 dep 1073741824 out of range`},
 		{"merge", func(m *model) {
 			for i := 1; i <= maxEntries-2; i++ {
 				m.branch(uint64(i)<<2, true)
@@ -478,7 +631,8 @@ func TestKeptWholeRecords(t *testing.T) {
 			m.compute(3) // kept whole
 			m.branch(4, true)
 			m.compute(1001) // fits
-			m.append(Record{Kind: KindCompute, Count: 1, Taken: true})
+			// With a PC and Size, which Append drops.
+			m.append(Record{Kind: KindCompute, Count: 1, Taken: true, PC: 0x99, Size: 3})
 			m.compute(1001) // merges into the appended record, kept whole
 			m.append(Record{Kind: KindCompute, Count: 1})
 			m.compute(1000) // merges into the appended record, which fits

@@ -85,6 +85,7 @@ func TestValidateCatchesBadTraces(t *testing.T) {
 	bad := []*Trace{
 		fromRecords("kind", Record{Kind: Kind(99)}),
 		fromRecords("compute", Record{Kind: KindCompute, Count: 0}),
+		fromRecords("count", Record{Kind: KindCompute, Count: 1<<31 + 1}),
 		fromRecords("dep", Record{Kind: KindLoad, Size: 8, Dep: 5}),
 		fromRecords("size", Record{Kind: KindStore, Size: 0, Dep: NoDep}),
 		fromRecords("depkind",
