@@ -59,10 +59,10 @@ golden:
 results:
 	$(GO) run ./cmd/experiments -q -scale 1 -seed 1 > results/experiments_scale1.txt
 
-# fuzz smokes both untrusted-input decoders, the trace reader and the
-# prefetchd wire-protocol frame decoder, and the trace emitter's compact
-# storage against a plain record list (go test allows one -fuzz pattern per
-# invocation, hence three runs).
+# fuzz smokes both untrusted-input decoders, trace.Read (FuzzReader) and
+# the prefetchd wire-protocol frame decoder (FuzzDecodeFrame), and the
+# trace emitter's compact storage against a plain record list (FuzzAppend);
+# go test allows one -fuzz pattern per invocation, hence three runs.
 fuzz:
 	$(GO) test -fuzz=FuzzReader -fuzztime=10s ./internal/trace
 	$(GO) test -fuzz=FuzzAppend -fuzztime=10s ./internal/trace

@@ -1,6 +1,7 @@
-// Command tracegen generates a workload trace and writes it in the binary
-// trace format, so experiments can replay identical traces and traces can
-// be shared between machines.
+// Command tracegen generates a workload trace and writes it to a file, the
+// trace's compact store section by section (trace.Write), so experiments
+// can replay identical traces and traces can be shared between machines.
+// traceinfo, prefetchsim -trace and loadgen -trace read it back.
 //
 // Usage:
 //

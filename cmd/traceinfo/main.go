@@ -53,10 +53,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "traceinfo:", err)
 		return 1
 	}
-	if err := tr.Validate(); err != nil {
-		fmt.Fprintln(stderr, "traceinfo: trace fails validation:", err)
-		return 1
-	}
 	st := tr.ComputeStats()
 	tb := stats.NewTable("trace "+tr.Name, "metric", "value")
 	tb.AddRow("records", st.Records)

@@ -123,6 +123,12 @@ func TestL2HitAfterL1Eviction(t *testing.T) {
 	}
 }
 
+// l1Contains reports whether the line holding addr is present or in
+// flight in h's L1.
+func l1Contains(h *Hierarchy, addr memmodel.Addr) bool {
+	return h.l1.lookup(memmodel.LineOf(addr)) >= 0
+}
+
 func TestLRUReplacement(t *testing.T) {
 	cfg := smallConfig()
 	h := MustNew(cfg)
@@ -140,13 +146,13 @@ func TestLRUReplacement(t *testing.T) {
 	// c evicts b.
 	res = h.Access(c, now)
 	now = res.Done + 1
-	if !h.Contains(1, a) {
+	if !l1Contains(h, a) {
 		t.Error("a should remain in L1 (recently used)")
 	}
-	if h.Contains(1, b) {
+	if l1Contains(h, b) {
 		t.Error("b should have been evicted (LRU)")
 	}
-	if !h.Contains(1, c) {
+	if !l1Contains(h, c) {
 		t.Error("c should be resident")
 	}
 }
@@ -229,14 +235,14 @@ func TestMSHRLimitDelaysMisses(t *testing.T) {
 func TestFreeMSHRs(t *testing.T) {
 	cfg := DefaultConfig()
 	h := MustNew(cfg)
-	if free := h.FreeL1MSHRs(0); free != cfg.L1.MSHRs {
+	if free := h.l1.mshr.free(0); free != cfg.L1.MSHRs {
 		t.Errorf("initial free MSHRs = %d, want %d", free, cfg.L1.MSHRs)
 	}
 	h.Access(0x10000, 0)
-	if free := h.FreeL1MSHRs(1); free != cfg.L1.MSHRs-1 {
+	if free := h.l1.mshr.free(1); free != cfg.L1.MSHRs-1 {
 		t.Errorf("free MSHRs after one miss = %d, want %d", free, cfg.L1.MSHRs-1)
 	}
-	if free := h.FreeL1MSHRs(100000); free != cfg.L1.MSHRs {
+	if free := h.l1.mshr.free(100000); free != cfg.L1.MSHRs {
 		t.Errorf("free MSHRs after completion = %d, want %d", free, cfg.L1.MSHRs)
 	}
 }
@@ -255,16 +261,6 @@ func TestResetStatsPreservesContents(t *testing.T) {
 	res := h.Access(0x3000, 1000)
 	if res.Outcome != OutcomeL1Hit {
 		t.Errorf("contents lost on reset: outcome = %v", res.Outcome)
-	}
-}
-
-func TestMissRate(t *testing.T) {
-	s := LevelStats{Accesses: 10, Misses: 4}
-	if s.MissRate() != 0.4 {
-		t.Errorf("MissRate = %v, want 0.4", s.MissRate())
-	}
-	if (LevelStats{}).MissRate() != 0 {
-		t.Error("empty MissRate should be 0")
 	}
 }
 

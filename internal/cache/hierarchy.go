@@ -248,24 +248,6 @@ func (h *Hierarchy) Prefetch(addr memmodel.Addr, now Cycle) bool {
 	return true
 }
 
-// Contains reports whether the line holding addr is present (or in flight)
-// at the given level (1 or 2). Used by tests and by prefetchers that filter
-// redundant prefetches.
-func (h *Hierarchy) Contains(levelNum int, addr memmodel.Addr) bool {
-	line := memmodel.LineOf(addr)
-	switch levelNum {
-	case 1:
-		return h.l1.lookup(line) >= 0
-	case 2:
-		return h.l2.lookup(line) >= 0
-	default:
-		return false
-	}
-}
-
-// FreeL1MSHRs returns the number of L1 MSHRs free at cycle now.
-func (h *Hierarchy) FreeL1MSHRs(now Cycle) int { return h.l1.mshr.free(now) }
-
 // FreePrefetchSlots returns the number of free prefetch-request-queue
 // slots at cycle now. The context prefetcher consults this to convert
 // prefetches into shadow operations when the memory system is stressed

@@ -29,14 +29,6 @@ type LevelStats struct {
 	Writebacks    uint64 // dirty lines written back on eviction
 }
 
-// MissRate returns demand misses / demand accesses.
-func (s LevelStats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
 // invalidTag marks an empty slot in the packed tag array. Line numbers are
 // block addresses (full addresses shifted right), so no real line reaches
 // the all-ones value.

@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-	"io"
-	"sort"
-)
+import "sort"
 
 // TableStats summarizes the learned state of the CST for introspection,
 // tuning and tests: how much of the table is populated, how scores are
@@ -85,31 +81,4 @@ func (p *Prefetcher) Inspect() TableStats {
 		st.TopDeltas = append(st.TopDeltas, DeltaCount{Delta: all[i].d, Count: all[i].c})
 	}
 	return st
-}
-
-// DumpCST writes up to limit non-empty CST entries with their links to w;
-// a development and tuning aid.
-func (p *Prefetcher) DumpCST(w io.Writer, limit int) {
-	n := 0
-	for i := range p.table.entries {
-		e := &p.table.entries[i]
-		if !e.valid {
-			continue
-		}
-		if e.n == 0 {
-			continue
-		}
-		n++
-		if n > limit {
-			continue
-		}
-		fmt.Fprintf(w, "  entry idx=%d tag=%d churn=%d trials=%d links=", i, e.tag, e.churn, e.trials)
-		for li := 0; li < int(e.links); li++ {
-			if e.isUsed(li) {
-				fmt.Fprintf(w, "(%+d:%+d) ", e.deltas[li], e.scores[li])
-			}
-		}
-		fmt.Fprintln(w)
-	}
-	fmt.Fprintf(w, "  total non-empty entries: %d\n", n)
 }

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func trainedPrefetcher(t *testing.T) *Prefetcher {
 	t.Helper()
@@ -46,19 +43,6 @@ func TestInspectEmpty(t *testing.T) {
 	st := p.Inspect()
 	if st.Entries != 0 || st.Links != 0 || st.MeanScore != 0 {
 		t.Errorf("fresh prefetcher should have empty stats: %+v", st)
-	}
-}
-
-func TestDumpCST(t *testing.T) {
-	p := trainedPrefetcher(t)
-	var b strings.Builder
-	p.DumpCST(&b, 5)
-	out := b.String()
-	if !strings.Contains(out, "total non-empty entries:") {
-		t.Errorf("missing summary line:\n%s", out)
-	}
-	if !strings.Contains(out, "links=") {
-		t.Errorf("missing entry lines:\n%s", out)
 	}
 }
 

@@ -143,20 +143,17 @@ func TestWorkloadLists(t *testing.T) {
 	if len(SPECWorkloads()) != 16 {
 		t.Errorf("SPECWorkloads = %d, want 16", len(SPECWorkloads()))
 	}
-	if len(MicroWorkloads()) != 8 {
-		t.Errorf("MicroWorkloads = %d, want 8", len(MicroWorkloads()))
-	}
 }
 
 func TestExperimentRegistry(t *testing.T) {
 	want := []string{"table2", "table3", "fig1", "fig5", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13", "fig14", "limit", "ablations"}
-	got := IDs()
+	got := Experiments()
 	if len(got) != len(want) {
-		t.Fatalf("IDs = %v", got)
+		t.Fatalf("%d experiments, want %d", len(got), len(want))
 	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("IDs[%d] = %q, want %q", i, got[i], want[i])
+		if got[i].ID != want[i] {
+			t.Errorf("experiment %d is %q, want %q", i, got[i].ID, want[i])
 		}
 	}
 	if _, err := ByID("fig12"); err != nil {

@@ -103,16 +103,6 @@ func ByID(id string) (Experiment, error) {
 	return Experiment{}, fmt.Errorf("exp: unknown experiment %q", id)
 }
 
-// IDs lists experiment identifiers in paper order.
-func IDs() []string {
-	es := Experiments()
-	out := make([]string, len(es))
-	for i, e := range es {
-		out[i] = e.ID
-	}
-	return out
-}
-
 // sortedKeys returns map keys in sorted order (stable table output).
 func sortedKeys[M ~map[string]V, V any](m M) []string {
 	out := make([]string, 0, len(m))

@@ -339,12 +339,3 @@ func SPECWorkloads() []string {
 	}
 	return out
 }
-
-// MicroWorkloads lists the µbenchmark subset.
-func MicroWorkloads() []string {
-	var out []string
-	for _, w := range workloads.Suite("micro") {
-		out = append(out, w.Name)
-	}
-	return out
-}

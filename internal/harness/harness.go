@@ -63,12 +63,6 @@ type RunConfig struct {
 	Grace time.Duration
 }
 
-// DefaultRunConfig returns the watchdog configuration the commands use
-// when supervision is requested without an explicit timeout.
-func DefaultRunConfig() RunConfig {
-	return RunConfig{StallTimeout: 2 * time.Minute}
-}
-
 // PanicError is a panic recovered at the harness boundary, carrying the
 // panic value and the stack of the panicking goroutine.
 type PanicError struct {

@@ -45,12 +45,6 @@ func (a Addr) String() string { return fmt.Sprintf("0x%x", uint64(a)) }
 // String implements fmt.Stringer for lines.
 func (l Line) String() string { return fmt.Sprintf("line:0x%x", uint64(l)) }
 
-// AlignDown rounds a down to a multiple of align (align must be a power of
-// two).
-func AlignDown(a Addr, align uint64) Addr {
-	return a &^ Addr(align-1)
-}
-
 // AlignUp rounds a up to a multiple of align (align must be a power of two).
 func AlignUp(a Addr, align uint64) Addr {
 	return (a + Addr(align-1)) &^ Addr(align-1)

@@ -55,7 +55,7 @@ func TestBatchFrameRoundTrip(t *testing.T) {
 		}},
 	}
 	for _, f := range frames {
-		b, err := EncodeFrame(f)
+		b, err := encodeFrame(f)
 		if err != nil {
 			t.Fatalf("encode %s: %v", f.Type, err)
 		}
@@ -63,7 +63,7 @@ func TestBatchFrameRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decode %s: %v", f.Type, err)
 		}
-		b2, err := EncodeFrame(got)
+		b2, err := encodeFrame(got)
 		if err != nil {
 			t.Fatalf("re-encode %s: %v", f.Type, err)
 		}
@@ -97,7 +97,7 @@ func TestBatchValidateRejects(t *testing.T) {
 		if err := tc.f.Validate(); err == nil {
 			t.Errorf("%s: invalid frame validated", tc.name)
 		}
-		if _, err := EncodeFrame(tc.f); err == nil {
+		if _, err := encodeFrame(tc.f); err == nil {
 			t.Errorf("%s: invalid frame encoded", tc.name)
 		}
 	}
@@ -618,7 +618,7 @@ func TestConnWriterCoalesce(t *testing.T) {
 
 	// Byte threshold: pick a limit one frame stays under but two cross,
 	// so the second writeq flushes both in one syscall.
-	one, err := EncodeFrame(dec(5))
+	one, err := encodeFrame(dec(5))
 	if err != nil {
 		t.Fatal(err)
 	}

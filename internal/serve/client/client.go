@@ -507,30 +507,9 @@ func (c *Client) exchange(chunk []serve.BatchAccess) ([]serve.BatchDecision, err
 	}
 }
 
-// Ping round-trips a keepalive on the current connection.
-func (c *Client) Ping() error {
-	if c.conn == nil {
-		if err := c.connect(); err != nil {
-			return err
-		}
-	}
-	if err := c.send(&serve.Frame{Type: serve.FramePing}, c.cfg.RequestTimeout); err != nil {
-		return err
-	}
-	c.conn.SetReadDeadline(time.Now().Add(c.cfg.RequestTimeout))
-	got, err := c.r.Read()
-	if err != nil {
-		return err
-	}
-	if got.Type != serve.FramePong {
-		return fmt.Errorf("client: ping answered with %s", got.Type)
-	}
-	return nil
-}
-
 // Stats fetches the server-side serving statistics for this client's
 // session (decisions, degraded fallbacks, replays, inbox high-water).
-// Lockstep like Ping: call it between Decide exchanges, not concurrently.
+// Lockstep: call it between Decide exchanges, not concurrently.
 func (c *Client) Stats() (*serve.SessionStats, error) {
 	if c.conn == nil {
 		if err := c.connect(); err != nil {

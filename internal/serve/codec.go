@@ -31,7 +31,7 @@ func (f *Frame) reset() {
 // AppendFrame validates f and appends its newline-terminated wire line to
 // dst, returning the extended buffer. The steady-state path appends into
 // a reused buffer with zero allocations; output is byte-identical to
-// EncodeFrame's original json.Marshal form.
+// encoding/json's form of the frame.
 func AppendFrame(dst []byte, f *Frame) ([]byte, error) {
 	if err := f.Validate(); err != nil {
 		return dst, err

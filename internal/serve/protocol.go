@@ -343,11 +343,6 @@ func DecodeFrameInto(line []byte, f *Frame) error {
 	return f.Validate()
 }
 
-// EncodeFrame renders f as one newline-terminated wire line.
-func EncodeFrame(f *Frame) ([]byte, error) {
-	return AppendFrame(nil, f)
-}
-
 // FrameReader reads newline-delimited frames with a hard per-frame size
 // bound.
 type FrameReader struct {

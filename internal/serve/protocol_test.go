@@ -12,6 +12,11 @@ import (
 	"semloc/internal/core"
 )
 
+// encodeFrame renders f as one newline-terminated wire line.
+func encodeFrame(f *Frame) ([]byte, error) {
+	return AppendFrame(nil, f)
+}
+
 func TestFrameEncodeDecodeRoundTrip(t *testing.T) {
 	frames := []*Frame{
 		{Type: FrameHello, Version: ProtocolVersion, Session: "s1"},
@@ -46,7 +51,7 @@ func TestFrameEncodeDecodeRoundTrip(t *testing.T) {
 		{Type: FrameBye},
 	}
 	for _, f := range frames {
-		b, err := EncodeFrame(f)
+		b, err := encodeFrame(f)
 		if err != nil {
 			t.Fatalf("encode %s: %v", f.Type, err)
 		}
@@ -57,7 +62,7 @@ func TestFrameEncodeDecodeRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("decode %s: %v", f.Type, err)
 		}
-		b2, err := EncodeFrame(got)
+		b2, err := encodeFrame(got)
 		if err != nil {
 			t.Fatalf("re-encode %s: %v", f.Type, err)
 		}
@@ -82,7 +87,7 @@ func TestFrameValidateRejects(t *testing.T) {
 		if err := f.Validate(); err == nil {
 			t.Fatalf("case %d (%s): invalid frame validated", i, f.Type)
 		}
-		if _, err := EncodeFrame(f); err == nil {
+		if _, err := encodeFrame(f); err == nil {
 			t.Fatalf("case %d (%s): invalid frame encoded", i, f.Type)
 		}
 	}
@@ -109,7 +114,7 @@ func TestFrameReaderStream(t *testing.T) {
 		{Type: FrameBye},
 	}
 	for _, f := range want {
-		b, err := EncodeFrame(f)
+		b, err := encodeFrame(f)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -186,7 +191,7 @@ func TestFrameReaderDeadlineExpiry(t *testing.T) {
 func TestFrameReaderReadTimed(t *testing.T) {
 	var buf bytes.Buffer
 	for i := uint64(1); i <= 3; i++ {
-		b, err := EncodeFrame(&Frame{Type: FrameAccess, Seq: i, Addr: i * 64})
+		b, err := encodeFrame(&Frame{Type: FrameAccess, Seq: i, Addr: i * 64})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +246,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		if err != nil {
 			return
 		}
-		b, err := EncodeFrame(fr)
+		b, err := encodeFrame(fr)
 		if err != nil {
 			t.Fatalf("accepted frame failed to encode: %v (input %q)", err, line)
 		}

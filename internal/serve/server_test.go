@@ -30,7 +30,7 @@ func dialServer(t *testing.T, s *Server) *testConn {
 
 func (tc *testConn) send(f *Frame) {
 	tc.t.Helper()
-	b, err := EncodeFrame(f)
+	b, err := encodeFrame(f)
 	if err != nil {
 		tc.t.Fatal(err)
 	}

@@ -33,7 +33,7 @@ func (w *wireScript) step(name string) { fmt.Fprintf(w.out, "# %s\n", name) }
 
 func (w *wireScript) send(f *Frame) {
 	w.t.Helper()
-	b, err := EncodeFrame(f)
+	b, err := encodeFrame(f)
 	if err != nil {
 		w.t.Fatal(err)
 	}

@@ -199,15 +199,6 @@ func RunContext(ctx context.Context, tr *trace.Trace, pf prefetch.Prefetcher, cf
 	return res, nil
 }
 
-// RunWorkload generates the named workload and runs it under pf.
-func RunWorkload(name string, gen func() (*trace.Trace, error), pf prefetch.Prefetcher, cfg Config) (*Result, error) {
-	tr, err := gen()
-	if err != nil {
-		return nil, fmt.Errorf("sim: generating %s: %w", name, err)
-	}
-	return Run(tr, pf, cfg)
-}
-
 // adapter implements cpu.Memory: it performs the demand access, classifies
 // it (Figure 9), and drives the prefetcher.
 type adapter struct {

@@ -218,21 +218,6 @@ func TestPredictionLog(t *testing.T) {
 	}
 }
 
-func TestRunWorkloadErrors(t *testing.T) {
-	_, err := RunWorkload("x", func() (*trace.Trace, error) {
-		return nil, errFake
-	}, prefetch.NewNone(), DefaultConfig())
-	if err == nil {
-		t.Error("expected generator error to propagate")
-	}
-}
-
-var errFake = &fakeError{}
-
-type fakeError struct{}
-
-func (*fakeError) Error() string { return "fake" }
-
 func TestOracleBoundsContext(t *testing.T) {
 	// The limit-study oracle with perfect knowledge must beat (or match)
 	// the learned context prefetcher, and both must beat the baseline on

@@ -1,13 +1,7 @@
 // Package stats provides the small statistical toolkit the experiment
-// harness needs: integer histograms, cumulative distributions, and the
-// aggregate means used when reporting speedups and miss rates.
+// harness needs: integer histograms, cumulative distributions, the mean
+// and maximum of a sample, and plain-text tables.
 package stats
-
-import (
-	"fmt"
-	"math"
-	"sort"
-)
 
 // Histogram counts occurrences of non-negative integer values (e.g. prefetch
 // hit depths). Values beyond the configured maximum are clamped into the
@@ -128,22 +122,6 @@ func (h *Histogram) Percentile(p float64) int {
 	return h.Max()
 }
 
-// Merge adds all observations of o into h. Histograms may differ in size;
-// overflow clamps apply.
-func (h *Histogram) Merge(o *Histogram) {
-	for v, c := range o.counts {
-		if c == 0 {
-			continue
-		}
-		idx := v
-		if idx >= len(h.counts) {
-			idx = len(h.counts) - 1
-		}
-		h.counts[idx] += c
-		h.total += c
-	}
-}
-
 // Mean returns the arithmetic mean of xs (0 for empty input).
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -156,51 +134,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// GeoMean returns the geometric mean of xs. Non-positive entries are
-// rejected with an error since a geometric mean is undefined for them.
-func GeoMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, fmt.Errorf("stats: geomean of empty slice")
-	}
-	var logSum float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, fmt.Errorf("stats: geomean requires positive values, got %v", x)
-		}
-		logSum += math.Log(x)
-	}
-	return math.Exp(logSum / float64(len(xs))), nil
-}
-
-// HarmonicMean returns the harmonic mean of xs (used for aggregating rates).
-func HarmonicMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, fmt.Errorf("stats: harmonic mean of empty slice")
-	}
-	var inv float64
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, fmt.Errorf("stats: harmonic mean requires positive values, got %v", x)
-		}
-		inv += 1 / x
-	}
-	return float64(len(xs)) / inv, nil
-}
-
-// Median returns the median of xs (0 for empty input). xs is not modified.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	n := len(cp)
-	if n%2 == 1 {
-		return cp[n/2]
-	}
-	return (cp[n/2-1] + cp[n/2]) / 2
-}
-
 // Max returns the maximum of xs (0 for empty input).
 func Max(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -209,20 +142,6 @@ func Max(xs []float64) float64 {
 	m := xs[0]
 	for _, x := range xs[1:] {
 		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Min returns the minimum of xs (0 for empty input).
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
 			m = x
 		}
 	}

@@ -27,28 +27,18 @@ func benchTrace(records int) *Trace {
 	return e.Finish()
 }
 
-// decodeLoop times the streaming decode of data (Reader.Reset + Next over
-// every record): steady state must not allocate per record (DESIGN.md,
-// "Hot path & benchmarking").
-func decodeLoop(b *testing.B, data []byte, records int) {
-	var (
-		r   Reader
-		rec Record
-		src bytes.Reader
-	)
+// readLoop times Read over data, a written trace of records records.
+func readLoop(b *testing.B, data []byte, records int) {
 	b.SetBytes(int64(len(data)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		src.Reset(data)
-		if err := r.Reset(&src); err != nil {
+		tr, err := Read(bytes.NewReader(data))
+		if err != nil {
 			b.Fatal(err)
 		}
-		n := 0
-		for ; r.Next(&rec) == nil; n++ {
-		}
-		if n != records {
-			b.Fatalf("decoded %d records, want %d", n, records)
+		if tr.Len() != records {
+			b.Fatalf("read %d records, want %d", tr.Len(), records)
 		}
 	}
 }
@@ -59,18 +49,17 @@ func BenchmarkDecode(b *testing.B) {
 	if err := Write(&buf, tr); err != nil {
 		b.Fatal(err)
 	}
-	decodeLoop(b, buf.Bytes(), tr.Len())
+	readLoop(b, buf.Bytes(), tr.Len())
 }
 
-// BenchmarkDecodeGzip is BenchmarkDecode over a gzip-compressed stream,
-// exercising inflater reuse.
+// BenchmarkDecodeGzip is BenchmarkDecode over a gzip-compressed file.
 func BenchmarkDecodeGzip(b *testing.B) {
 	tr := benchTrace(40000)
 	var buf bytes.Buffer
 	if err := WriteGzip(&buf, tr); err != nil {
 		b.Fatal(err)
 	}
-	decodeLoop(b, buf.Bytes(), tr.Len())
+	readLoop(b, buf.Bytes(), tr.Len())
 }
 
 // BenchmarkCursor measures one pass of a Cursor over a trace, the walk

@@ -10,7 +10,7 @@ func checksumTrace() *Trace {
 		Hints: SWHints{Valid: true, TypeID: 7, LinkOffset: 16, RefForm: RefArrow}})
 	e.Store(0x30, 0x2000)
 	e.Append(Record{Kind: kindCount, PC: 0x40, Size: 8, Dep: 2}) // an unknown kind, kept whole
-	e.LoadDep(0x50, 0x3000, 2)
+	e.LoadSpec(MemSpec{PC: 0x50, Addr: 0x3000, Dep: 2})
 	return e.Finish()
 }
 

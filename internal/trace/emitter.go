@@ -96,32 +96,24 @@ func (e *Emitter) flush() {
 	e.keepWhole(*p)
 }
 
-// Append emits r, keeping per kind exactly the fields Write encodes. Every
-// kind keeps Taken. A load or store keeps PC, Addr, Value, Reg, Size and
-// Dep, and its Hints when they are Valid; a branch keeps PC; a compute
-// record keeps Count, and grows by the Compute calls after it (Append
-// never merges). A record of an unknown kind, which Write refuses, keeps
-// PC, Size and Dep. The fields a record does not keep read back as zero,
-// and its Dep as NoDep; BranchHist is derived by the cursor. Append checks
-// nothing; Validate does. The decoder builds traces through it.
+// Append emits kept(r). A compute record grows by the Compute calls after
+// it (Append never merges); BranchHist is derived by the cursor. Append
+// checks nothing; Validate does.
 func (e *Emitter) Append(r Record) {
 	e.flush()
+	r = kept(r)
 	i := e.ops.len()
 	switch r.Kind {
 	case KindCompute:
-		e.pending, e.pend = true, Record{Count: r.Count, Dep: NoDep, Kind: KindCompute, Taken: r.Taken}
+		e.pending, e.pend = true, r
 		return
 	case KindLoad, KindStore:
-		r.Count, r.BranchHist = 0, 0
 		if r.Dep >= 0 && int(r.Dep) < i {
 			e.reach = max(e.reach, i-int(r.Dep))
 		}
-	case KindBranch:
-		r = Record{PC: r.PC, Dep: NoDep, Kind: KindBranch, Taken: r.Taken}
-	case KindWarmupEnd:
-		r = Record{Dep: NoDep, Kind: KindWarmupEnd, Taken: r.Taken}
+	case KindBranch, KindWarmupEnd:
 	default:
-		e.keepWhole(Record{PC: r.PC, Dep: r.Dep, Kind: r.Kind, Size: r.Size, Taken: r.Taken})
+		e.keepWhole(r)
 		return
 	}
 	dist := uint32(i) - uint32(r.Dep) // modulo 2^32, as the cursor undoes it
@@ -137,6 +129,31 @@ func (e *Emitter) Append(r Record) {
 	if r.IsMem() {
 		e.code(b, uint64(r.Addr), r.Value, r.Reg)
 	}
+}
+
+// kept returns r with only the fields a trace keeps for its kind, the
+// fields Append stores and Read accepts. Every kind keeps Taken. A load
+// or store keeps PC, Addr, Value, Reg, Size and Dep, and its Hints when
+// they are Valid; a branch keeps PC; a compute record keeps Count; a
+// record of an unknown kind, which Write refuses, keeps PC, Size and Dep.
+// The fields a record does not keep are zero, and its Dep NoDep.
+func kept(r Record) Record {
+	k := Record{Kind: r.Kind, Taken: r.Taken, Dep: NoDep}
+	switch r.Kind {
+	case KindLoad, KindStore:
+		k.PC, k.Addr, k.Value, k.Reg, k.Size, k.Dep = r.PC, r.Addr, r.Value, r.Reg, r.Size, r.Dep
+		if r.Hints.Valid {
+			k.Hints = r.Hints
+		}
+	case KindBranch:
+		k.PC = r.PC
+	case KindCompute:
+		k.Count = r.Count
+	case KindWarmupEnd:
+	default:
+		k.PC, k.Size, k.Dep = r.PC, r.Size, r.Dep
+	}
+	return k
 }
 
 // op returns the byte of the op (pc, shape, kind, noDep, arg), interning
@@ -264,11 +281,6 @@ func (e *Emitter) StoreSpec(s MemSpec) int {
 // Load emits a plain 8-byte load with no dependency or hints.
 func (e *Emitter) Load(pc uint64, addr memmodel.Addr) int {
 	return e.LoadSpec(MemSpec{PC: pc, Addr: addr, Dep: -1})
-}
-
-// LoadDep emits an 8-byte load whose address depends on producer load dep.
-func (e *Emitter) LoadDep(pc uint64, addr memmodel.Addr, dep int) int {
-	return e.LoadSpec(MemSpec{PC: pc, Addr: addr, Dep: dep})
 }
 
 // Store emits a plain 8-byte store.

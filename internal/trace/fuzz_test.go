@@ -4,16 +4,17 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math"
+	"reflect"
 	"testing"
 
 	"semloc/internal/memmodel"
 )
 
-// FuzzReader proves the streaming decoder (NewReader + Next) never panics
-// on arbitrary bytes: every malformed input must surface as an error or a
-// clean io.EOF. Every trace it does decode must survive the compact storage
-// and the encoder: written back and read again, it holds the same records,
-// the same checksum and the same dependency reach. A seed corpus is
+// FuzzReader proves Read never panics on arbitrary bytes: every malformed
+// input must surface as an error. Every trace it accepts must be one the
+// store could hold: written back, it reads back deeply equal, and rebuilt
+// record by record through Append it keeps its Checksum, its Accesses and
+// its dependency reach, which agrees with ComputeStats. A seed corpus is
 // checked in under testdata/fuzz/FuzzReader.
 func FuzzReader(f *testing.F) {
 	orig := sampleTrace()
@@ -30,15 +31,13 @@ func FuzzReader(f *testing.F) {
 	f.Add([]byte("SLTR"))
 	f.Add([]byte{0x1f, 0x8b})
 	f.Add([]byte{})
-	// A header claiming a huge record count over no payload.
-	huge := []byte("SLTR\x01\x00")
-	huge = binary.AppendUvarint(huge, 1<<62)
-	f.Add(huge)
+	f.Add(header("", 1<<62)) // a section length past the cap over no sections
 	corrupted := append([]byte(nil), plain.Bytes()...)
-	if len(corrupted) > 12 {
-		corrupted[7] ^= 0x40
-		corrupted[11] ^= 0x08
-	}
+	corrupted[7] ^= 0x40
+	corrupted[11] ^= 0x08
+	f.Add(corrupted)
+	corrupted = append([]byte(nil), plain.Bytes()...)
+	corrupted[8] ^= 0xff
 	f.Add(corrupted)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -48,22 +47,57 @@ func FuzzReader(f *testing.F) {
 		}
 		var buf bytes.Buffer
 		if err := Write(&buf, tr); err != nil {
-			t.Fatalf("re-encoding a decoded trace: %v", err)
+			t.Fatalf("writing back a trace Read accepted: %v", err)
 		}
 		back, err := Read(&buf)
 		if err != nil {
-			t.Fatalf("decoding a re-encoded trace: %v", err)
+			t.Fatalf("reading back a trace Read accepted: %v", err)
 		}
-		if back.Name != tr.Name {
-			t.Fatalf("name %q read back as %q", tr.Name, back.Name)
+		if !reflect.DeepEqual(back, tr) {
+			sameRecords(t, back, tr)
+			t.Fatal("written back, the trace reads back with other storage")
 		}
-		sameRecords(t, back, tr)
-		if back.Checksum() != tr.Checksum() {
-			t.Fatalf("checksum %#x read back as %#x", tr.Checksum(), back.Checksum())
+		rebuilt := fromRecords(tr.Name, records(tr)...)
+		if rebuilt.Checksum() != tr.Checksum() {
+			sameRecords(t, rebuilt, tr)
+			t.Fatalf("checksum %#x rebuilt through Append as %#x", tr.Checksum(), rebuilt.Checksum())
 		}
-		if back.DepReach() != tr.DepReach() || tr.DepReach() != tr.ComputeStats().DepReach {
-			t.Fatalf("dependency reach %d read back as %d, ComputeStats %d",
-				tr.DepReach(), back.DepReach(), tr.ComputeStats().DepReach)
+		if rebuilt.Accesses() != tr.Accesses() || rebuilt.DepReach() != tr.DepReach() ||
+			tr.DepReach() != tr.ComputeStats().DepReach {
+			t.Fatalf("accesses %d, dependency reach %d; rebuilt %d, %d; ComputeStats reach %d",
+				tr.Accesses(), tr.DepReach(), rebuilt.Accesses(), rebuilt.DepReach(), tr.ComputeStats().DepReach)
+		}
+	})
+}
+
+// FuzzRead proves Read hands out only sound traces: on arbitrary bytes it
+// returns an error or a trace that Validate accepts, so no caller walks a
+// dependency index past its record. Its seeds are whole traces, plain and
+// gzip, and their damage; testdata/fuzz/FuzzRead holds two inputs with a
+// version-1 header.
+func FuzzRead(f *testing.F) {
+	orig := sampleTrace()
+	var plain, gz bytes.Buffer
+	if err := Write(&plain, orig); err != nil {
+		f.Fatal(err)
+	}
+	if err := WriteGzip(&gz, orig); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(plain.Bytes())
+	f.Add(gz.Bytes())
+	f.Add([]byte("SLTR"))
+	f.Add([]byte{})
+	bad := append([]byte(nil), plain.Bytes()...)
+	bad[8] ^= 0xff
+	f.Add(bad)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tr, err := Read(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("Read accepted a trace Validate refuses: %v", err)
 		}
 	})
 }
@@ -77,10 +111,9 @@ func FuzzReader(f *testing.F) {
 // table in a few bytes. A cursor must read back each record as emitted,
 // with Append's documented drops applied, and Len must count each as it
 // comes (the model in store_test.go). Every trace Validate accepts must
-// also come back from Write→Read with the same Checksum, so Append keeps
-// no field the codec drops. This reaches the kinds, sizes, table
-// overflows and wide values that FuzzReader's decodable inputs never
-// carry.
+// also come back from Write→Read deeply equal: the file holds the store
+// as it is. This reaches the kinds, sizes, table overflows and wide
+// values that FuzzReader's decodable inputs seldom carry.
 func FuzzAppend(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 8, 3, 2, 0x20, 0x04, 4, 0, 0, 0, 1, 1, 0x2a, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0})
@@ -166,9 +199,9 @@ func FuzzAppend(f *testing.F) {
 		if err != nil {
 			t.Fatalf("decoding a valid trace: %v", err)
 		}
-		if back.Checksum() != tr.Checksum() {
+		if !reflect.DeepEqual(back, tr) {
 			sameRecords(t, back, tr)
-			t.Fatalf("checksum %#x read back as %#x", tr.Checksum(), back.Checksum())
+			t.Fatal("written, the trace reads back with other storage")
 		}
 	})
 }

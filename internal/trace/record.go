@@ -1,7 +1,7 @@
 // Package trace defines the instruction/memory trace format that connects
-// workload generators to the timing simulator, together with an emitter API,
-// compact in-memory storage read through a Cursor, and a compact binary
-// codec.
+// workload generators to the timing simulator, together with an emitter API
+// and compact storage read through a Cursor, which Write saves to a file
+// section by section and Read loads back.
 //
 // The paper drives gem5 with x86 binaries whose memory instructions are
 // preceded by compiler-injected NOPs carrying semantic hints. Here the
@@ -110,7 +110,7 @@ type SWHints struct {
 // NoDep marks a memory record with no producing load.
 const NoDep int32 = -1
 
-// Record is one trace event, as a Cursor or Reader presents it.
+// Record is one trace event, as a Cursor presents it.
 //
 // Dep carries the data dependency needed by the timing model: for a load or
 // store whose address was computed from the value returned by an earlier
@@ -130,7 +130,7 @@ type Record struct {
 	Hints SWHints
 	// BranchHist is derived, not stored: the global 16-bit history of the
 	// branches before this record (newest outcome in bit 0), the paper's
-	// branch-history attribute. Cursor and Reader fill it as they walk;
+	// branch-history attribute. The cursor fills it as it walks;
 	// Emitter.Append ignores it.
 	BranchHist uint16
 }
@@ -199,7 +199,7 @@ func (t *Trace) ComputeStats() Stats {
 
 // Validate checks structural invariants: dependency indices must point
 // backwards at loads, kinds must be known, and compute counts lie in
-// 1..2^31, the range the decoder reads back.
+// 1..2^31. Read runs it on every trace it loads.
 func (t *Trace) Validate() error {
 	c := t.Cursor()
 	for c.Next() {

@@ -42,7 +42,7 @@ type Trace struct {
 	whole []Record
 	// accesses counts the loads and stores, those kept whole included.
 	accesses int
-	// depReach is derived as records are emitted, never serialized.
+	// depReach is derived as records are emitted or read, never written.
 	depReach int
 }
 

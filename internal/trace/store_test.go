@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"testing"
 	"unsafe"
@@ -45,9 +44,18 @@ func sameRecords(t *testing.T, got, want *Trace) {
 	}
 }
 
-// decodableRecords returns records of every kind, covering each flag
-// combination the decoder accepts, every reference form, 64-bit extremes
-// of PC, Addr, Value and Reg, NoDep and the largest compute count it
+// The optional fields of a load or store, one bit each.
+const (
+	withTaken = 1 << iota
+	withHints
+	withDep
+	withValue
+	withReg
+)
+
+// decodableRecords returns records of every kind, covering each
+// combination of optional fields, every reference form, 64-bit extremes
+// of PC, Addr, Value and Reg, NoDep and the largest compute count Read
 // accepts. BranchHist is left random: Append must ignore it.
 func decodableRecords(rng *memmodel.RNG) []Record {
 	u64 := func() uint64 {
@@ -67,17 +75,17 @@ func decodableRecords(rng *memmodel.RNG) []Record {
 		for flags := 0; flags < 1<<5; flags++ {
 			for rf := RefNone; rf < refFormCount; rf++ {
 				r := Record{Kind: kind, PC: u64(), Addr: memmodel.Addr(u64()), Size: uint8(1 + rng.Intn(255)),
-					Dep: NoDep, Taken: flags&flagTaken != 0, BranchHist: uint16(rng.Uint64())}
-				if flags&flagHints != 0 {
+					Dep: NoDep, Taken: flags&withTaken != 0, BranchHist: uint16(rng.Uint64())}
+				if flags&withHints != 0 {
 					r.Hints = SWHints{Valid: true, TypeID: uint16(rng.Uint64()), LinkOffset: uint16(rng.Uint64()), RefForm: rf}
 				}
-				if flags&flagDep != 0 {
+				if flags&withDep != 0 {
 					r.Dep = lastLoad
 				}
-				if flags&flagValue != 0 {
+				if flags&withValue != 0 {
 					r.Value = u64()
 				}
-				if flags&flagReg != 0 {
+				if flags&withReg != 0 {
 					r.Reg = u64()
 				}
 				if kind == KindLoad {
@@ -229,7 +237,7 @@ func TestStorageFootprint(t *testing.T) {
 	if want := 1*len(tr.ops) + pay + int(unsafe.Sizeof(entry{}))*len(ops); n != want || whole != 0 {
 		t.Errorf("Footprint %d bytes, %d whole; want %d bytes, 0 whole", n, whole, want)
 	}
-	// The decoder builds through Append, and must reach the same layout.
+	// Read loads the sections Write dumped: the same layout.
 	var buf bytes.Buffer
 	if err := Write(&buf, tr); err != nil {
 		t.Fatal(err)
@@ -274,7 +282,8 @@ func TestStorageFootprint(t *testing.T) {
 
 // TestBranchHistories pins the derived branch-history attribute: each
 // record sees the global 16-bit history of the branches before it, newest
-// outcome in bit 0, identically from a Cursor and from the Reader.
+// outcome in bit 0, identically from a Cursor over the trace and over its
+// Write→Read copy.
 func TestBranchHistories(t *testing.T) {
 	e := NewEmitter("bh")
 	e.Branch(0x1, true)
@@ -305,19 +314,13 @@ func TestBranchHistories(t *testing.T) {
 	if err := Write(&buf, tr); err != nil {
 		t.Fatal(err)
 	}
-	sr, err := NewReader(&buf)
+	back, err := Read(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rec Record
-	for i := 0; ; i++ {
-		if err := sr.Next(&rec); err == io.EOF {
-			break
-		} else if err != nil {
-			t.Fatal(err)
-		}
-		if rec.BranchHist != want[i] {
-			t.Errorf("reader record %d: history %#b, want %#b", i, rec.BranchHist, want[i])
+	for i, r := range records(back) {
+		if r.BranchHist != want[i] {
+			t.Errorf("read back, record %d: history %#b, want %#b", i, r.BranchHist, want[i])
 		}
 	}
 }

@@ -13,7 +13,7 @@ func sampleTrace() *Trace {
 	i := e.LoadSpec(MemSpec{PC: 0x400, Addr: 0x10000, Value: 0x20000, Reg: 7, Dep: -1,
 		Hints: SWHints{Valid: true, TypeID: 3, LinkOffset: 8, RefForm: RefArrow}})
 	e.Branch(0x408, true)
-	e.LoadDep(0x410, 0x20000, i)
+	e.LoadSpec(MemSpec{PC: 0x410, Addr: 0x20000, Dep: i})
 	e.EndWarmup()
 	e.Store(0x418, 0x30040)
 	e.Compute(5)

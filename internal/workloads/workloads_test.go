@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"bytes"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -304,6 +306,27 @@ func TestDepReachMatchesStats(t *testing.T) {
 				t.Errorf("%s at scale %v: an access with a nonzero Reg %v, want %v", w.Name, scale, reg, withReg[w.Name])
 			}
 			runtime.GC() // a scale-1 trace can take 25+ MiB (listsort); free it before the next
+		}
+	}
+}
+
+// TestWriteReadRoundTrip writes every generator's trace at the benchmark's
+// scale (0.25) and reads it back: the file holds the store as it is, so
+// the trace read back is deeply equal to the one generated — the same op
+// bytes, streams, table and records kept whole, Accesses and DepReach.
+func TestWriteReadRoundTrip(t *testing.T) {
+	for _, w := range All() {
+		tr := w.Generate(GenConfig{Scale: 0.25, Seed: 1})
+		var buf bytes.Buffer
+		if err := trace.Write(&buf, tr); err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		back, err := trace.Read(&buf)
+		if err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		if !reflect.DeepEqual(back, tr) {
+			t.Errorf("%s: read back, the trace differs from the one written", w.Name)
 		}
 	}
 }
