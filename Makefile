@@ -124,12 +124,15 @@ serve-smoke:
 # LOADGEN_<n>.json whose client and server views agree (every
 # serve_*_latency histogram count equals serve_decisions_total, and for
 # batched runs sum(serve_batch_size) re-adds to the same total), plus the
-# alloc guards pinning the disabled/unsampled serve tracer and the
-# steady-state batch codec at 0 allocs/op (DESIGN.md §17).
+# alloc guards pinning at 0 allocs/op the disabled/unsampled serve tracer
+# (TestTracerDisabledZeroAlloc), the steady-state batch codec
+# (TestSteadyStateCodecZeroAlloc), and the warm session worker with the
+# connection reader's busy and degraded replies
+# (TestSteadyStateWorkerZeroAlloc, a non-race test) (DESIGN.md §17).
 loadgen-smoke:
 	$(GO) test -race -count=1 -run '^TestLoadgenSmoke$$/^batch=1$$' ./cmd/loadgen
 	$(GO) test -race -count=1 -run '^TestLoadgenSmoke$$/^batch=16$$' ./cmd/loadgen
-	$(GO) test -count=1 -run '^(TestTracerDisabledZeroAlloc|TestSteadyStateCodecZeroAlloc)$$' ./internal/serve
+	$(GO) test -count=1 -run '^(TestTracerDisabledZeroAlloc|TestSteadyStateCodecZeroAlloc|TestSteadyStateWorkerZeroAlloc)$$' ./internal/serve
 
 # loadgen-gate replays the recorded load-test trajectory: the committed
 # batched artifact (LOADGEN_2, batch 16) must hold its throughput edge

@@ -150,6 +150,10 @@ func RunContext(ctx context.Context, tr *trace.Trace, mem Memory, cfg Config) (R
 		warmup    warmSnapshot
 		warmDone  bool
 		c         = tr.Cursor()
+		// memRec is the copy of each load or store that mem sees: the
+		// cursor's own view passed through the interface call would move
+		// the whole cursor, with its per-op state, to the heap.
+		memRec = new(trace.Record)
 	)
 
 	for c.Next() {
@@ -231,7 +235,8 @@ func RunContext(ctx context.Context, tr *trace.Trace, mem Memory, cfg Config) (R
 			if old := lqRing[lqHead]; old > issue {
 				issue = old
 			}
-			dn := mem.Access(rec, issue)
+			*memRec = *rec
+			dn := mem.Access(memRec, issue)
 			done[i&mask] = dn
 			lqRing[lqHead] = dn
 			lqHead = (lqHead + 1) % cfg.LQ
@@ -257,7 +262,8 @@ func RunContext(ctx context.Context, tr *trace.Trace, mem Memory, cfg Config) (R
 					slots = stallSlots
 				}
 			}
-			dn := mem.Access(rec, issue)
+			*memRec = *rec
+			dn := mem.Access(memRec, issue)
 			done[i&mask] = dn // dependents (rare) wait for the written value
 			sqRing[sqHead] = dn
 			sqHead = (sqHead + 1) % cfg.SQ

@@ -124,19 +124,18 @@ func (c *collectIssuer) Shadow(addr memmodel.Addr) {
 // FreePrefetchSlots implements prefetch.Issuer.
 func (c *collectIssuer) FreePrefetchSlots(now cache.Cycle) int { return 1 << 20 }
 
-// fallbackDecisions is the degradation-ladder bottom rung: one next-line
-// stride guess per access, computed without touching any learner state,
-// served immediately from the connection reader when a session's inbox is
-// full. Cheap, stateless, safe to produce concurrently with the session
-// worker.
-func fallbackDecisions(accs []BatchAccess, blockShift uint) []BatchDecision {
+// fallback fills the scratch with the degradation-ladder bottom rung:
+// one next-line stride guess per access, computed without touching any
+// learner state, served immediately from the connection reader when a
+// session's inbox is full. Cheap, stateless, safe to produce concurrently
+// with the session worker.
+func (sc *replyScratch) fallback(accs []BatchAccess, blockShift uint) {
 	blockBytes := uint64(1) << blockShift
-	out := make([]BatchDecision, len(accs))
+	sc.reset()
 	for i := range accs {
 		next := (accs[i].Addr &^ (blockBytes - 1)) + blockBytes
-		out[i] = BatchDecision{Seq: accs[i].Seq, Prefetch: []uint64{next}, Degraded: true}
+		sc.res = append(sc.res, BatchDecision{Seq: accs[i].Seq, Prefetch: sc.addrs.keep(next), Degraded: true})
 	}
-	return out
 }
 
 // AccessFrames converts a trace's memory records into the access frames a

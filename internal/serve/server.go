@@ -234,6 +234,10 @@ func NewServer(cfg Config) (*Server, error) {
 			for _, ss := range snap.Sessions {
 				sess, err := restoreSession(ss, s)
 				if err != nil {
+					// Stop the workers of the sessions already restored.
+					for _, done := range s.store.all() {
+						done.close()
+					}
 					return nil, err
 				}
 				s.store.put(sess)
@@ -434,6 +438,9 @@ func (s *Server) handleConn(c net.Conn) {
 	w := newConnWriter(c, s.cfg.WriteTimeout, writeCoalesceBytes, writeCoalesceDelay, s.coalescedTotal)
 	defer w.close()
 	r := NewFrameReader(c)
+	// sc holds the replies this reader renders itself (pong, busy,
+	// degraded, session-closed); w encodes each before the next.
+	sc := new(replyScratch)
 
 	c.SetReadDeadline(time.Now().Add(s.cfg.ReadTimeout))
 	first, err := r.Read()
@@ -524,9 +531,9 @@ func (s *Server) handleConn(c net.Conn) {
 				it.decodeDur = decodeDur
 				it.sampled, it.spanStart = s.trace.sample(decodeDur)
 			}
-			s.handleAccess(sess, it)
+			s.handleAccess(sess, it, sc)
 		case FramePing:
-			w.write(&Frame{Type: FramePong})
+			w.write(sc.frame(Frame{Type: FramePong}))
 			s.putFrame(fr)
 		case FrameStats:
 			st := sess.stats()
@@ -536,8 +543,7 @@ func (s *Server) handleConn(c net.Conn) {
 			rep := sess.explain(fr.TopK)
 			s.putFrame(fr)
 			if rep == nil {
-				w.write(&Frame{Type: FrameError, Code: CodeSessionClosed,
-					Msg: "session closed or expired; reconnect with a new hello"})
+				w.write(&Frame{Type: FrameError, Code: CodeSessionClosed, Msg: msgSessionClosed})
 				continue
 			}
 			w.write(&Frame{Type: FrameExplain, Explain: rep})
@@ -571,20 +577,21 @@ func batchOfOne(fr *Frame) {
 
 // handleAccess walks the degradation ladder for one request (a batch
 // holds one inbox slot but counts every access against the global
-// in-flight budget):
+// in-flight budget), rendering any reply of its own into the reader's
+// scratch sc:
 //
 //  1. global in-flight budget exhausted → explicit busy frame
 //  2. session inbox full → immediate degraded fallback decision(s)
 //  3. session closed/expired → session-closed error (client re-hellos)
 //  4. otherwise → enqueue for the session worker
-func (s *Server) handleAccess(sess *session, it inboxItem) {
+func (s *Server) handleAccess(sess *session, it inboxItem, sc *replyScratch) {
 	fr, w := it.fr, it.conn
 	n := int64(len(fr.Accesses))
 	seq := fr.Accesses[0].Seq
 	if cur := s.inflight.Add(n); cur > int64(s.cfg.MaxInflight) {
 		s.inflight.Add(-n)
 		s.busyTotal.Add(uint64(n))
-		w.write(&Frame{Type: FrameBusy, Seq: seq, RetryMs: s.cfg.RetryMs})
+		w.write(sc.frame(Frame{Type: FrameBusy, Seq: seq, RetryMs: s.cfg.RetryMs}))
 		s.putFrame(fr)
 		return
 	}
@@ -595,30 +602,64 @@ func (s *Server) handleAccess(sess *session, it inboxItem) {
 		s.inflight.Add(-n)
 		s.degradedTotal.Add(uint64(n))
 		sess.degraded.Add(uint64(n))
-		w.write(replyFrame(fr, fallbackDecisions(fr.Accesses, s.cfg.BlockShift)))
+		sc.fallback(fr.Accesses, s.cfg.BlockShift)
+		w.write(sc.reply(fr))
 		s.putFrame(fr)
 	case enqueueClosed:
 		s.inflight.Add(-n)
-		w.write(&Frame{Type: FrameError, Seq: seq, Code: CodeSessionClosed,
-			Msg: "session closed or expired; reconnect with a new hello"})
+		w.write(sc.frame(Frame{Type: FrameError, Seq: seq, Code: CodeSessionClosed, Msg: msgSessionClosed}))
 		s.putFrame(fr)
 	}
 }
 
-// replyFrame renders the decisions for request req: a batch request gets
-// one batch frame; an access request gets its decision frame, or a
-// stale-seq error frame when its seq left the replay cache.
-func replyFrame(req *Frame, res []BatchDecision) *Frame {
+// msgSessionClosed tells a client its session is gone.
+const msgSessionClosed = "session closed or expired; reconnect with a new hello"
+
+// replyScratch is the storage one goroutine renders its replies into,
+// reused from request to request: the decisions, one arena for their
+// Prefetch and Shadow addresses, and the frame that carries them. The
+// connWriter encodes a reply before its write call returns, so nothing
+// here outlives the request; each session worker and each connection
+// reader owns one.
+type replyScratch struct {
+	res   []BatchDecision
+	addrs addrArena
+	out   Frame
+}
+
+// reset empties the decisions and the arena, keeping their capacity.
+func (sc *replyScratch) reset() {
+	sc.res, sc.addrs = sc.res[:0], sc.addrs[:0]
+}
+
+// add appends one decision, copying its addresses into the arena: the
+// learner's and the replay ring's are overwritten by later calls.
+func (sc *replyScratch) add(d BatchDecision, prefetch, shadow []uint64) {
+	d.Prefetch, d.Shadow = sc.addrs.keep(prefetch...), sc.addrs.keep(shadow...)
+	sc.res = append(sc.res, d)
+}
+
+// frame stores f as the scratch's reply frame and returns it.
+func (sc *replyScratch) frame(f Frame) *Frame {
+	sc.out = f
+	return &sc.out
+}
+
+// reply renders the scratch's decisions as the answer to request req: a
+// batch request gets one batch frame; an access request gets its
+// decision frame, or a stale-seq error frame when its seq left the
+// replay cache.
+func (sc *replyScratch) reply(req *Frame) *Frame {
 	if req.Type == FrameBatch {
-		return &Frame{Type: FrameBatch, Results: res}
+		return sc.frame(Frame{Type: FrameBatch, Results: sc.res})
 	}
-	d := res[0]
+	d := sc.res[0]
 	if d.Code == CodeStaleSeq {
-		return &Frame{Type: FrameError, Seq: d.Seq, Code: CodeStaleSeq,
-			Msg: fmt.Sprintf("seq %d already applied and evicted from the replay cache", d.Seq)}
+		return sc.frame(Frame{Type: FrameError, Seq: d.Seq, Code: CodeStaleSeq,
+			Msg: fmt.Sprintf("seq %d already applied and evicted from the replay cache", d.Seq)})
 	}
-	return &Frame{Type: FrameDecision, Seq: d.Seq, Prefetch: d.Prefetch, Shadow: d.Shadow,
-		Degraded: d.Degraded, Replayed: d.Replayed}
+	return sc.frame(Frame{Type: FrameDecision, Seq: d.Seq, Prefetch: d.Prefetch, Shadow: d.Shadow,
+		Degraded: d.Degraded, Replayed: d.Replayed})
 }
 
 // SessionStatsAll snapshots every live session's serving statistics,

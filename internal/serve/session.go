@@ -77,6 +77,10 @@ type session struct {
 	attached *connWriter
 
 	lastActive atomic.Int64 // unix nanos of the last touch
+
+	// sc is the worker's reply scratch; only the worker goroutine touches
+	// it.
+	sc replyScratch
 }
 
 func newSession(id string, l *Learner, srv *Server) *session {
@@ -282,6 +286,10 @@ func (s *session) fail(it inboxItem, err error) {
 // evicted) per-item stale-seq codes. Holding s.mu across the request
 // means snapshots only ever observe batch-aligned learner state — a
 // restore never lands mid-batch.
+//
+// Every decision is copied into the worker's scratch before the fresh
+// span is written: the span overwrites the oldest ring slot in place, and
+// a replayed prefix may live in exactly that slot.
 func (s *session) process(it inboxItem) {
 	accs := it.fr.Accesses
 	s.touch()
@@ -303,40 +311,31 @@ func (s *session) process(it inboxItem) {
 	if tr != nil {
 		decideStart = time.Now()
 	}
-	res := make([]BatchDecision, 0, len(accs))
+	sc := &s.sc
+	sc.reset()
 	var fresh, replayed, stale int
 	for i := range accs {
 		a := &accs[i]
 		if a.Seq <= s.lastSeq {
 			if entry, ok := s.replay.get(a.Seq); ok {
 				replayed++
-				res = append(res, BatchDecision{
-					Seq: a.Seq, Prefetch: entry.Prefetch, Shadow: entry.Shadow, Replayed: true,
-				})
+				sc.add(BatchDecision{Seq: a.Seq, Replayed: true}, entry.Prefetch, entry.Shadow)
 			} else {
 				stale++
-				res = append(res, BatchDecision{Seq: a.Seq, Code: CodeStaleSeq})
+				sc.add(BatchDecision{Seq: a.Seq, Code: CodeStaleSeq}, nil, nil)
 			}
 			continue
 		}
 		pf, sh := s.learner.DecideAccess(a)
-		d := BatchDecision{Seq: a.Seq}
-		if len(pf) > 0 {
-			d.Prefetch = append([]uint64(nil), pf...)
-		}
-		if len(sh) > 0 {
-			d.Shadow = append([]uint64(nil), sh...)
-		}
-		res = append(res, d)
+		sc.add(BatchDecision{Seq: a.Seq}, pf, sh)
 		s.lastSeq = a.Seq
 		fresh++
 	}
 	if fresh > 0 {
-		span := make([]ReplayEntry, 0, fresh)
-		for _, d := range res[len(res)-fresh:] {
-			span = append(span, ReplayEntry{Seq: d.Seq, Prefetch: d.Prefetch, Shadow: d.Shadow})
+		span := s.replay.evict()
+		for _, d := range sc.res[len(sc.res)-fresh:] {
+			span.add(d.Seq, d.Prefetch, d.Shadow)
 		}
-		s.replay.putSpan(span)
 	}
 	s.mu.Unlock()
 	if fresh > 0 {
@@ -350,7 +349,7 @@ func (s *session) process(it inboxItem) {
 	if stale > 0 {
 		s.srv.staleTotal.Add(uint64(stale))
 	}
-	out := replyFrame(it.fr, res)
+	out := sc.reply(it.fr)
 	if tr == nil || fresh == 0 {
 		s.reply(it.conn, out)
 		return
@@ -369,7 +368,8 @@ func (s *session) process(it inboxItem) {
 // reply sends a worker-produced decision through the connection's
 // coalescing buffer, flushing when the inbox is idle (a lockstep client
 // is waiting on exactly this reply) and otherwise letting the writer's
-// byte/deadline policy batch the syscall with the next replies.
+// byte/deadline policy batch the syscall with the next replies. writeq
+// encodes f before it returns, so the worker's scratch is free again.
 func (s *session) reply(conn *connWriter, f *Frame) {
 	conn.writeq(f)
 	if len(s.inbox) == 0 {
@@ -407,7 +407,7 @@ func restoreSession(snap SessionSnapshot, srv *Server) (*session, error) {
 		for j < len(snap.Replay) && snap.Replay[j].Seq == snap.Replay[j-1].Seq+1 {
 			j++
 		}
-		s.replay.putSpan(append([]ReplayEntry(nil), snap.Replay[i:j]...))
+		s.replay.putSpan(snap.Replay[i:j])
 		i = j
 	}
 	return s, nil
@@ -419,14 +419,29 @@ func restoreSession(snap SessionSnapshot, srv *Server) (*session, error) {
 // the lookup and eviction cost independent of batch size, and a resent
 // batch that straddles the ring edge naturally splits into the entries
 // still cached and the seqs already evicted.
+//
+// Each slot owns its entries and address buffer, and a new span
+// overwrites the oldest slot in place, so a warm ring caches without
+// allocating. What get returns aliases a slot: it is valid only until
+// the next span is written.
 type replayRing struct {
 	spans []replaySpan
 	next  int
 }
 
-// replaySpan is one cached contiguous decision run; empty slots hold nil.
+// replaySpan is one cached contiguous decision run; empty slots hold no
+// entries.
 type replaySpan struct {
 	entries []ReplayEntry
+	addrs   addrArena
+}
+
+// add appends one decision to the span, copying its addresses into the
+// span's own buffer.
+func (sp *replaySpan) add(seq uint64, prefetch, shadow []uint64) {
+	sp.entries = append(sp.entries, ReplayEntry{
+		Seq: seq, Prefetch: sp.addrs.keep(prefetch...), Shadow: sp.addrs.keep(shadow...),
+	})
 }
 
 func (r *replayRing) init(depth int) {
@@ -436,16 +451,27 @@ func (r *replayRing) init(depth int) {
 	r.spans = make([]replaySpan, depth)
 }
 
-// putSpan caches one contiguous run (ascending seqs), taking ownership of
-// es and evicting the oldest span.
+// evict empties the oldest slot, keeping its buffers, and returns it for
+// the next span (ascending seqs, above every seq already cached).
+func (r *replayRing) evict() *replaySpan {
+	sp := &r.spans[r.next]
+	sp.entries, sp.addrs = sp.entries[:0], sp.addrs[:0]
+	r.next++
+	if r.next == len(r.spans) {
+		r.next = 0
+	}
+	return sp
+}
+
+// putSpan caches a copy of one contiguous run (ascending seqs), evicting
+// the oldest span.
 func (r *replayRing) putSpan(es []ReplayEntry) {
 	if len(es) == 0 {
 		return
 	}
-	r.spans[r.next] = replaySpan{entries: es}
-	r.next++
-	if r.next == len(r.spans) {
-		r.next = 0
+	sp := r.evict()
+	for _, e := range es {
+		sp.add(e.Seq, e.Prefetch, e.Shadow)
 	}
 }
 
@@ -465,13 +491,33 @@ func (r *replayRing) get(seq uint64) (ReplayEntry, bool) {
 	return ReplayEntry{}, false
 }
 
-// entries returns the cached decisions in ascending seq order (snapshot
-// determinism): walking slots oldest-first flattens to ascending seqs
-// because spans are only ever appended with increasing ranges.
+// entries returns a deep copy of the cached decisions in ascending seq
+// order (snapshot determinism): walking slots oldest-first flattens to
+// ascending seqs because spans are only ever appended with increasing
+// ranges. The copy is what a snapshot encodes after the session lock
+// drops, while the worker goes on overwriting slots.
 func (r *replayRing) entries() []ReplayEntry {
-	var out []ReplayEntry
+	var all replaySpan
 	for k := 0; k < len(r.spans); k++ {
-		out = append(out, r.spans[(r.next+k)%len(r.spans)].entries...)
+		for _, e := range r.spans[(r.next+k)%len(r.spans)].entries {
+			all.add(e.Seq, e.Prefetch, e.Shadow)
+		}
 	}
-	return out
+	return all.entries
+}
+
+// addrArena backs many short address lists with one reused buffer.
+type addrArena []uint64
+
+// keep appends vs to the arena and returns them as a slice of it, capped
+// so no append through the result reaches past them; nil when vs is
+// empty. If the append moves the arena, slices kept earlier still hold
+// their values in the old array.
+func (a *addrArena) keep(vs ...uint64) []uint64 {
+	if len(vs) == 0 {
+		return nil
+	}
+	n := len(*a)
+	*a = append(*a, vs...)
+	return (*a)[n:len(*a):len(*a)]
 }

@@ -73,8 +73,11 @@ func SaveSnapshot(path string, snap *Snapshot) error {
 	return nil
 }
 
-// LoadSnapshot reads and verifies a snapshot. A missing file is not an
-// error: it returns (nil, nil) — the cold-start case.
+// LoadSnapshot reads and verifies a snapshot: the checksum, then every
+// session — a nonempty id no other session has, a valid learner, and a
+// replay cache whose seqs are nonzero, strictly ascending and at most the
+// session's LastSeq. A missing file is not an error: it returns
+// (nil, nil) — the cold-start case.
 func LoadSnapshot(path string) (*Snapshot, error) {
 	raw, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -98,13 +101,30 @@ func LoadSnapshot(path string) (*Snapshot, error) {
 	if err := json.Unmarshal(env.Payload, &snap); err != nil {
 		return nil, fmt.Errorf("serve: parsing snapshot payload: %w", err)
 	}
+	seen := make(map[string]bool, len(snap.Sessions))
 	for i := range snap.Sessions {
 		ss := &snap.Sessions[i]
 		if ss.ID == "" {
 			return nil, fmt.Errorf("serve: snapshot session %d has empty id", i)
 		}
+		if seen[ss.ID] {
+			return nil, fmt.Errorf("serve: snapshot holds session %s twice", ss.ID)
+		}
+		seen[ss.ID] = true
 		if err := ss.Learner.Validate(); err != nil {
 			return nil, fmt.Errorf("serve: snapshot session %s: %w", ss.ID, err)
+		}
+		var prev uint64
+		for _, e := range ss.Replay {
+			switch {
+			case e.Seq <= prev:
+				return nil, fmt.Errorf("serve: snapshot session %s: replay seq %d after %d, want nonzero and ascending",
+					ss.ID, e.Seq, prev)
+			case e.Seq > ss.LastSeq:
+				return nil, fmt.Errorf("serve: snapshot session %s: replay seq %d above last seq %d",
+					ss.ID, e.Seq, ss.LastSeq)
+			}
+			prev = e.Seq
 		}
 	}
 	return &snap, nil

@@ -104,6 +104,44 @@ func TestSnapshotDetectsCorruption(t *testing.T) {
 	flip("garbage.snap", func(b []byte) []byte { return []byte("not a snapshot") })
 }
 
+// TestSnapshotRejectsBadSessions covers what the checksum cannot: a
+// snapshot written whole whose sessions a restore would corrupt. Two
+// sessions under one id would start two workers while the store keeps
+// only the second; a replay cache with a zero, repeated or descending
+// seq, or one above its session's LastSeq, would replay decisions for
+// seqs the learner never applied.
+func TestSnapshotRejectsBadSessions(t *testing.T) {
+	dir := t.TempDir()
+	bad := func(name string, mutate func(*Snapshot)) {
+		t.Helper()
+		snap := buildSnapshot(t, "s", 100)
+		mutate(snap)
+		p := filepath.Join(dir, name)
+		if err := SaveSnapshot(p, snap); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadSnapshot(p); err == nil {
+			t.Fatalf("%s: corrupt snapshot loaded", name)
+		}
+		if _, err := NewServer(Config{SnapshotPath: p}); err == nil {
+			t.Fatalf("%s: server booted on a corrupt snapshot", name)
+		}
+	}
+	bad("duplicate-id.snap", func(s *Snapshot) {
+		s.Sessions = append(s.Sessions, s.Sessions[0])
+	})
+	bad("replay-seq-zero.snap", func(s *Snapshot) {
+		s.Sessions[0].Replay[0].Seq = 0
+	})
+	bad("replay-not-ascending.snap", func(s *Snapshot) {
+		e := s.Sessions[0].Replay[0]
+		s.Sessions[0].Replay = []ReplayEntry{e, e}
+	})
+	bad("replay-above-last-seq.snap", func(s *Snapshot) {
+		s.Sessions[0].LastSeq--
+	})
+}
+
 func TestSnapshotRejectsBadLearnerState(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "state.snap")

@@ -120,7 +120,9 @@ func chainTrace(n int) *trace.Trace {
 // the recycled scratch survives garbage collections between runs, and the
 // core model's state is sized by the trace's dependency reach, so a run
 // allocates the same few KiB whatever the trace's length, under each
-// prefetcher the simulator benchmark times.
+// prefetcher the simulator benchmark times: 6,224 B today. The 8 KiB
+// bound fails a run whose trace cursor escapes to the heap again
+// (12,688 B: the cursor is 6.5 KiB with its per-op state).
 func TestPooledRunHeapIndependentOfLength(t *testing.T) {
 	short, long := chainTrace(100_000), chainTrace(800_000)
 	if short.DepReach() != long.DepReach() {
@@ -167,8 +169,8 @@ func TestPooledRunHeapIndependentOfLength(t *testing.T) {
 					a, short.Len(), b, long.Len())
 			}
 			for _, got := range []uint64{a, b} {
-				if got > 64<<10 {
-					t.Errorf("a pooled run allocated %d B, want under 64 KiB", got)
+				if got > 8<<10 {
+					t.Errorf("a pooled run allocated %d B, want under 8 KiB", got)
 				}
 			}
 		})
