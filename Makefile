@@ -2,7 +2,8 @@
 # full gate, and runs what CI runs: gofmt + vet (the root module and the
 # perfbench module, which compiles against the repository's packages) +
 # build + race-enabled tests + the simulated-results golden (every named
-# cell plus Figure 13's parameterised cells; the race build skips it) +
+# cell plus Figure 13's parameterised cells; the race build skips it) and
+# the written-trace golden (the bytes of every generator's trace file) +
 # short fuzz runs of the trace decoder, the trace emitter's
 # compact storage and the prefetchd wire-frame decoder + the recorded BENCH
 # diff (the frozen simulator reports must validate and show no
@@ -47,10 +48,15 @@ race:
 # 0.1 against the committed internal/exp/testdata/golden_scale0.1.txt (367
 # cells, about 8 s), so a change to simulated results shows in review
 # (DESIGN.md §10, "Bit-identical refactors"). `race` skips it: the race
-# detector makes it over ten times slower. A change meant to move results
-# reruns it with -update and commits the diff.
+# detector makes it over ten times slower. It also checks the SHA-256 and
+# length of every generator's trace file at scale 0.1 against the
+# committed internal/workloads/testdata/trace_files_scale0.1.txt (under a
+# second), so a change to how the emitter lays out a trace shows too. A
+# change meant to move results or trace bytes reruns the test concerned
+# with -update and commits the diff.
 golden:
 	$(GO) test -count=1 -run '^TestGoldenResults$$' ./internal/exp
+	$(GO) test -count=1 -run '^TestTraceFilesGolden$$' ./internal/workloads
 
 # results regenerates the committed record of every table and figure at
 # paper scale (about 70 s on the 2-CPU reference machine). It is not part

@@ -3,8 +3,25 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 )
+
+// maxGuardBytes bounds the bytes an alloc guard's runs may allocate in
+// all. testing.AllocsPerRun rounds mallocs per run down, so a reused
+// buffer that doubles without bound reads 0 allocs/op; its bytes do not.
+const maxGuardBytes = 64 << 10
+
+// allocsPerRun is testing.AllocsPerRun, plus the bytes allocated across
+// the runs and AllocsPerRun's warm-up call: the runtime.MemStats.TotalAlloc
+// delta.
+func allocsPerRun(runs int, f func()) (allocs float64, bytes uint64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs = testing.AllocsPerRun(runs, f)
+	runtime.ReadMemStats(&after)
+	return allocs, after.TotalAlloc - before.TotalAlloc
+}
 
 // TestOnAccessZeroAllocTelemetryDisabled is the in-tree half of the
 // overhead contract (DESIGN.md §11): with no collector attached, the
@@ -20,7 +37,9 @@ import (
 // integer field updates on paths OnAccess already executes, and taking a
 // LearnerHealth snapshot is a value copy plus one table scan — neither may
 // allocate, so a serving daemon can export per-session health on every
-// stats frame without GC pressure.
+// stats frame without GC pressure. Both guards also bound the bytes their
+// runs allocate in all (maxGuardBytes), so a reused buffer that grows
+// without bound fails them.
 func TestLearnerHealthSnapshotZeroAlloc(t *testing.T) {
 	p := MustNew(DefaultConfig())
 	iss := &benchIssuer{free: 4}
@@ -29,11 +48,11 @@ func TestLearnerHealthSnapshotZeroAlloc(t *testing.T) {
 		p.OnAccess(&stream[i], iss)
 	}
 	var sink LearnerHealth
-	allocs := testing.AllocsPerRun(200, func() {
+	allocs, bytes := allocsPerRun(200, func() {
 		sink = p.LearnerHealth()
 	})
-	if allocs != 0 {
-		t.Fatalf("LearnerHealth allocates %.2f allocs/op, want 0", allocs)
+	if allocs != 0 || bytes > maxGuardBytes {
+		t.Fatalf("LearnerHealth allocates %.2f allocs/op and %d B in all, want 0 and at most %d B", allocs, bytes, maxGuardBytes)
 	}
 	if sink.Accesses == 0 {
 		t.Fatal("snapshot empty after a warm stream")
@@ -52,12 +71,13 @@ func TestOnAccessZeroAllocTelemetryDisabled(t *testing.T) {
 				p.OnAccess(&stream[i], iss)
 			}
 			i := 0
-			allocs := testing.AllocsPerRun(2000, func() {
+			allocs, bytes := allocsPerRun(2000, func() {
 				p.OnAccess(&stream[i%len(stream)], iss)
 				i++
 			})
-			if allocs != 0 {
-				t.Fatalf("OnAccess (%v, telemetry disabled) allocates %.2f allocs/op, want 0", kind, allocs)
+			if allocs != 0 || bytes > maxGuardBytes {
+				t.Fatalf("OnAccess (%v, telemetry disabled) allocates %.2f allocs/op and %d B in all, want 0 and at most %d B",
+					kind, allocs, bytes, maxGuardBytes)
 			}
 		})
 	}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -212,10 +213,28 @@ func TestDecodeFrameIntoMatchesEncodingJSON(t *testing.T) {
 	}
 }
 
+// maxGuardBytes bounds the bytes an alloc guard's runs may allocate in
+// all. testing.AllocsPerRun rounds mallocs per run down, so a reused
+// buffer that doubles without bound reads 0 allocs/op; its bytes do not.
+const maxGuardBytes = 64 << 10
+
+// allocsPerRun is testing.AllocsPerRun, plus the bytes allocated across
+// the runs and AllocsPerRun's warm-up call: the runtime.MemStats.TotalAlloc
+// delta.
+func allocsPerRun(runs int, f func()) (allocs float64, bytes uint64) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs = testing.AllocsPerRun(runs, f)
+	runtime.ReadMemStats(&after)
+	return allocs, after.TotalAlloc - before.TotalAlloc
+}
+
 // TestSteadyStateCodecZeroAlloc is the batched-pipeline alloc guard: once
 // warm, encoding and decoding a full 64-access batch (hints included)
 // into reused buffers must not allocate at all — that is the whole
-// premise of the amortized serving path.
+// premise of the amortized serving path. Each step's runs must also
+// allocate at most maxGuardBytes in all, so a reused buffer that grows
+// without bound fails too.
 func TestSteadyStateCodecZeroAlloc(t *testing.T) {
 	fr := &Frame{Type: FrameBatch}
 	for i := 0; i < MaxBatch; i++ {
@@ -229,13 +248,13 @@ func TestSteadyStateCodecZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := testing.AllocsPerRun(200, func() {
+	if n, b := allocsPerRun(200, func() {
 		buf, err = AppendFrame(buf[:0], fr)
 		if err != nil {
 			t.Fatal(err)
 		}
-	}); n != 0 {
-		t.Fatalf("steady-state batch encode allocates %.1f/op, want 0", n)
+	}); n != 0 || b > maxGuardBytes {
+		t.Fatalf("steady-state batch encode allocates %.1f/op and %d B in all, want 0 and at most %d B", n, b, maxGuardBytes)
 	}
 
 	line := buf[:len(buf)-1]
@@ -243,12 +262,12 @@ func TestSteadyStateCodecZeroAlloc(t *testing.T) {
 	if err := DecodeFrameInto(line, &dec); err != nil { // warm the frame's storage
 		t.Fatal(err)
 	}
-	if n := testing.AllocsPerRun(200, func() {
+	if n, b := allocsPerRun(200, func() {
 		if err := DecodeFrameInto(line, &dec); err != nil {
 			t.Fatal(err)
 		}
-	}); n != 0 {
-		t.Fatalf("steady-state batch decode allocates %.1f/op, want 0", n)
+	}); n != 0 || b > maxGuardBytes {
+		t.Fatalf("steady-state batch decode allocates %.1f/op and %d B in all, want 0 and at most %d B", n, b, maxGuardBytes)
 	}
 	if len(dec.Accesses) != MaxBatch || dec.Accesses[63].Hints == nil {
 		t.Fatalf("reused decode dropped payload: %d accesses", len(dec.Accesses))
@@ -260,24 +279,24 @@ func TestSteadyStateCodecZeroAlloc(t *testing.T) {
 	if buf, err = AppendFrame(buf[:0], single); err != nil {
 		t.Fatal(err)
 	}
-	if n := testing.AllocsPerRun(200, func() {
+	if n, b := allocsPerRun(200, func() {
 		buf, err = AppendFrame(buf[:0], single)
 		if err != nil {
 			t.Fatal(err)
 		}
-	}); n != 0 {
-		t.Fatalf("steady-state single encode allocates %.1f/op, want 0", n)
+	}); n != 0 || b > maxGuardBytes {
+		t.Fatalf("steady-state single encode allocates %.1f/op and %d B in all, want 0 and at most %d B", n, b, maxGuardBytes)
 	}
 	sline := buf[:len(buf)-1]
 	if err := DecodeFrameInto(sline, &dec); err != nil {
 		t.Fatal(err)
 	}
-	if n := testing.AllocsPerRun(200, func() {
+	if n, b := allocsPerRun(200, func() {
 		if err := DecodeFrameInto(sline, &dec); err != nil {
 			t.Fatal(err)
 		}
-	}); n != 0 {
-		t.Fatalf("steady-state single decode allocates %.1f/op, want 0", n)
+	}); n != 0 || b > maxGuardBytes {
+		t.Fatalf("steady-state single decode allocates %.1f/op and %d B in all, want 0 and at most %d B", n, b, maxGuardBytes)
 	}
 
 	// The reader's move of an access frame into a batch of one: decode,
@@ -301,8 +320,8 @@ func TestSteadyStateCodecZeroAlloc(t *testing.T) {
 	}
 	moveOne() // warm: the frame and its access slot each come to hold one Hints
 	moveOne()
-	if n := testing.AllocsPerRun(200, moveOne); n != 0 {
-		t.Fatalf("steady-state access decode + batch-of-one move allocates %.1f/op, want 0", n)
+	if n, b := allocsPerRun(200, moveOne); n != 0 || b > maxGuardBytes {
+		t.Fatalf("steady-state access decode + batch-of-one move allocates %.1f/op and %d B in all, want 0 and at most %d B", n, b, maxGuardBytes)
 	}
 }
 

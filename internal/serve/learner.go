@@ -144,7 +144,10 @@ func (sc *replyScratch) fallback(accs []BatchAccess, blockShift uint) {
 // numbering starts at 1. The frames take one allocation and their hints
 // one more, whatever the trace's length.
 func AccessFrames(tr *trace.Trace) []Frame {
-	out := make([]Frame, 0, tr.Accesses())
+	// Each frame is written in place: appending a Frame literal copies
+	// the whole frame for every access.
+	out := make([]Frame, tr.Accesses())
+	n := 0
 	var hints []Hints
 	c := tr.Cursor()
 	for c.Next() {
@@ -152,21 +155,16 @@ func AccessFrames(tr *trace.Trace) []Frame {
 		if !r.IsMem() {
 			continue
 		}
-		out = append(out, Frame{
-			Type:       FrameAccess,
-			Seq:        uint64(len(out)) + 1,
-			PC:         r.PC,
-			Addr:       uint64(r.Addr),
-			Value:      r.Value,
-			Reg:        r.Reg,
-			BranchHist: r.BranchHist,
-			Store:      r.Kind == trace.KindStore,
-		})
+		f := &out[n]
+		n++
+		f.Type, f.Seq = FrameAccess, uint64(n)
+		f.PC, f.Addr, f.Value, f.Reg = r.PC, uint64(r.Addr), r.Value, r.Reg
+		f.BranchHist, f.Store = r.BranchHist, r.Kind == trace.KindStore
 		if r.Hints.Valid {
 			if hints == nil {
 				// Sized for every access left, so appends never move
 				// the hints earlier frames point to.
-				hints = make([]Hints, 0, cap(out)-len(out)+1)
+				hints = make([]Hints, 0, len(out)-n+1)
 			}
 			hints = append(hints, Hints{
 				Valid:      true,
@@ -174,10 +172,10 @@ func AccessFrames(tr *trace.Trace) []Frame {
 				LinkOffset: r.Hints.LinkOffset,
 				RefForm:    uint8(r.Hints.RefForm),
 			})
-			out[len(out)-1].Hints = &hints[len(hints)-1]
+			f.Hints = &hints[len(hints)-1]
 		}
 	}
-	return out
+	return out[:n]
 }
 
 // SameDecision reports whether two decision frames carry the same

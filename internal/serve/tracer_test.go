@@ -183,18 +183,19 @@ func TestServerUninstrumentedRecordsNothing(t *testing.T) {
 // fields — must cost zero allocations. The enabled-but-unsampled steady
 // state (histogram observes only, no span, no slow line) must also stay
 // allocation-free, since that is the per-frame cost of an instrumented
-// daemon.
+// daemon. Each path's runs must also allocate at most maxGuardBytes in
+// all.
 func TestTracerDisabledZeroAlloc(t *testing.T) {
 	var nilTr *tracer
-	if n := testing.AllocsPerRun(500, func() {
+	if n, b := allocsPerRun(500, func() {
 		sampled, off := nilTr.sample(0)
 		if sampled || off != 0 {
 			t.Fatal("nil tracer sampled")
 		}
 		it := inboxItem{}
 		_ = it
-	}); n != 0 {
-		t.Fatalf("disabled tracing path allocates %.1f/op, want 0", n)
+	}); n != 0 || b > maxGuardBytes {
+		t.Fatalf("disabled tracing path allocates %.1f/op and %d B in all, want 0 and at most %d B", n, b, maxGuardBytes)
 	}
 
 	reg := obs.NewRegistry()
@@ -203,11 +204,11 @@ func TestTracerDisabledZeroAlloc(t *testing.T) {
 		SampleEvery: 1 << 30, // never sample within the run
 	}, reg, func(string, ...any) {})
 	ft := frameTiming{decode: 100, queueWait: 200, decide: 300, write: 400}
-	if n := testing.AllocsPerRun(500, func() {
+	if n, b := allocsPerRun(500, func() {
 		sampled, off := tr.sample(time.Microsecond)
 		tr.observe("s", 1, 1, 1, ft, sampled, off, 0)
-	}); n != 0 {
-		t.Fatalf("enabled unsampled observe allocates %.1f/op, want 0", n)
+	}); n != 0 || b > maxGuardBytes {
+		t.Fatalf("enabled unsampled observe allocates %.1f/op and %d B in all, want 0 and at most %d B", n, b, maxGuardBytes)
 	}
 }
 

@@ -16,11 +16,11 @@ import (
 // generators can express pointer-chasing dependencies.
 //
 // Records accumulate in fixed-size chunks, which growth never copies, and
-// Finish assembles them once into the trace's exact-length arrays. The
-// op byte of a record is found through a two-way set-associative memo of
-// the raw ops seen last, and only on a miss through the interners. Each
-// load or store then appends its differences from the last access of its
-// op to the streams (see Trace).
+// Finish assembles them once into the trace's exact-length arrays. A
+// record's op byte comes from one open-addressed index over the raw ops
+// seen so far; a new op takes the next byte and its entry joins the table
+// at once. Each load or store then appends its differences from the last
+// access of its op to the streams (see Trace).
 type Emitter struct {
 	name string
 	ops  chunks[uint8]
@@ -31,34 +31,36 @@ type Emitter struct {
 	// streams.
 	last  [256]last
 	coded int
-	// pcs and shapes intern the PCs and packed shapes (shapeKey) of the
-	// ops, and keys the packed ops the op bytes index.
-	pcs, shapes, keys interner
-	// memo maps a raw op's set to the two ops that last entered it, the
-	// later first, and their bytes; two hot ops whose hashes collide both
-	// stay. A zero way matches no op: a compute op always carries the
-	// no-dep bit.
-	memo [256][2]struct {
-		pc, shape, ka uint64
-		b             uint8
-	}
+	// table holds the distinct ops in the order they were first seen, each
+	// at the index of its byte, and slots finds an op's byte from its raw
+	// key by linear probing. The table holds at most maxEntries ops, so at
+	// most half the slots fill and a probe always ends at an empty slot.
+	table []entry
+	slots [1 << slotBits]slot
 	whole []Record
-	// pend is the compute record still growing while pending; Len counts
-	// it, and the next record or Finish emits it.
-	pend    Record
-	pending bool
+	// count and taken are the compute record still growing while pending;
+	// Len counts it, and the next record or Finish emits it.
+	count          uint32
+	taken, pending bool
 	// reach is the dependency reach of the records so far (Trace.DepReach).
 	reach int
 }
 
+// slot is one slot of the emitter's op index: an op's raw key — its PC,
+// its packed shape (shapeKey) and its packed kind, no-dep bit and
+// argument (kindArg) — and its byte. Every op's third word is nonzero, so
+// a slot whose third word is zero is empty.
+type slot struct {
+	pc, shape, ka uint64
+	b             uint8
+}
+
+// slotBits sizes the op index at twice the table's 256 bytes.
+const slotBits = 9
+
 // NewEmitter creates an emitter for a workload with the given name.
 func NewEmitter(name string) *Emitter {
-	// PC 0 and the zero shape sit at index 0 of their tables, where the
-	// zero entries of the interners' caches point, so each holds one more
-	// key than the op table can use; the op table starts empty, and no op
-	// packs to 0.
-	return &Emitter{name: name, pcs: newInterner(maxEntries + 1), shapes: newInterner(maxEntries + 1),
-		keys: interner{ids: map[uint64]uint16{}, limit: maxEntries}}
+	return &Emitter{name: name}
 }
 
 // Len returns the number of records emitted so far.
@@ -76,10 +78,10 @@ func (e *Emitter) Compute(n int) {
 		return
 	}
 	if e.pending {
-		e.pend.Count += uint32(n)
+		e.count += uint32(n)
 		return
 	}
-	e.pending, e.pend = true, Record{Count: uint32(n), Dep: NoDep, Kind: KindCompute}
+	e.pending, e.count, e.taken = true, uint32(n), false
 }
 
 // flush emits the pending compute record, if any.
@@ -88,12 +90,11 @@ func (e *Emitter) flush() {
 		return
 	}
 	e.pending = false
-	p := &e.pend
-	if b, ok := e.op(0, shapeKey(0, p.Taken, SWHints{}), KindCompute, true, p.Count); ok {
+	if b, ok := e.op(0, shapeKey(0, e.taken, SWHints{}), kindArg(KindCompute, true, e.count)); ok {
 		e.ops.push(b)
 		return
 	}
-	e.keepWhole(*p)
+	e.keepWhole(Record{Count: e.count, Dep: NoDep, Kind: KindCompute, Taken: e.taken})
 }
 
 // Append emits kept(r). A compute record grows by the Compute calls after
@@ -105,7 +106,7 @@ func (e *Emitter) Append(r Record) {
 	i := e.ops.len()
 	switch r.Kind {
 	case KindCompute:
-		e.pending, e.pend = true, r
+		e.pending, e.count, e.taken = true, r.Count, r.Taken
 		return
 	case KindLoad, KindStore:
 		if r.Dep >= 0 && int(r.Dep) < i {
@@ -120,7 +121,7 @@ func (e *Emitter) Append(r Record) {
 	if r.Dep == NoDep {
 		dist = 0
 	}
-	b, ok := e.op(r.PC, shapeKey(r.Size, r.Taken, r.Hints), r.Kind, r.Dep == NoDep, dist)
+	b, ok := e.op(r.PC, shapeKey(r.Size, r.Taken, r.Hints), kindArg(r.Kind, r.Dep == NoDep, dist))
 	if !ok {
 		e.keepWhole(r)
 		return
@@ -156,53 +157,56 @@ func kept(r Record) Record {
 	return k
 }
 
-// op returns the byte of the op (pc, shape, kind, noDep, arg), interning
-// it if it is new, and false when it does not fit the table. arg is the
-// count of a compute op and the dependency distance of any other.
-func (e *Emitter) op(pc, shape uint64, kind Kind, noDep bool, arg uint32) (uint8, bool) {
-	ka := uint64(arg) | uint64(kind)<<32
-	if noDep {
-		ka |= 1 << 40
+// op returns the byte of the op with the raw key (pc, shape, ka), adding
+// it to the table if it is new, and false when it is new and the table is
+// full.
+func (e *Emitter) op(pc, shape, ka uint64) (uint8, bool) {
+	h := (pc*0x9e3779b97f4a7c15 ^ shape*0xbf58476d1ce4e5b9 ^ ka*0x94d049bb133111eb) >> (64 - slotBits)
+	s := &e.slots[h]
+	for s.ka != ka || s.pc != pc || s.shape != shape {
+		if s.ka == 0 {
+			return e.add(s, pc, shape, ka)
+		}
+		h = (h + 1) % uint64(len(e.slots))
+		s = &e.slots[h]
 	}
-	set := &e.memo[(pc*0x9e3779b97f4a7c15^shape*0xbf58476d1ce4e5b9^ka*0x94d049bb133111eb)>>56]
-	if m := &set[0]; m.pc == pc && m.shape == shape && m.ka == ka {
-		return m.b, true
-	}
-	if m := &set[1]; m.pc == pc && m.shape == shape && m.ka == ka {
-		return m.b, true
-	}
-	p, okPC := e.pcs.index(pc)
-	s, okShape := e.shapes.index(shape)
-	if !okPC || !okShape {
-		return 0, false
-	}
-	b, ok := e.keys.index(ka | uint64(p)<<41 | uint64(s)<<49) // 57 bits
-	if !ok {
-		return 0, false
-	}
-	set[1] = set[0]
-	m := &set[0]
-	m.pc, m.shape, m.ka, m.b = pc, shape, ka, uint8(b)
-	return uint8(b), true
+	return s.b, true
 }
 
-// entry decodes the op key k: ka (argument, kind, no-dep bit), then the
-// indices of its PC and shape.
-func (e *Emitter) entry(k uint64) entry {
-	s := e.shapes.keys[uint8(k>>49)]
-	en := entry{pc: e.pcs.keys[uint8(k>>41)], kind: Kind(k >> 32), size: uint8(s), taken: s&(1<<48) != 0,
-		noDep: k&(1<<40) != 0,
-		hints: SWHints{Valid: s&(1<<49) != 0, TypeID: uint16(s >> 8), LinkOffset: uint16(s >> 24), RefForm: RefForm(s >> 40)}}
+// add gives the op with the raw key (pc, shape, ka) the next byte, in the
+// empty slot s, and appends its entry to the table; false when the table
+// is full.
+func (e *Emitter) add(s *slot, pc, shape, ka uint64) (uint8, bool) {
+	if len(e.table) == maxEntries {
+		return 0, false
+	}
+	b := uint8(len(e.table))
+	*s = slot{pc: pc, shape: shape, ka: ka, b: b}
+	en := entry{pc: pc, kind: Kind(ka >> 32), size: uint8(shape), taken: shape&(1<<48) != 0, noDep: ka&(1<<40) != 0,
+		hints: SWHints{Valid: shape&(1<<49) != 0, TypeID: uint16(shape >> 8), LinkOffset: uint16(shape >> 24), RefForm: RefForm(shape >> 40)}}
 	if en.kind == KindCompute {
-		en.count = uint32(k)
+		en.count = uint32(ka)
 	} else {
-		en.dist = int32(uint32(k))
+		en.dist = int32(uint32(ka))
 	}
-	return en
+	e.table = append(e.table, en)
+	return b, true
 }
 
-// shapeKey packs a size, a branch outcome and hints into the 50 bits the
-// emitter interns them by; the zero shape packs to 0.
+// kindArg packs a kind, the no-dep bit and an argument — the count of a
+// compute op, the dependency distance of any other — into the third word
+// of an op's key. A compute op always carries the no-dep bit, so no op
+// packs to 0.
+func kindArg(kind Kind, noDep bool, arg uint32) uint64 {
+	k := uint64(arg) | uint64(kind)<<32
+	if noDep {
+		k |= 1 << 40
+	}
+	return k
+}
+
+// shapeKey packs a size, a branch outcome and hints into the second word
+// of an op's key, 50 bits; the zero shape packs to 0.
 func shapeKey(size uint8, taken bool, h SWHints) uint64 {
 	k := uint64(size)
 	if taken {
@@ -230,15 +234,14 @@ func (e *Emitter) keepWhole(r Record) {
 
 // code appends the access of op b to the streams: its Addr and Value, and
 // its Reg once the Reg stream exists, each as a difference from the op's
-// last access.
+// last access. One room check covers both of the payload's varints.
 func (e *Emitter) code(b uint8, addr, value, reg uint64) {
 	l := &e.last[b]
 	e.pay.reserve(2 * binary.MaxVarintLen64)
-	n := len(e.pay.cur)
-	buf := e.pay.cur[n : n+2*binary.MaxVarintLen64]
-	k := binary.PutVarint(buf, int64(addr-l.addr))
-	k += binary.PutVarint(buf[k:], int64(value-l.value))
-	e.pay.cur = e.pay.cur[:n+k] // a reslice: no write barrier
+	buf := e.pay.cur[:len(e.pay.cur)+2*binary.MaxVarintLen64]
+	k := putDiff(buf, len(e.pay.cur), addr-l.addr)
+	k = putDiff(buf, k, value-l.value)
+	e.pay.cur = buf[:k] // a reslice: no write barrier
 	l.addr, l.value = addr, value
 	e.coded++
 	if reg == l.reg && e.regs.cur == nil {
@@ -251,10 +254,22 @@ func (e *Emitter) code(b uint8, addr, value, reg uint64) {
 		}
 	}
 	e.regs.reserve(binary.MaxVarintLen64)
-	n = len(e.regs.cur)
-	k = binary.PutVarint(e.regs.cur[n:n+binary.MaxVarintLen64], int64(reg-l.reg))
-	e.regs.cur = e.regs.cur[:n+k]
+	buf = e.regs.cur[:len(e.regs.cur)+binary.MaxVarintLen64]
+	e.regs.cur = buf[:putDiff(buf, len(e.regs.cur), reg-l.reg)]
 	l.reg = reg
+}
+
+// putDiff writes the difference d at buf[k:] as a zigzag varint in
+// encoding/binary's format and returns the index after it.
+func putDiff(buf []byte, k int, d uint64) int {
+	x := d<<1 ^ uint64(int64(d)>>63)
+	for x >= 0x80 {
+		buf[k] = byte(x) | 0x80
+		x >>= 7
+		k++
+	}
+	buf[k] = byte(x)
+	return k + 1
 }
 
 // MemSpec fully describes an annotated memory access for LoadSpec/StoreSpec.
@@ -270,12 +285,12 @@ type MemSpec struct {
 
 // LoadSpec emits a fully annotated load and returns its record index.
 func (e *Emitter) LoadSpec(s MemSpec) int {
-	return e.mem(KindLoad, s)
+	return e.mem(KindLoad, &s)
 }
 
 // StoreSpec emits a fully annotated store and returns its record index.
 func (e *Emitter) StoreSpec(s MemSpec) int {
-	return e.mem(KindStore, s)
+	return e.mem(KindStore, &s)
 }
 
 // Load emits a plain 8-byte load with no dependency or hints.
@@ -288,33 +303,38 @@ func (e *Emitter) Store(pc uint64, addr memmodel.Addr) int {
 	return e.StoreSpec(MemSpec{PC: pc, Addr: addr, Dep: -1})
 }
 
-func (e *Emitter) mem(kind Kind, s MemSpec) int {
-	e.flush()
-	if s.Size == 0 {
-		s.Size = 8
+// mem emits a load or store in one pass: it emits a pending compute
+// record, looks up the op and pushes its byte, then codes the access.
+// Routing generator accesses through Append's Record made generating the
+// perfbench sim traces a quarter slower.
+func (e *Emitter) mem(kind Kind, s *MemSpec) int {
+	if e.pending {
+		e.flush()
 	}
 	i := e.ops.len()
-	dep, dist := NoDep, 0
-	if s.Dep >= 0 && s.Dep < i {
-		dep, dist = int32(s.Dep), i-s.Dep
-		e.reach = max(e.reach, dist)
+	size := s.Size
+	if size == 0 {
+		size = 8
 	}
-	// The generator methods push ops and code accesses directly: routing
-	// them through Append's Record made generating the perfbench sim traces
-	// a quarter slower.
-	if b, ok := e.op(s.PC, shapeKey(s.Size, false, s.Hints), kind, dep == NoDep, uint32(dist)); ok {
-		e.ops.push(b)
-		e.code(b, uint64(s.Addr), s.Value, s.Reg)
+	dep, ka := NoDep, kindArg(kind, true, 0)
+	if s.Dep >= 0 && s.Dep < i {
+		dep, ka = int32(s.Dep), kindArg(kind, false, uint32(i-s.Dep))
+		e.reach = max(e.reach, i-s.Dep)
+	}
+	b, ok := e.op(s.PC, shapeKey(size, false, s.Hints), ka)
+	if !ok {
+		e.keepWhole(Record{PC: s.PC, Addr: s.Addr, Value: s.Value, Reg: s.Reg, Dep: dep, Kind: kind, Size: size, Hints: s.Hints})
 		return i
 	}
-	e.keepWhole(Record{PC: s.PC, Addr: s.Addr, Value: s.Value, Reg: s.Reg, Dep: dep, Kind: kind, Size: s.Size, Hints: s.Hints})
+	e.ops.push(b)
+	e.code(b, uint64(s.Addr), s.Value, s.Reg)
 	return i
 }
 
 // Branch emits a conditional branch.
 func (e *Emitter) Branch(pc uint64, taken bool) {
 	e.flush()
-	if b, ok := e.op(pc, shapeKey(0, taken, SWHints{}), KindBranch, true, 0); ok {
+	if b, ok := e.op(pc, shapeKey(0, taken, SWHints{}), kindArg(KindBranch, true, 0)); ok {
 		e.ops.push(b)
 		return
 	}
@@ -331,7 +351,7 @@ func (e *Emitter) EndWarmup() {
 // Finish.
 func (e *Emitter) Finish() *Trace {
 	e.flush()
-	t := &Trace{Name: e.name, ops: e.ops.flatten(), pay: e.pay.flatten(), table: make([]entry, len(e.keys.keys)),
+	t := &Trace{Name: e.name, ops: e.ops.flatten(), pay: e.pay.flatten(), table: exact(e.table),
 		whole: exact(e.whole), accesses: e.coded, depReach: e.reach}
 	if e.regs.cur != nil {
 		t.regs = e.regs.flatten()
@@ -341,50 +361,8 @@ func (e *Emitter) Finish() *Trace {
 			t.accesses++
 		}
 	}
-	for i, k := range e.keys.keys {
-		t.table[i] = e.entry(k)
-	}
 	*e = Emitter{}
 	return t
-}
-
-// interner assigns dense indices to the distinct values it is given, up to
-// a limit. A small direct-mapped cache in front of the map answers the
-// few values a trace repeats without hashing them through it. Its zero
-// entries map key 0 to index 0, so a table either holds 0 at index 0 or
-// is never asked for 0.
-type interner struct {
-	keys  []uint64
-	ids   map[uint64]uint16
-	cache [64]struct {
-		key uint64
-		idx uint16
-	}
-	limit int
-}
-
-func newInterner(limit int) interner {
-	return interner{keys: []uint64{0}, ids: map[uint64]uint16{0: 0}, limit: limit}
-}
-
-// index returns k's index, interning k if it is new, and false when k is
-// new and the table already holds limit keys.
-func (in *interner) index(k uint64) (uint16, bool) {
-	slot := &in.cache[(k*0x9e3779b97f4a7c15)>>58]
-	if slot.key == k {
-		return slot.idx, true
-	}
-	idx, ok := in.ids[k]
-	if !ok {
-		if len(in.keys) == in.limit {
-			return 0, false
-		}
-		idx = uint16(len(in.keys))
-		in.keys = append(in.keys, k)
-		in.ids[k] = idx
-	}
-	slot.key, slot.idx = k, idx
-	return idx, true
 }
 
 // chunkLen is the capacity of one emitter chunk.

@@ -55,6 +55,7 @@ func buildGraph(n, avgDeg int, rng *memmodel.RNG) *synthGraph {
 	g := &synthGraph{n: n, adj: make([][]int, n)}
 	for v := 0; v < n; v++ {
 		deg := 2 + rng.Intn(2*avgDeg-3)
+		g.adj[v] = make([]int, 0, deg) // one allocation, not one per doubling
 		for d := 0; d < deg; d++ {
 			var t int
 			if rng.Float64() < 0.8 {
@@ -85,17 +86,15 @@ func buildGraph(n, avgDeg int, rng *memmodel.RNG) *synthGraph {
 // bfsOrder computes the breadth-first visit order from root.
 func (g *synthGraph) bfsOrder(root int) []int {
 	visited := make([]bool, g.n)
-	queue := []int{root}
 	visited[root] = true
-	order := make([]int, 0, g.n)
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		order = append(order, v)
-		for _, t := range g.adj[v] {
+	// order is also the queue: a vertex is visited in the order it was
+	// queued, and order[head:] are the vertices queued but not yet visited.
+	order := append(make([]int, 0, g.n), root)
+	for head := 0; head < len(order); head++ {
+		for _, t := range g.adj[order[head]] {
 			if !visited[t] {
 				visited[t] = true
-				queue = append(queue, t)
+				order = append(order, t)
 			}
 		}
 	}
@@ -189,30 +188,33 @@ func emitVisitCSR(e *trace.Emitter, pc uint64, g *synthGraph, c *csrLayout, v in
 
 // emitVisitList emits one BFS vertex visit over the linked layout.
 func emitVisitList(e *trace.Emitter, pc uint64, g *synthGraph, l *listLayout, v int, dep int) int {
+	// The emitter calls could write through l or g, as far as the compiler
+	// knows, so the slices are loaded once here rather than on every edge.
+	adj, edges, visited := g.adj[v], l.edges[v], l.visited
 	// Vertex record load (reached through the queue/frontier pointer).
 	var firstEdge memmodel.Addr
-	if len(l.edges[v]) > 0 {
-		firstEdge = l.edges[v][0]
+	if len(edges) > 0 {
+		firstEdge = edges[0]
 	}
 	vd := e.LoadSpec(trace.MemSpec{PC: pc, Addr: l.vertex[v], Value: uint64(firstEdge), Dep: dep,
 		Hints: ptrHint(typeGraphVertex, 8)})
 	e.Compute(2)
 	ed := vd
-	for i, t := range g.adj[v] {
+	for i, t := range adj {
 		var next memmodel.Addr
-		if i+1 < len(l.edges[v]) {
-			next = l.edges[v][i+1]
+		if i+1 < len(edges) {
+			next = edges[i+1]
 		}
 		// Edge node: pointer chase along the adjacency chain.
-		ed = e.LoadSpec(trace.MemSpec{PC: pc + 8, Addr: l.edges[v][i], Value: uint64(next), Dep: ed,
+		ed = e.LoadSpec(trace.MemSpec{PC: pc + 8, Addr: edges[i], Value: uint64(next), Dep: ed,
 			Hints: ptrHint(typeGraphEdge, listNextOff)})
 		// Visited probe for the target.
-		e.LoadSpec(trace.MemSpec{PC: pc + 12, Addr: l.visited + memmodel.Addr(t*8), Dep: ed,
+		e.LoadSpec(trace.MemSpec{PC: pc + 12, Addr: visited + memmodel.Addr(t*8), Dep: ed,
 			Hints: trace.SWHints{Valid: true, TypeID: typeGraphVertex, RefForm: trace.RefIndex}})
 		e.Compute(2)
-		e.Branch(pc+16, i+1 < len(g.adj[v]))
+		e.Branch(pc+16, i+1 < len(adj))
 	}
-	e.StoreSpec(trace.MemSpec{PC: pc + 20, Addr: l.visited + memmodel.Addr(v*8), Dep: -1})
+	e.StoreSpec(trace.MemSpec{PC: pc + 20, Addr: visited + memmodel.Addr(v*8), Dep: -1})
 	return vd
 }
 

@@ -106,12 +106,15 @@ func genList(cfg GenConfig) *trace.Trace {
 		// The list is circular and each pass resumes from a rotated
 		// position (a worker cycling through a ring buffer of jobs), so
 		// pass-to-pass region entry points never line up.
-		start := (pass * 7901) % n
+		i := (pass * 7901) % n
 		dep := -1
-		for k := 0; k < n; k++ {
-			i := (start + k) % n
-			next := nodes[(i+1)%n]
-			dep = emitChase(e, pc, nodes[i], next, dep, typeListNode)
+		for range n {
+			j := i + 1
+			if j == n {
+				j = 0
+			}
+			dep = emitChase(e, pc, nodes[i], nodes[j], dep, typeListNode)
+			i = j
 		}
 		if pass == 0 {
 			e.EndWarmup()

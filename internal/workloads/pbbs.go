@@ -67,7 +67,10 @@ func genSuffixArray(cfg GenConfig) *trace.Trace {
 				Value: uint64(perm[i]), Dep: -1,
 				Hints: trace.SWHints{Valid: true, TypeID: 1, RefForm: trace.RefIndex}})
 			// Gather: rank[sa[i]+k] — data-dependent scatter.
-			t := (perm[i] + r) % n
+			t := perm[i] + r // mod n: t < n+4 <= 2n, as scaled keeps n >= 4
+			if t >= n {
+				t -= n
+			}
 			e.LoadSpec(trace.MemSpec{PC: pc + 8, Addr: rank + memmodel.Addr(t*8), Dep: sd,
 				Hints: trace.SWHints{Valid: true, TypeID: 2, RefForm: trace.RefIndex}})
 			e.Compute(3)

@@ -60,10 +60,12 @@ func genMCF(cfg GenConfig) *trace.Trace {
 		// Each pricing pass starts at a different pivot (the simplex basis
 		// changes between iterations), so region entry points never recur
 		// even though the chase structure itself is fixed.
-		start := (p * 7919) % arcs
+		i := (p * 7919) % arcs
+		// t is i*2654435761 mod len(nodeRecs), stepped along with i.
+		m := len(nodeRecs)
+		t, step := (i*2654435761)%m, 2654435761%m
 		dep := -1
 		for k := 0; k < arcs; k++ {
-			i := (start + k) % arcs
 			var next memmodel.Addr
 			if i+1 < arcs {
 				next = arcNodes[i+1]
@@ -72,11 +74,17 @@ func genMCF(cfg GenConfig) *trace.Trace {
 			dep = e.LoadSpec(trace.MemSpec{PC: pc, Addr: arcNodes[i], Value: uint64(next), Dep: dep,
 				Hints: ptrHint(typeArcNode, 0)})
 			// Tail node potential (scattered pointer dereference).
-			t := (i * 2654435761) % len(nodeRecs)
 			e.LoadSpec(trace.MemSpec{PC: pc + 8, Addr: nodeRecs[t], Dep: dep,
 				Hints: ptrHint(typeArcNode, 16)})
 			e.Compute(3)
-			e.Branch(pc+16, k%16 != 15)
+			e.Branch(pc+16, k&15 != 15)
+			i, t = i+1, t+step
+			if t >= m {
+				t -= m
+			}
+			if i == arcs {
+				i, t = 0, 0
+			}
 		}
 		if p == 0 {
 			e.EndWarmup()

@@ -158,18 +158,15 @@ func SparseShuffledLayout(h *memmodel.Heap, rng *memmodel.RNG, n int, elemSize u
 	if window < 2 {
 		window = 2
 	}
+	perm, shuffled := make([]int, min(window, n)), make([]memmodel.Addr, min(window, n))
 	for start := 0; start < n; start += window {
-		end := start + window
-		if end > n {
-			end = n
+		end := min(start+window, n)
+		p, s := perm[:end-start], shuffled[:end-start]
+		rng.PermInto(p)
+		for i, k := range p {
+			s[i] = out[start+k]
 		}
-		spanN := end - start
-		perm := rng.Perm(spanN)
-		shuffled := make([]memmodel.Addr, spanN)
-		for i := 0; i < spanN; i++ {
-			shuffled[i] = out[start+perm[i]]
-		}
-		copy(out[start:end], shuffled)
+		copy(out[start:end], s)
 	}
 	return out
 }
@@ -187,15 +184,12 @@ func ShuffledLayout(h *memmodel.Heap, rng *memmodel.RNG, n int, elemSize uint64,
 	if window < 2 {
 		window = 2
 	}
+	perm := make([]int, min(window, n))
 	for start := 0; start < n; start += window {
-		end := start + window
-		if end > n {
-			end = n
-		}
-		span := end - start
-		perm := rng.Perm(span)
-		for i := 0; i < span; i++ {
-			out[start+i] = base + memmodel.Addr(start+perm[i])*stride
+		p := perm[:min(start+window, n)-start]
+		rng.PermInto(p)
+		for i, k := range p {
+			out[start+i] = base + memmodel.Addr(start+k)*stride
 		}
 	}
 	return out

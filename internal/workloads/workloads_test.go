@@ -2,8 +2,13 @@ package workloads
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"flag"
+	"fmt"
+	"os"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"semloc/internal/memmodel"
@@ -307,6 +312,57 @@ func TestDepReachMatchesStats(t *testing.T) {
 			}
 			runtime.GC() // a scale-1 trace can take 25+ MiB (listsort); free it before the next
 		}
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite testdata/trace_files_scale0.1.txt from this run")
+
+// traceFilesPath holds the committed digests TestTraceFilesGolden compares
+// against.
+const traceFilesPath = "testdata/trace_files_scale0.1.txt"
+
+// TestTraceFilesGolden pins the bytes trace.Write produces for every
+// generator at scale 0.1 and seed 1: the SHA-256 and length of each file
+// must match the committed line for its workload. Checksum hashes decoded
+// records and the round-trip tests compare a trace with itself, so neither
+// sees a change in how the emitter lays a trace out (an op table in
+// another order, say); this test does. A change that is meant to move the
+// bytes reruns it with -update and commits the diff.
+func TestTraceFilesGolden(t *testing.T) {
+	var got []string
+	for _, w := range All() {
+		var buf bytes.Buffer
+		if err := trace.Write(&buf, w.Generate(GenConfig{Scale: 0.1, Seed: 1})); err != nil {
+			t.Fatalf("%s: %v", w.Name, err)
+		}
+		got = append(got, fmt.Sprintf("%s sha256=%x bytes=%d", w.Name, sha256.Sum256(buf.Bytes()), buf.Len()))
+	}
+	if *update {
+		if err := os.WriteFile(traceFilesPath, []byte(strings.Join(got, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(traceFilesPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make(map[string]string)
+	for _, line := range strings.Split(strings.TrimSuffix(string(raw), "\n"), "\n") {
+		name, _, _ := strings.Cut(line, " ")
+		want[name] = line
+	}
+	for _, line := range got {
+		name, _, _ := strings.Cut(line, " ")
+		if w, ok := want[name]; !ok {
+			t.Errorf("%s: no golden line; new:\n  %s", name, line)
+		} else if w != line {
+			t.Errorf("%s changed:\n  old: %s\n  new: %s", name, w, line)
+		}
+		delete(want, name)
+	}
+	for name, line := range want {
+		t.Errorf("%s: golden line has no workload; old:\n  %s", name, line)
 	}
 }
 
