@@ -5,7 +5,8 @@
 # cell plus Figure 13's parameterised cells; the race build skips it) and
 # the written-trace golden (the bytes of every generator's trace file) +
 # short fuzz runs of the trace decoder, the trace emitter's
-# compact storage and the prefetchd wire-frame decoder + the recorded BENCH
+# compact storage, the prefetchd wire-frame decoder and the learner
+# restore path + the recorded BENCH
 # diff (the frozen simulator reports must validate and show no
 # regression) + an overhead guard that pins the disabled-telemetry hot
 # path at zero allocations per access + a race-enabled live observability
@@ -65,14 +66,20 @@ golden:
 results:
 	$(GO) run ./cmd/experiments -q -scale 1 -seed 1 > results/experiments_scale1.txt
 
-# fuzz smokes both untrusted-input decoders, trace.Read (FuzzReader) and
-# the prefetchd wire-protocol frame decoder (FuzzDecodeFrame), and the
-# trace emitter's compact storage against a plain record list (FuzzAppend);
-# go test allows one -fuzz pattern per invocation, hence three runs.
+# fuzz smokes the untrusted-input decoders, trace.Read (FuzzReader), the
+# prefetchd wire-protocol frame decoder (FuzzDecodeFrame) and the learner
+# restore path a warm start takes from a snapshot (FuzzLearnerState: any
+# state Validate accepts must restore and then decide without panicking),
+# and the trace emitter's compact storage against a plain record list
+# (FuzzAppend); go test allows one -fuzz pattern per invocation, hence four
+# runs. FuzzLearnerState's inputs are tens of kilobytes of JSON, whose
+# minimisation would take the whole 10 s, so that run skips it
+# (-fuzzminimizetime=0); a crasher is written to testdata at full size.
 fuzz:
 	$(GO) test -fuzz=FuzzReader -fuzztime=10s ./internal/trace
 	$(GO) test -fuzz=FuzzAppend -fuzztime=10s ./internal/trace
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/serve
+	$(GO) test -fuzz=FuzzLearnerState -fuzztime=10s -fuzzminimizetime=0 ./internal/core
 
 # bench-diff checks two of the frozen simulator reports (BENCH_2-4; the
 # schema is in DESIGN.md, "Hot path & benchmarking"): both must validate,

@@ -38,6 +38,7 @@ import (
 	"semloc/internal/exp"
 	"semloc/internal/harness"
 	"semloc/internal/obs"
+	"semloc/internal/obs/endpoint"
 )
 
 func main() { os.Exit(run()) }
@@ -73,7 +74,7 @@ func run() int {
 		return harness.ExitUsage
 	}
 
-	stopProf, err := obs.StartProfiles(*cpuProfile, *memProfile)
+	stopProf, err := endpoint.StartProfiles(*cpuProfile, *memProfile)
 	if err != nil {
 		logger.Error("starting profiles", "err", err)
 		return harness.ExitRunFailed
@@ -87,7 +88,7 @@ func run() int {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
-	live, err := obs.StartLive(ctx, logger, *listen, *spansPath, 0)
+	live, err := endpoint.StartLive(ctx, logger, *listen, *spansPath, 0)
 	if err != nil {
 		logger.Error("observability setup failed", "err", err)
 		return harness.ExitUsage

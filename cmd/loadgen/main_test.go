@@ -11,13 +11,14 @@ import (
 
 	"semloc/internal/loadreport"
 	"semloc/internal/obs"
+	"semloc/internal/obs/endpoint"
 	"semloc/internal/serve"
 )
 
 // startInstrumentedDaemon runs an in-process prefetchd-equivalent: a
 // serve.Server with the stage-latency tracer on, plus an obs endpoint
 // exporting its registry — what `prefetchd -obs-listen :0` serves.
-func startInstrumentedDaemon(t *testing.T) (*serve.Server, *obs.Server) {
+func startInstrumentedDaemon(t *testing.T) (*serve.Server, *endpoint.Server) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	srv, err := serve.NewServer(serve.Config{
@@ -32,7 +33,7 @@ func startInstrumentedDaemon(t *testing.T) (*serve.Server, *obs.Server) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
-	obsSrv, err := obs.Serve("127.0.0.1:0", reg)
+	obsSrv, err := endpoint.Serve("127.0.0.1:0", reg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,6 +63,7 @@ import (
 
 	"semloc/internal/harness"
 	"semloc/internal/obs"
+	"semloc/internal/obs/endpoint"
 	"semloc/internal/serve"
 )
 
@@ -137,9 +138,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return harness.ExitRunFailed
 	}
 
-	var obsSrv *obs.Server
+	var obsSrv *endpoint.Server
 	if *obsListen != "" {
-		obsSrv, err = obs.Serve(*obsListen, reg)
+		obsSrv, err = endpoint.Serve(*obsListen, reg)
 		if err != nil {
 			logger.Error("observability endpoint failed", "err", err)
 			return harness.ExitUsage

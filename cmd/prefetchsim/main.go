@@ -50,6 +50,7 @@ import (
 	"semloc/internal/exp"
 	"semloc/internal/harness"
 	"semloc/internal/obs"
+	"semloc/internal/obs/endpoint"
 	"semloc/internal/serve"
 	"semloc/internal/serve/client"
 	"semloc/internal/stats"
@@ -161,7 +162,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	rc := harness.RunConfig{StallTimeout: *stall}
 	names := strings.Split(*prefetchers, ",")
 
-	live, err := obs.StartLive(ctx, logger, *listen, "", 0)
+	live, err := endpoint.StartLive(ctx, logger, *listen, "", 0)
 	if err != nil {
 		logger.Error("observability setup failed", "err", err)
 		return harness.ExitUsage

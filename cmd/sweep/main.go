@@ -43,6 +43,7 @@ import (
 	"semloc/internal/exp"
 	"semloc/internal/harness"
 	"semloc/internal/obs"
+	"semloc/internal/obs/endpoint"
 	"semloc/internal/stats"
 	"semloc/internal/workloads"
 )
@@ -203,7 +204,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ctx, cancelTimeout := harness.WithTimeout(ctx, *timeout)
 	defer cancelTimeout()
 
-	live, err := obs.StartLive(ctx, logger, *listen, *spansPath, 0)
+	live, err := endpoint.StartLive(ctx, logger, *listen, *spansPath, 0)
 	if err != nil {
 		logger.Error("observability setup failed", "err", err)
 		return harness.ExitUsage

@@ -221,6 +221,11 @@ func (st *LearnerState) Validate() error {
 		st.History.Size < 0 || st.History.Size > st.Config.HistoryDepth {
 		return fmt.Errorf("core: history state inconsistent with depth %d: %w", st.Config.HistoryDepth, ErrBadConfig)
 	}
+	for _, e := range st.History.Entries {
+		if e.KeyIdx < 0 || e.KeyIdx >= st.Config.CSTEntries {
+			return fmt.Errorf("core: history state key index %d out of range: %w", e.KeyIdx, ErrBadConfig)
+		}
+	}
 	if len(st.Queue.Entries) != st.Config.QueueDepth ||
 		st.Queue.Head < 0 || st.Queue.Head >= st.Config.QueueDepth ||
 		st.Queue.Size < 0 || st.Queue.Size > st.Config.QueueDepth {

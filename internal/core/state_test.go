@@ -68,7 +68,7 @@ func driveState(p *Prefetcher, start, n int, iss prefetch.Issuer) {
 	}
 }
 
-func mustMarshal(t *testing.T, st *LearnerState) []byte {
+func mustMarshal(t testing.TB, st *LearnerState) []byte {
 	t.Helper()
 	b, err := json.Marshal(st)
 	if err != nil {
@@ -191,6 +191,14 @@ func TestStateValidateRejectsCorrupt(t *testing.T) {
 		{"cst index range", func(st *LearnerState) { st.CST[len(st.CST)-1].Idx = st.Config.CSTEntries }},
 		{"link arity", func(st *LearnerState) { st.CST[0].Links = st.CST[0].Links[:1] }},
 		{"history depth", func(st *LearnerState) { st.History.Entries = st.History.Entries[:3] }},
+		// A live history entry past the CST panicked in cst.ensure at the
+		// first sampled access after restore.
+		{"history key range", func(st *LearnerState) {
+			for i := range st.History.Entries {
+				st.History.Entries[i].KeyIdx, st.History.Entries[i].Live = 1<<20, true
+			}
+		}},
+		{"history key negative", func(st *LearnerState) { st.History.Entries[0].KeyIdx = -1 }},
 		{"queue head", func(st *LearnerState) { st.Queue.Head = st.Config.QueueDepth }},
 		{"queue key range", func(st *LearnerState) { st.Queue.Entries[0].KeyIdx = -1 }},
 		{"histogram", func(st *LearnerState) { st.Metrics.HitDepths = nil }},

@@ -1,7 +1,9 @@
 // Package obs is the simulation stack's telemetry layer: interval
 // time-series sampling of the prefetcher's learning trajectory, a sampled
-// per-decision event trace, and the logging/profiling helpers the run
-// commands share.
+// per-decision event trace, and the metrics registry, span recorder,
+// progress reporter and logger the run commands share. The HTTP endpoint
+// and the pprof hooks are in the endpoint subpackage, so that obs, and
+// with it core and sim, links no HTTP server.
 //
 // The paper's prefetcher is an online learner — coverage, accuracy and
 // CST occupancy evolve over a run (the warm-up/convergence behaviour

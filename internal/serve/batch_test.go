@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -297,6 +298,11 @@ func TestSteadyStateCodecZeroAlloc(t *testing.T) {
 		}
 	}); n != 0 || b > maxGuardBytes {
 		t.Fatalf("steady-state single decode allocates %.1f/op and %d B in all, want 0 and at most %d B", n, b, maxGuardBytes)
+	}
+	// Reuse must not carry the previous decode's lists into this one.
+	if dec.Seq != 9 || !slices.Equal(dec.Prefetch, []uint64{64, 128}) || !slices.Equal(dec.Shadow, []uint64{192}) {
+		t.Fatalf("reused single decode = seq %d prefetch %v shadow %v, want seq 9 prefetch [64 128] shadow [192]",
+			dec.Seq, dec.Prefetch, dec.Shadow)
 	}
 
 	// The reader's move of an access frame into a batch of one: decode,
