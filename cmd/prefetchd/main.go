@@ -25,8 +25,11 @@
 //     200µs) so concurrent sessions share response syscalls. Old clients
 //     never ask and keep speaking frame-per-decision unchanged.
 //
-// Observability: -obs-listen serves /metrics (Prometheus), /healthz,
-// /readyz, /debug/serve (per-session serving stats as JSON) and pprof.
+// Observability: -obs-listen serves /metrics (Prometheus), /debug/vars
+// (expvar-style JSON), /healthz, /readyz, /debug/serve (per-session
+// serving stats as JSON) and pprof, over an HTTP/1.1 endpoint that speaks
+// on net itself (internal/obs/endpoint), so the daemon links no net/http,
+// crypto/tls or expvar.
 // The serving path is always instrumented: per-frame stage latency
 // histograms (serve_decode/queue_wait/decide/write/frame_latency) cost a
 // few clock reads per decision. -spans samples one request span per
@@ -50,12 +53,13 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
+	"net/url"
 	"os"
 	"os/signal"
 	"syscall"
@@ -147,12 +151,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		defer obsSrv.Close()
 		// Per-session serving stats, one JSON array ordered by session id.
-		obsSrv.Handle("/debug/serve", http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/json; charset=utf-8")
-			enc := json.NewEncoder(w)
+		obsSrv.Handle("/debug/serve", func(buf *bytes.Buffer, _ url.Values) (string, error) {
+			enc := json.NewEncoder(buf)
 			enc.SetIndent("", "  ")
-			enc.Encode(srv.SessionStatsAll())
-		}))
+			return "application/json; charset=utf-8", enc.Encode(srv.SessionStatsAll())
+		})
 		if *obsAddrFile != "" {
 			if err := os.WriteFile(*obsAddrFile, []byte(obsSrv.Addr()+"\n"), 0o644); err != nil {
 				logger.Error("writing -obs-addr-file failed", "err", err)

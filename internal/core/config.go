@@ -113,22 +113,35 @@ func DefaultConfig() Config {
 	}
 }
 
+// Ceilings on the sizes New allocates and loops by: the CST, the reducer,
+// the history and prefetch queues, and the reward table, which
+// Reward.High sizes. They sit well above every configuration in use
+// (Figure 13 stops at 2^15 CST entries, and cmd/sweep sizes the reducer at
+// 8x the CST), so that a learner state restored from a snapshot cannot ask
+// for unbounded memory or time.
+const (
+	maxCSTEntries     = 1 << 20
+	maxReducerEntries = 1 << 23
+	maxQueueDepth     = 1 << 16 // history and prefetch queues alike
+	maxRewardHigh     = 1 << 16
+)
+
 // Validate reports configuration errors; every failure wraps ErrBadConfig.
 func (c Config) Validate() error {
-	if c.CSTEntries <= 0 || c.CSTEntries&(c.CSTEntries-1) != 0 {
-		return fmt.Errorf("core: CSTEntries must be a positive power of two, got %d: %w", c.CSTEntries, ErrBadConfig)
+	if c.CSTEntries <= 0 || c.CSTEntries > maxCSTEntries || c.CSTEntries&(c.CSTEntries-1) != 0 {
+		return fmt.Errorf("core: CSTEntries must be a power of two in 1..%d, got %d: %w", maxCSTEntries, c.CSTEntries, ErrBadConfig)
 	}
 	if c.CSTLinks <= 0 || c.CSTLinks > 8 {
 		return fmt.Errorf("core: CSTLinks must be in 1..8, got %d: %w", c.CSTLinks, ErrBadConfig)
 	}
-	if c.ReducerEntries <= 0 || c.ReducerEntries&(c.ReducerEntries-1) != 0 {
-		return fmt.Errorf("core: ReducerEntries must be a positive power of two, got %d: %w", c.ReducerEntries, ErrBadConfig)
+	if c.ReducerEntries <= 0 || c.ReducerEntries > maxReducerEntries || c.ReducerEntries&(c.ReducerEntries-1) != 0 {
+		return fmt.Errorf("core: ReducerEntries must be a power of two in 1..%d, got %d: %w", maxReducerEntries, c.ReducerEntries, ErrBadConfig)
 	}
-	if c.HistoryDepth <= 0 {
-		return fmt.Errorf("core: HistoryDepth must be positive: %w", ErrBadConfig)
+	if c.HistoryDepth <= 0 || c.HistoryDepth > maxQueueDepth {
+		return fmt.Errorf("core: HistoryDepth must be in 1..%d, got %d: %w", maxQueueDepth, c.HistoryDepth, ErrBadConfig)
 	}
-	if c.QueueDepth <= 0 {
-		return fmt.Errorf("core: QueueDepth must be positive: %w", ErrBadConfig)
+	if c.QueueDepth <= 0 || c.QueueDepth > maxQueueDepth {
+		return fmt.Errorf("core: QueueDepth must be in 1..%d, got %d: %w", maxQueueDepth, c.QueueDepth, ErrBadConfig)
 	}
 	for _, d := range c.SampleDepths {
 		if d < 0 || d >= c.HistoryDepth {
@@ -152,6 +165,9 @@ func (c Config) Validate() error {
 	}
 	if err := c.Reward.Validate(); err != nil {
 		return fmt.Errorf("%w: %w", err, ErrBadConfig)
+	}
+	if c.Reward.High > maxRewardHigh {
+		return fmt.Errorf("core: reward window high edge must be at most %d, got %d: %w", maxRewardHigh, c.Reward.High, ErrBadConfig)
 	}
 	return nil
 }

@@ -36,6 +36,13 @@ func TestConfigAcceptsPowerOfTwoTables(t *testing.T) {
 			t.Errorf("CSTEntries=%d/ReducerEntries=%d rejected: %v", cfg.CSTEntries, cfg.ReducerEntries, err)
 		}
 	}
+	// Every size at its ceiling validates (New would allocate ~64 MiB).
+	cfg := DefaultConfig()
+	cfg.CSTEntries, cfg.ReducerEntries = maxCSTEntries, maxReducerEntries
+	cfg.HistoryDepth, cfg.QueueDepth, cfg.Reward.High = maxQueueDepth, maxQueueDepth, maxRewardHigh
+	if err := cfg.Validate(); err != nil {
+		t.Errorf("a config at every ceiling rejected: %v", err)
+	}
 }
 
 // MustNew panics on a bad configuration with a value the harness can

@@ -7,10 +7,12 @@ import (
 
 // maxFuzzEntries caps every size a fuzzed state may ask New to allocate:
 // the CST, reducer, history and queue, and the reward window, whose upper
-// edge sizes the reward table. The paper's largest table is the 16K-entry
-// reducer, so 2^16 leaves room above every real configuration while
-// keeping an input from asking for gigabytes; a state past the cap is
-// skipped, not restored.
+// edge sizes the reward table. Config.Validate bounds them too, but only
+// the history, queue and reward window as tightly (2^16); it allows a CST
+// of 2^20 and a reducer of 2^23 entries, tens of MiB that would slow every
+// execution, so that bound is the harness's alone. The paper's largest
+// table is the 16K-entry reducer, so 2^16 leaves room above every real
+// configuration; a state past the cap is skipped, not restored.
 const maxFuzzEntries = 1 << 16
 
 // FuzzLearnerState feeds arbitrary JSON to the learner restore path, the

@@ -202,6 +202,19 @@ func TestStateValidateRejectsCorrupt(t *testing.T) {
 		{"queue head", func(st *LearnerState) { st.Queue.Head = st.Config.QueueDepth }},
 		{"queue key range", func(st *LearnerState) { st.Queue.Entries[0].KeyIdx = -1 }},
 		{"histogram", func(st *LearnerState) { st.Metrics.HitDepths = nil }},
+		// Each size New allocates by, just past its ceiling in a state
+		// otherwise consistent; the tables take the next power of two.
+		{"cst ceiling", func(st *LearnerState) { st.Config.CSTEntries = 2 * maxCSTEntries }},
+		{"reducer ceiling", func(st *LearnerState) { st.Config.ReducerEntries = 2 * maxReducerEntries }},
+		{"history ceiling", func(st *LearnerState) {
+			st.Config.HistoryDepth = maxQueueDepth + 1
+			st.History.Entries = append(st.History.Entries, make([]HistoryEntryState, maxQueueDepth+1-len(st.History.Entries))...)
+		}},
+		{"queue ceiling", func(st *LearnerState) {
+			st.Config.QueueDepth = maxQueueDepth + 1
+			st.Queue.Entries = append(st.Queue.Entries, make([]PFEntryState, maxQueueDepth+1-len(st.Queue.Entries))...)
+		}},
+		{"reward ceiling", func(st *LearnerState) { st.Config.Reward.High = maxRewardHigh + 1 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
