@@ -2,7 +2,8 @@
 # full gate, and runs what CI runs: gofmt + vet (the root module and the
 # perfbench module, which compiles against the repository's packages) +
 # build + race-enabled tests + the simulated-results golden (every named
-# cell plus Figure 13's parameterised cells; the race build skips it) and
+# cell plus Figure 13's parameterised cells), the stdout golden of
+# cmd/experiments (the race build skips both) and
 # the written-trace golden (the bytes of every generator's trace file) +
 # short fuzz runs of the trace decoder, the trace emitter's
 # compact storage, the prefetchd wire-frame decoder, the learner
@@ -49,8 +50,12 @@ race:
 # and both policy variants, plus Figure 13's parameterised cells, at scale
 # 0.1 against the committed internal/exp/testdata/golden_scale0.1.txt (367
 # cells, about 8 s), so a change to simulated results shows in review
-# (DESIGN.md §10, "Bit-identical refactors"). `race` skips it: the race
-# detector makes it over ten times slower. It also checks the SHA-256 and
+# (DESIGN.md §10, "Bit-identical refactors"). It checks what
+# cmd/experiments prints at scale 0.05 and seed 1 against the committed
+# cmd/experiments/testdata/stdout_scale0.05.txt (652 lines, about 3 s), so
+# a change to the averages, rankings and sentences the figures compute
+# from those cells shows too. `race` skips both: the race detector makes
+# them over ten times slower. It also checks the SHA-256 and
 # length of every generator's trace file at scale 0.1 against the
 # committed internal/workloads/testdata/trace_files_scale0.1.txt (under a
 # second), so a change to how the emitter lays out a trace shows too. A
@@ -58,10 +63,11 @@ race:
 # with -update and commits the diff.
 golden:
 	$(GO) test -count=1 -run '^TestGoldenResults$$' ./internal/exp
+	$(GO) test -count=1 -run '^TestStdoutGolden$$' ./cmd/experiments
 	$(GO) test -count=1 -run '^TestTraceFilesGolden$$' ./internal/workloads
 
 # results regenerates the committed record of every table and figure at
-# paper scale (about 70 s on the 2-CPU reference machine). It is not part
+# paper scale (about 55 s on the 2-CPU reference machine). It is not part
 # of check: a change meant to move results reruns it with the golden and
 # commits both diffs.
 results:

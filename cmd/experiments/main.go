@@ -19,16 +19,19 @@
 // metrics (Prometheus /metrics, expvar, pprof) for the duration of the
 // run; -spans records a Perfetto-loadable span trace of every cell.
 //
-// SIGINT/SIGTERM cancel in-flight simulations; results already printed
-// stand. Exit codes: 0 all experiments completed, 1 at least one
-// experiment failed, 2 usage error, 3 cancelled (see DESIGN.md,
-// "Failure model").
+// The selected experiments' cells run as one batch, each distinct cell
+// once, before the first table prints; an experiment whose cells failed
+// is reported on stderr and the others still print. SIGINT/SIGTERM cancel
+// in-flight simulations, and nothing more prints. Exit codes: 0 all
+// experiments completed, 1 at least one experiment failed, 2 usage error,
+// 3 cancelled (see DESIGN.md, "Failure model").
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"strings"
@@ -41,31 +44,35 @@ import (
 	"semloc/internal/obs/endpoint"
 )
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-func run() int {
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		runIDs     = flag.String("run", "", "comma-separated experiment ids (default: all)")
-		scale      = flag.Float64("scale", 1, "workload scale factor")
-		seed       = flag.Uint64("seed", 1, "workload seed")
-		list       = flag.Bool("list", false, "list experiment ids")
-		par        = flag.Int("parallel", 0, "max concurrent simulations (default GOMAXPROCS)")
-		stall      = flag.Duration("stall", 0, "abort a run making no forward progress for this long (0 disables the watchdog)")
-		quiet      = flag.Bool("q", false, "suppress progress logging (errors still print)")
-		obsDir     = flag.String("obs-dir", "", "persist per-run telemetry artifacts into this directory")
-		obsIvl     = flag.Uint64("obs-interval", 0, "sample time-series metrics every N demand accesses (0 disables; requires -obs-dir)")
-		obsRate    = flag.Uint64("obs-rate", 0, "trace one in N prefetch decisions to a JSONL file (0 disables; requires -obs-dir)")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
-		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
-		listen     = flag.String("listen", "", "serve /metrics, /debug/vars and pprof on this address while experiments run (empty host binds loopback)")
-		spansPath  = flag.String("spans", "", "write a Chrome trace-event span file (Perfetto-loadable) here on exit")
+		runIDs     = fs.String("run", "", "comma-separated experiment ids (default: all)")
+		scale      = fs.Float64("scale", 1, "workload scale factor")
+		seed       = fs.Uint64("seed", 1, "workload seed")
+		list       = fs.Bool("list", false, "list experiment ids")
+		par        = fs.Int("parallel", 0, "max concurrent simulations (default GOMAXPROCS)")
+		stall      = fs.Duration("stall", 0, "abort a run making no forward progress for this long (0 disables the watchdog)")
+		quiet      = fs.Bool("q", false, "suppress progress logging (errors still print)")
+		obsDir     = fs.String("obs-dir", "", "persist per-run telemetry artifacts into this directory")
+		obsIvl     = fs.Uint64("obs-interval", 0, "sample time-series metrics every N demand accesses (0 disables; requires -obs-dir)")
+		obsRate    = fs.Uint64("obs-rate", 0, "trace one in N prefetch decisions to a JSONL file (0 disables; requires -obs-dir)")
+		cpuProfile = fs.String("cpuprofile", "", "write a CPU profile to this file")
+		memProfile = fs.String("memprofile", "", "write a heap profile to this file on exit")
+		listen     = fs.String("listen", "", "serve /metrics, /debug/vars and pprof on this address while experiments run (empty host binds loopback)")
+		spansPath  = fs.String("spans", "", "write a Chrome trace-event span file (Perfetto-loadable) here on exit")
 	)
-	flag.Parse()
-	logger := obs.NewLogger(os.Stderr, "experiments", *quiet)
+	if err := fs.Parse(args); err != nil {
+		return harness.ExitUsage
+	}
+	logger := obs.NewLogger(stderr, "experiments", *quiet)
 
 	if *list {
 		for _, e := range exp.Experiments() {
-			fmt.Printf("%-8s %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "%-8s %s\n", e.ID, e.Title)
 		}
 		return harness.ExitOK
 	}
@@ -131,46 +138,48 @@ func run() int {
 	logger.Info("starting", "experiments", len(selected), "scale", *scale, "seed", *seed,
 		"obs_dir", *obsDir)
 
-	// Pre-warm: fan the union of the selected experiments' simulation
-	// matrices across the worker pool in one deduplicated batch. The
-	// rendering loop below then reads memoized results in output order, so
-	// cross-workload parallelism no longer depends on any one figure's
-	// internal concurrency. Individual job failures are left for the owning
-	// experiment to report in context; only batch-level corruption (a
-	// mutated shared trace) aborts here.
-	if warm := exp.PrewarmJobs(selected); len(warm) > 0 && ctx.Err() == nil {
-		start := time.Now()
-		if _, err := runner.RunJobs(warm); err != nil {
-			logger.Error("pre-warm batch integrity check failed", "err", err)
-			return harness.ExitRunFailed
+	// One batch: the selected experiments' cells, concatenated. RunJobs
+	// runs each distinct cell once, and each experiment renders its own
+	// slice of the results. A failed cell fails the experiments that read
+	// it; only batch-level corruption (a mutated shared trace) aborts here.
+	var jobs []exp.Job
+	counts := make([]int, len(selected))
+	for i, e := range selected {
+		if e.Jobs != nil {
+			js := e.Jobs()
+			jobs = append(jobs, js...)
+			counts[i] = len(js)
 		}
-		logger.Info("pre-warm complete", "jobs", len(warm),
-			"duration", time.Since(start).Round(time.Millisecond))
 	}
+	start := time.Now()
+	results, err := runner.RunJobs(jobs)
+	if err != nil {
+		logger.Error("batch integrity check failed", "err", err)
+		return harness.ExitRunFailed
+	}
+	logger.Info("simulations complete", "jobs", len(jobs),
+		"duration", time.Since(start).Round(time.Millisecond))
 
 	completed, failed := 0, 0
 	for i, e := range selected {
+		cells := results[:counts[i]]
+		results = results[counts[i]:]
 		if ctx.Err() != nil {
 			break
 		}
 		if i > 0 {
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
-		fmt.Printf("### %s — %s (scale %g)\n\n", e.ID, e.Title, *scale)
-		start := time.Now()
-		if err := e.Run(runner, os.Stdout); err != nil {
-			if harness.IsCancelled(err) || ctx.Err() != nil {
-				break
-			}
-			// One failing experiment (bad pair, watchdog abort, recovered
-			// panic) doesn't kill the sweep: report it and move on.
+		fmt.Fprintf(stdout, "### %s — %s (scale %g)\n\n", e.ID, e.Title, *scale)
+		if err := e.Render(cells, runner.Options(), stdout); err != nil {
+			// One failing experiment (bad cell, watchdog abort, recovered
+			// panic) doesn't stop the others: report it and move on.
 			logger.Error("experiment failed", "id", e.ID, "err", err)
 			failed++
 			continue
 		}
 		completed++
-		logger.Info("experiment completed", "id", e.ID,
-			"duration", time.Since(start).Round(time.Millisecond))
+		logger.Info("experiment completed", "id", e.ID)
 	}
 
 	if ctx.Err() != nil {

@@ -23,8 +23,11 @@ func learnerArtifact(t *testing.T) string {
 	opts.Scale = 0.05
 	opts.OutDir = dir
 	opts.Telemetry = obs.Config{Interval: 1024}
-	r := exp.NewRunner(opts)
-	if _, err := r.Result("list", "context"); err != nil {
+	res, err := exp.NewRunner(opts).RunJobs([]exp.Job{{Workload: "list", Prefetcher: "context"}})
+	if err == nil {
+		err = res[0].Err
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 	return exp.ArtifactPath(dir, "list", "context")

@@ -15,8 +15,7 @@ import (
 )
 
 // makeArtifacts runs one small instrumented simulation and returns the
-// artifact directory. Shared across tests via sync in exp.Runner is not
-// needed here — the run is tiny.
+// artifact directory. Each test runs its own: the run is tiny.
 func makeArtifacts(t *testing.T) string {
 	t.Helper()
 	dir := t.TempDir()
@@ -24,8 +23,11 @@ func makeArtifacts(t *testing.T) string {
 	opts.Scale = 0.05
 	opts.OutDir = dir
 	opts.Telemetry = obs.Config{Interval: 1024, DecisionRate: 16}
-	r := exp.NewRunner(opts)
-	if _, err := r.Result("list", "context"); err != nil {
+	res, err := exp.NewRunner(opts).RunJobs([]exp.Job{{Workload: "list", Prefetcher: "context"}})
+	if err == nil {
+		err = res[0].Err
+	}
+	if err != nil {
 		t.Fatal(err)
 	}
 	return dir

@@ -57,10 +57,14 @@ func TestMatchesFigureCell(t *testing.T) {
 	for _, seed := range []uint64{1, 2} {
 		opts := exp.DefaultOptions()
 		opts.Scale, opts.Seed = 0.1, seed
-		want, err := exp.NewRunner(opts).Result("mcf", "context")
+		res, err := exp.NewRunner(opts).RunJobs([]exp.Job{{Workload: "mcf", Prefetcher: "context"}})
+		if err == nil {
+			err = res[0].Err
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := res[0].Result
 		out, errOut, code := simOut(t, "-workload", "mcf", "-scale", "0.1", "-seed", fmt.Sprint(seed),
 			"-prefetchers", "none,context", "-q")
 		if code != harness.ExitOK {
@@ -98,16 +102,14 @@ func TestConfigFileReachesContextRow(t *testing.T) {
 	}
 	opts := exp.DefaultOptions()
 	opts.Scale = 0.05
-	r := exp.NewRunner(opts)
-	jr, err := r.RunJobs([]exp.Job{{Workload: "mcf", Prefetcher: "context", Config: fc.Context}})
-	if err != nil || jr[0].Err != nil {
-		t.Fatal(err, jr[0].Err)
+	jr, err := exp.NewRunner(opts).RunJobs([]exp.Job{
+		{Workload: "mcf", Prefetcher: "context", Config: fc.Context},
+		{Workload: "mcf", Prefetcher: "context"},
+	})
+	if err != nil || jr[0].Err != nil || jr[1].Err != nil {
+		t.Fatal(err, jr[0].Err, jr[1].Err)
 	}
-	def, err := r.Result("mcf", "context")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if jr[0].Result.CPU.Cycles == def.CPU.Cycles {
+	if def := jr[1].Result; jr[0].Result.CPU.Cycles == def.CPU.Cycles {
 		t.Fatalf("the override does not change the mcf/context cell (%d cycles)", def.CPU.Cycles)
 	}
 	out, errOut, code := simOut(t, "-workload", "mcf", "-scale", "0.05", "-config", path, "-q")

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"errors"
 	"fmt"
 	"io"
 
@@ -56,36 +55,16 @@ func ablationJobs() []Job {
 	return jobs
 }
 
-// RunAblations prints each ablation and policy variant's speedup over no
-// prefetching, next to the default learner's on the same workload.
-func RunAblations(r *Runner, w io.Writer) error {
-	rows := ablationRows()
-	jobs := make([]Job, len(rows))
-	for i, row := range rows {
-		jobs[i] = row.job
-	}
-	results, err := r.RunJobs(jobs)
-	if err != nil {
-		return err
-	}
+// renderAblations prints each ablation and policy variant's speedup over
+// no prefetching, next to the default learner's on the same workload. Its
+// cells are ablationJobs': the two baselines, then one per row.
+func renderAblations(cells []JobResult, _ Options, w io.Writer) {
+	base := map[string]JobResult{cells[0].Job.Workload: cells[0], cells[1].Job.Workload: cells[1]}
 	tb := stats.NewTable("Ablations: speedup over no prefetching", "workload", "variant", "prefetcher", "speedup")
-	var errs []error
-	for i, jr := range results {
-		if jr.Err != nil {
-			errs = append(errs, jr.Err)
-			continue
-		}
-		base, err := r.Result(jr.Job.Workload, "none")
-		if err != nil {
-			errs = append(errs, err)
-			continue
-		}
-		tb.AddRow(jr.Job.Workload, rows[i].variant, jr.Result.Prefetcher, jr.Result.IPC()/base.IPC())
-	}
-	if len(errs) > 0 {
-		return errors.Join(errs...)
+	for i, row := range ablationRows() {
+		c := cells[2+i]
+		tb.AddRow(c.Job.Workload, row.variant, c.Result.Prefetcher, speedup(c, base[c.Job.Workload]))
 	}
 	tb.Render(w)
 	fmt.Fprintln(w, "each toggle runs the default row's learner seed (a Config job labelled context at point 0), so it differs from that row only in the toggled field")
-	return nil
 }

@@ -16,10 +16,7 @@ func TestRunnerPersistsArtifacts(t *testing.T) {
 	opts.Telemetry = obs.Config{Interval: 1024, DecisionRate: 16}
 	r := NewRunner(opts)
 
-	res, err := r.Result("list", "context")
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runCells(t, r, Job{Workload: "list", Prefetcher: "context"})[0].Result
 	if res.Series == nil {
 		t.Fatal("telemetry enabled via Options but result has no series")
 	}
@@ -78,9 +75,7 @@ func TestRunnerPersistsNonInstrumentedPrefetcher(t *testing.T) {
 	opts.Telemetry = obs.Config{Interval: 2048}
 	r := NewRunner(opts)
 
-	if _, err := r.Result("array", "none"); err != nil {
-		t.Fatal(err)
-	}
+	runCells(t, r, Job{Workload: "array", Prefetcher: "none"})
 	art, err := LoadArtifact(ArtifactPath(dir, "array", "none"))
 	if err != nil {
 		t.Fatal(err)
@@ -122,10 +117,7 @@ func TestArtifactRoundTripByteIdentical(t *testing.T) {
 	opts.Scale = 0.05
 	opts.OutDir = dir
 	opts.Telemetry = obs.Config{Interval: 1024}
-	r := NewRunner(opts)
-	if _, err := r.Result("list", "context"); err != nil {
-		t.Fatal(err)
-	}
+	runCells(t, NewRunner(opts), Job{Workload: "list", Prefetcher: "context"})
 
 	path := ArtifactPath(dir, "list", "context")
 	first, err := os.ReadFile(path)

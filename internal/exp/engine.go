@@ -12,12 +12,13 @@ import (
 // Job is one cell of an experiment matrix: a (workload, prefetcher,
 // sweep-point) triple. Two flavours exist:
 //
-//   - Config == nil: a named run. The job goes through the Runner's
-//     memoized Result path, so a job that several figures share (e.g.
-//     "mcf"/"none") simulates once no matter how many batches request it.
+//   - Config == nil: a named cell, keyed by workload and prefetcher. A
+//     batch runs each distinct named cell once, so a cell that several
+//     figures share (e.g. "mcf"/"none") simulates once however many of
+//     the batch's jobs name it.
 //   - Config != nil: a parameterised context-prefetcher run (sweeps,
-//     sensitivity studies, ablations). These are never memoized — each
-//     job builds a fresh prefetcher from the config.
+//     sensitivity studies, ablations). These always run: each job builds
+//     a fresh prefetcher from the config.
 //
 // Both build their prefetcher with NewCellPrefetcher, so a context run's
 // RNG seed derives from (base seed, workload, prefetcher, point) and the
@@ -54,8 +55,8 @@ type JobResult struct {
 	Result *sim.Result
 	// Prefetcher is the prefetcher instance the run used — populated only
 	// for Config jobs, where callers need post-run learned state (metrics,
-	// accuracy). Named runs share memoized results across callers, so
-	// exposing their instance would invite cross-run mutation.
+	// accuracy). A named cell's repeats in a batch share one result, so
+	// exposing its instance would invite cross-job mutation.
 	Prefetcher prefetch.Prefetcher
 	// Err is the job's failure, if any. One failed job never aborts its
 	// siblings: callers get every completed result plus every error.
@@ -107,11 +108,13 @@ func DeriveSeed(base uint64, workload, prefetcher string, point int) uint64 {
 }
 
 // RunJobs executes a job matrix on the runner's worker pool and returns one
-// JobResult per job, in submission order. Parallelism is bounded by
-// Options.Parallelism; with Parallelism 1 the jobs run strictly in order,
-// and the determinism contract (order-indexed results + coordinate-derived
-// seeds + memoized named runs) guarantees the outputs are bit-identical to
-// any parallel schedule of the same slice.
+// JobResult per job, in submission order. Each distinct named cell runs
+// once; every job naming it gets the same *sim.Result (or error). Config
+// jobs always run. Parallelism is bounded by Options.Parallelism; with
+// Parallelism 1 the jobs run strictly in order, and the determinism
+// contract (order-indexed results + coordinate-derived seeds) guarantees
+// the outputs are bit-identical to any parallel schedule of the same
+// slice.
 //
 // Individual job failures land in their JobResult.Err and do not stop the
 // batch (cancellation does, via the per-run harness). The returned error
@@ -120,11 +123,25 @@ func DeriveSeed(base uint64, workload, prefetcher string, point int) uint64 {
 // run was reading.
 func (r *Runner) RunJobs(jobs []Job) ([]JobResult, error) {
 	out := make([]JobResult, len(jobs))
-	r.met.batchSubmitted(len(jobs))
-	workers := cap(r.sem)
-	if workers > len(jobs) {
-		workers = len(jobs)
+	// first[i] is the job whose run job i takes: itself, or the first job
+	// naming the same cell.
+	first := make([]int, len(jobs))
+	seen := make(map[[2]string]int)
+	var runs []int
+	for i, j := range jobs {
+		first[i] = i
+		if j.Config == nil {
+			key := [2]string{j.Workload, j.Prefetcher}
+			if f, ok := seen[key]; ok {
+				first[i] = f
+				continue
+			}
+			seen[key] = i
+		}
+		runs = append(runs, i)
 	}
+	r.met.batchSubmitted(len(runs))
+	workers := min(cap(r.sem), len(runs))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -132,30 +149,24 @@ func (r *Runner) RunJobs(jobs []Job) ([]JobResult, error) {
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(jobs) {
+				k := int(next.Add(1)) - 1
+				if k >= len(runs) {
 					return
 				}
-				out[i] = r.runJob(i, jobs[i])
-				r.met.jobFinished(&out[i])
+				i := runs[k]
+				jr := &out[i]
+				jr.Result, jr.Prefetcher, jr.Err = r.run(jobs[i])
+				if jobs[i].Config == nil {
+					jr.Prefetcher = nil
+				}
+				r.met.jobFinished(jr)
 			}
 		}()
 	}
 	wg.Wait()
-	if err := r.traces.VerifyImmutable(); err != nil {
-		return out, err
+	for i, f := range first {
+		out[i] = out[f]
+		out[i].Job, out[i].Index = jobs[i], i
 	}
-	return out, nil
-}
-
-// runJob dispatches one job: named jobs go through the memoized Result
-// path, parameterised ones run fresh and expose their prefetcher.
-func (r *Runner) runJob(index int, job Job) JobResult {
-	jr := JobResult{Job: job, Index: index}
-	if job.Config == nil {
-		jr.Result, jr.Err = r.Result(job.Workload, job.Prefetcher)
-		return jr
-	}
-	jr.Result, jr.Prefetcher, jr.Err = r.run(job)
-	return jr
+	return out, r.traces.VerifyImmutable()
 }

@@ -1,11 +1,12 @@
 package exp
 
 import (
-	"bytes"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"semloc/internal/core"
+	"semloc/internal/obs"
 	"semloc/internal/trace"
 )
 
@@ -17,9 +18,9 @@ func engineRunner(par int) *Runner {
 	return NewRunner(opts)
 }
 
-// engineJobs is a mixed matrix: shared named runs (memoized path) plus a
-// small parameterised sweep (fresh-run path), with a deliberate duplicate
-// named job and a failing job in the middle.
+// engineJobs is a mixed matrix: named cells plus a small parameterised
+// sweep, with a deliberate duplicate named job and a failing job in the
+// middle.
 func engineJobs() []Job {
 	cfgA := core.DefaultConfig()
 	cfgA.CSTEntries, cfgA.ReducerEntries = 512, 4096
@@ -29,7 +30,7 @@ func engineJobs() []Job {
 		{Workload: "array", Prefetcher: "none"},
 		{Workload: "list", Prefetcher: "none"},
 		{Workload: "list", Prefetcher: "context"},
-		{Workload: "array", Prefetcher: "none"}, // duplicate: must memoize, not re-run
+		{Workload: "array", Prefetcher: "none"}, // duplicate: must share the first's run
 		{Workload: "list", Prefetcher: "no-such-prefetcher"},
 		{Workload: "array", Prefetcher: "context", Point: 0, Config: &cfgA},
 		{Workload: "array", Prefetcher: "context", Point: 1, Config: &cfgB},
@@ -64,7 +65,7 @@ func TestRunJobsParallelMatchesSequential(t *testing.T) {
 }
 
 // TestRunJobsContract pins the engine's per-job semantics: results indexed
-// by submission order, failures isolated, duplicates memoized, and
+// by submission order, failures isolated, duplicates sharing one run, and
 // parameterised jobs exposing their prefetcher instance.
 func TestRunJobsContract(t *testing.T) {
 	r := engineRunner(4)
@@ -89,7 +90,7 @@ func TestRunJobsContract(t *testing.T) {
 		}
 	}
 	if results[0].Result == nil || results[3].Result != results[0].Result {
-		t.Error("duplicate named job did not share the memoized result")
+		t.Error("duplicate named job did not share the first job's result")
 	}
 	if results[5].Prefetcher == nil {
 		t.Error("parameterised job did not expose its prefetcher instance")
@@ -229,48 +230,52 @@ func TestExperimentOutputDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-matrix experiment at two parallelism levels")
 	}
-	render := func(par int) string {
-		var buf bytes.Buffer
-		if err := RunFig13(engineRunner(par), &buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.String()
-	}
-	seq := render(1)
-	par := render(8)
+	seq, _ := render(t, engineRunner(1), "fig13")
+	par, _ := render(t, engineRunner(8), "fig13")
 	if seq != par {
 		t.Errorf("fig13 output differs between -parallel 1 and 8:\n--- seq ---\n%s\n--- par ---\n%s", seq, par)
 	}
 }
 
-// TestPrewarmJobsDedup checks that named jobs shared between experiments
-// collapse to one entry while parameterised jobs all survive.
-func TestPrewarmJobsDedup(t *testing.T) {
-	var fig10, fig12, fig13x Experiment
+// TestRunJobsOneRunPerCell runs every experiment's cells as one batch, as
+// cmd/experiments does, and counts the spans: one CatRun span per distinct
+// cell (a named cell once however many figures read it, a Config job every
+// time) and one CatTrace span per distinct workload.
+func TestRunJobsOneRunPerCell(t *testing.T) {
+	var jobs []Job
 	for _, e := range Experiments() {
-		switch e.ID {
-		case "fig10":
-			fig10 = e
-		case "fig12":
-			fig12 = e
-		case "fig13":
-			fig13x = e
+		if e.Jobs != nil {
+			jobs = append(jobs, e.Jobs()...)
 		}
 	}
-	both := PrewarmJobs([]Experiment{fig10, fig12})
-	one := PrewarmJobs([]Experiment{fig10})
-	if len(both) != len(one) {
-		t.Errorf("fig10+fig12 prewarm has %d jobs, fig10 alone %d; identical matrices must dedup", len(both), len(one))
-	}
-	// Parameterised sweep jobs are not memoizable and must not be
-	// prewarmed; the sweep's shared named baselines must be.
-	sweep := PrewarmJobs([]Experiment{fig13x})
-	if len(sweep) != len(fig13Workloads) {
-		t.Errorf("fig13 prewarm has %d jobs, want %d named baselines", len(sweep), len(fig13Workloads))
-	}
-	for _, j := range sweep {
+	cells := make(map[string]bool)
+	workloads := make(map[string]bool)
+	for i, j := range jobs {
+		key := j.Workload + "/" + j.Prefetcher
 		if j.Config != nil {
-			t.Errorf("parameterised job %s[%d] leaked into the prewarm batch", j.Workload, j.Point)
+			key = fmt.Sprint(i)
 		}
+		cells[key] = true
+		workloads[j.Workload] = true
+	}
+	if len(cells) == len(jobs) {
+		t.Fatalf("the experiments share no named cell across %d jobs; the test checks nothing", len(jobs))
+	}
+	rec := obs.NewSpanRecorder()
+	runCells(t, obsRunner(0, nil, rec), jobs...)
+	var runs, traces int
+	for _, s := range rec.Spans() {
+		switch s.Cat {
+		case obs.CatRun:
+			runs++
+		case obs.CatTrace:
+			traces++
+		}
+	}
+	if runs != len(cells) {
+		t.Errorf("%d run spans for %d jobs, want %d: one per distinct cell", runs, len(jobs), len(cells))
+	}
+	if traces != len(workloads) {
+		t.Errorf("%d trace spans, want %d: one per distinct workload", traces, len(workloads))
 	}
 }

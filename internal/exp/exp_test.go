@@ -4,16 +4,51 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
 	"semloc/internal/core"
+	"semloc/internal/obs"
 )
 
 func tinyRunner() *Runner {
 	opts := DefaultOptions()
 	opts.Scale = 0.02
 	return NewRunner(opts)
+}
+
+// runCells runs jobs on r as one batch and fails the test on any error.
+func runCells(t *testing.T, r *Runner, jobs ...Job) []JobResult {
+	t.Helper()
+	res, err := r.RunJobs(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, jr := range res {
+		if jr.Err != nil {
+			t.Fatal(jr.Err)
+		}
+	}
+	return res
+}
+
+// render runs experiment id's cells on r as one batch, as cmd/experiments
+// does, and returns what it renders and the cells' results.
+func render(t *testing.T, r *Runner, id string) (string, []JobResult) {
+	t.Helper()
+	e, err := ByID(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jobs []Job
+	if e.Jobs != nil {
+		jobs = e.Jobs()
+	}
+	cells := runCells(t, r, jobs...)
+	var buf bytes.Buffer
+	if err := e.Render(cells, r.Options(), &buf); err != nil {
+		t.Fatalf("%s: %v", id, err)
+	}
+	return buf.String(), cells
 }
 
 // TestNewPrefetcherAllNames pins the one set of accepted names: every
@@ -60,18 +95,12 @@ func TestFigurePrefetchersSubset(t *testing.T) {
 	}
 }
 
+// TestRunnerCachesResults: a named cell a batch names twice runs once, and
+// both jobs get its result.
 func TestRunnerCachesResults(t *testing.T) {
-	r := tinyRunner()
-	a, err := r.Result("array", "none")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := r.Result("array", "none")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a != b {
-		t.Error("second Result call should return the cached pointer")
+	res := runCells(t, tinyRunner(), Job{Workload: "array", Prefetcher: "none"}, Job{Workload: "array", Prefetcher: "none"})
+	if res[0].Result != res[1].Result {
+		t.Error("the repeated cell should share the first one's result pointer")
 	}
 }
 
@@ -90,48 +119,48 @@ func TestRunnerCachesTraces(t *testing.T) {
 	}
 }
 
+// TestRunnerConcurrentSameKey: eight jobs naming one cell, with eight
+// workers free to take them, run it once and share its result.
 func TestRunnerConcurrentSameKey(t *testing.T) {
-	r := tinyRunner()
-	var wg sync.WaitGroup
-	results := make([]interface{}, 8)
-	for i := 0; i < 8; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res, err := r.Result("list", "context")
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			results[i] = res
-		}()
+	rec := obs.NewSpanRecorder()
+	r := obsRunner(8, nil, rec)
+	jobs := make([]Job, 8)
+	for i := range jobs {
+		jobs[i] = Job{Workload: "list", Prefetcher: "context"}
 	}
-	wg.Wait()
-	for i := 1; i < 8; i++ {
-		if results[i] != results[0] {
-			t.Fatal("concurrent callers should share one result")
+	res := runCells(t, r, jobs...)
+	for i := 1; i < len(res); i++ {
+		if res[i].Result != res[0].Result {
+			t.Fatal("jobs naming one cell should share one result")
 		}
+	}
+	runs := 0
+	for _, s := range rec.Spans() {
+		if s.Cat == obs.CatRun {
+			runs++
+		}
+	}
+	if runs != 1 {
+		t.Errorf("the cell ran %d times, want 1", runs)
 	}
 }
 
 func TestRunnerUnknownWorkload(t *testing.T) {
-	r := tinyRunner()
-	if _, err := r.Result("nope", "none"); err == nil {
+	res, err := tinyRunner().RunJobs([]Job{{Workload: "nope", Prefetcher: "none"}, {Workload: "array", Prefetcher: "nope"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0].Err == nil {
 		t.Error("expected error for unknown workload")
 	}
-	if _, err := r.Result("array", "nope"); err == nil {
+	if res[1].Err == nil {
 		t.Error("expected error for unknown prefetcher")
 	}
 }
 
 func TestSpeedup(t *testing.T) {
-	r := tinyRunner()
-	s, err := r.Speedup("array", "sms")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s <= 0 {
+	res := runCells(t, tinyRunner(), Job{Workload: "array", Prefetcher: "none"}, Job{Workload: "array", Prefetcher: "sms"})
+	if s := speedup(res[1], res[0]); s <= 0 {
 		t.Errorf("speedup = %v, want positive", s)
 	}
 }
@@ -168,26 +197,14 @@ func TestExperimentRegistry(t *testing.T) {
 func TestCheapExperimentsRun(t *testing.T) {
 	r := tinyRunner()
 	for _, id := range []string{"table2", "table3", "fig1", "fig5"} {
-		e, err := ByID(id)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := e.Run(r, &buf); err != nil {
-			t.Fatalf("%s: %v", id, err)
-		}
-		if buf.Len() == 0 {
+		if out, _ := render(t, r, id); out == "" {
 			t.Errorf("%s produced no output", id)
 		}
 	}
 }
 
 func TestTable2MatchesPaper(t *testing.T) {
-	var buf bytes.Buffer
-	if err := RunTable2(tinyRunner(), &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	out, _ := render(t, tinyRunner(), "table2")
 	for _, want := range []string{"4-wide", "192 ROB", "L1: 4, L2: 20", "64kB", "2MB", "300 cycles", "2048 entries x 4 links", "16384 entries"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table 2 output missing %q:\n%s", want, out)
@@ -196,11 +213,7 @@ func TestTable2MatchesPaper(t *testing.T) {
 }
 
 func TestFig1ShowsSemanticLinearity(t *testing.T) {
-	var buf bytes.Buffer
-	if err := RunFig1(tinyRunner(), &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	out, _ := render(t, tinyRunner(), "fig1")
 	if !strings.Contains(out, "consecutive-access adjacency") {
 		t.Fatalf("missing adjacency summary:\n%s", out)
 	}
@@ -218,7 +231,7 @@ func TestFig1ShowsSemanticLinearity(t *testing.T) {
 	}
 }
 
-// fmtSscanf extracts the adjacency numbers from RunFig1's summary line.
+// fmtSscanf extracts the adjacency numbers from Figure 1's summary line.
 func fmtSscanf(out string, logical, physical *float64, transitions *int) (int, error) {
 	idx := strings.Index(out, "consecutive-access adjacency")
 	line := out[idx:]

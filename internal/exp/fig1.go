@@ -8,7 +8,7 @@ import (
 	"semloc/internal/stats"
 )
 
-// RunFig1 regenerates Figure 1: the memory accesses of a naive linked-list
+// renderFig1 regenerates Figure 1: the memory accesses of a naive linked-list
 // insertion sort over 100 randomly-ordered elements, mapped both by real
 // memory address (top plot: no visible structure) and by logical list
 // index (bottom plot: perfectly linear recurring sweeps).
@@ -16,10 +16,10 @@ import (
 // The output is the two series the figure scatters, plus summary metrics
 // that quantify the contrast: the correlation of consecutive accesses in
 // each coordinate system.
-func RunFig1(r *Runner, w io.Writer) error {
+func renderFig1(_ []JobResult, opts Options, w io.Writer) {
 	const n = 100
-	rng := memmodel.NewRNG(r.Options().Seed)
-	h := memmodel.NewHeap(memmodel.HeapConfig{Seed: r.Options().Seed})
+	rng := memmodel.NewRNG(opts.Seed)
+	h := memmodel.NewHeap(memmodel.HeapConfig{Seed: opts.Seed})
 	nodes := ShuffleForFig1(h, rng, n)
 	keys := rng.Perm(n)
 
@@ -70,7 +70,6 @@ func RunFig1(r *Runner, w io.Writer) error {
 	fmt.Fprintf(w, "\nconsecutive-access adjacency: logical %.1f%%, physical %.1f%% (of %d transitions)\n",
 		100*float64(logicalAdj)/float64(total), 100*float64(physicalAdj)/float64(total), total)
 	fmt.Fprintln(w, "expectation (paper): logical traversal is near-perfectly linear; physical addresses show no spatial structure")
-	return nil
 }
 
 // ShuffleForFig1 scatters n nodes of 64 bytes across the heap the way a

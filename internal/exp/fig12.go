@@ -7,11 +7,12 @@ import (
 	"semloc/internal/stats"
 )
 
-// RunFig12 regenerates Figure 12: per-workload speedups of each prefetcher
-// over the no-prefetch baseline, with the averages the paper reports (all
-// workloads, and the SPEC2006 suite alone) and the context-vs-best-
-// competitor comparison from the abstract.
-func RunFig12(r *Runner, w io.Writer) error {
+// renderFig12 regenerates Figure 12: per-workload speedups of each
+// prefetcher over the no-prefetch baseline, with the averages the paper
+// reports (all workloads, and the SPEC2006 suite alone) and the
+// context-vs-best-competitor comparison from the abstract. Its cells are
+// every workload under FigurePrefetchers, whose first is the baseline.
+func renderFig12(cells []JobResult, _ Options, w io.Writer) {
 	headers := append([]string{"workload"}, FigurePrefetchers[1:]...)
 	tb := stats.NewTable("Figure 12: speedup over no prefetching", headers...)
 
@@ -24,18 +25,13 @@ func RunFig12(r *Runner, w io.Writer) error {
 	var ctxMax float64
 	var ctxMaxName string
 
-	for _, wl := range AllWorkloads() {
-		if _, err := r.ResultsFor(wl, FigurePrefetchers); err != nil {
-			return err
-		}
-		cells := make([]interface{}, len(headers))
-		cells[0] = wl
+	for _, row := range byWorkload(cells, len(FigurePrefetchers)) {
+		wl := row[0].Job.Workload
+		line := make([]interface{}, len(headers))
+		line[0] = wl
 		for i, pn := range FigurePrefetchers[1:] {
-			s, err := r.Speedup(wl, pn)
-			if err != nil {
-				return err
-			}
-			cells[i+1] = s
+			s := speedup(row[i+1], row[0])
+			line[i+1] = s
 			perPF[pn] = append(perPF[pn], s)
 			if spec[wl] {
 				specPF[pn] = append(specPF[pn], s)
@@ -44,16 +40,16 @@ func RunFig12(r *Runner, w io.Writer) error {
 				ctxMax, ctxMaxName = s, wl
 			}
 		}
-		tb.AddRow(cells...)
+		tb.AddRow(line...)
 	}
 
 	addAvg := func(label string, data map[string][]float64) {
-		cells := make([]interface{}, len(headers))
-		cells[0] = label
+		line := make([]interface{}, len(headers))
+		line[0] = label
 		for i, pn := range FigurePrefetchers[1:] {
-			cells[i+1] = stats.Mean(data[pn])
+			line[i+1] = stats.Mean(data[pn])
 		}
-		tb.AddRow(cells...)
+		tb.AddRow(line...)
 	}
 	addAvg("AVERAGE (all)", perPF)
 	addAvg("AVERAGE (SPEC2006)", specPF)
@@ -75,7 +71,6 @@ func RunFig12(r *Runner, w io.Writer) error {
 	if bestOther > 1 {
 		fmt.Fprintln(w, gainVsBest(bestName, ctxAvg, bestOther))
 	}
-	return nil
 }
 
 // gainVsBest compares the context prefetcher's average gain over the

@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -22,9 +21,9 @@ var fig13Workloads = []string{
 	"graph500-list", "omnetpp", "array", "libquantum", "hmmer",
 }
 
-// fig13Jobs builds the storage sweep's job matrix: the shared no-prefetch
-// baselines (named, memoized) followed by one parameterised context run
-// per (workload, CST size).
+// fig13Jobs builds the storage sweep's job matrix: the no-prefetch
+// baselines, one per workload, followed by one parameterised context run
+// per (CST size, workload).
 func fig13Jobs() []Job {
 	jobs := make([]Job, 0, len(fig13Workloads)*(1+len(fig13Sizes)))
 	for _, wl := range fig13Workloads {
@@ -39,79 +38,49 @@ func fig13Jobs() []Job {
 	return jobs
 }
 
-// RunFig13 regenerates Figure 13: average speedup as a function of the
+// renderFig13 regenerates Figure 13: average speedup as a function of the
 // context prefetcher's storage size, for the ten workloads that benefit
 // most (Top10) and for the whole sweep set (All). The paper's point is
 // that bigger is not monotonically better for a learning prefetcher.
-func RunFig13(r *Runner, w io.Writer) error {
-	jobs := fig13Jobs()
-	results, err := r.RunJobs(jobs)
-	if err != nil {
-		return err
-	}
-
-	var errs []error
-	baseIPC := make(map[string]float64, len(fig13Workloads))
-	cells := make([]map[string]float64, len(fig13Sizes))
-	for i := range cells {
-		cells[i] = make(map[string]float64)
-	}
-	for _, jr := range results {
-		if jr.Err != nil {
-			errs = append(errs, jr.Err)
-			continue
+func renderFig13(cells []JobResult, _ Options, w io.Writer) {
+	n := len(fig13Workloads)
+	base, sweep := cells[:n], cells[n:]
+	// speedups[si][wi] is workload wi's speedup at CST size si, in
+	// fig13Workloads order, so every average sums in one fixed order.
+	speedups := make([][]float64, len(fig13Sizes))
+	for si := range speedups {
+		speedups[si] = make([]float64, n)
+		for wi := range base {
+			speedups[si][wi] = speedup(sweep[si*n+wi], base[wi])
 		}
-		if jr.Job.Config == nil {
-			baseIPC[jr.Job.Workload] = jr.Result.IPC()
-		}
-	}
-	for _, jr := range results {
-		if jr.Err != nil || jr.Job.Config == nil {
-			continue
-		}
-		base := baseIPC[jr.Job.Workload]
-		if base == 0 {
-			errs = append(errs, fmt.Errorf("exp: fig13: %s baseline IPC is zero or missing", jr.Job.Workload))
-			continue
-		}
-		cells[jr.Job.Point][jr.Job.Workload] = jr.Result.IPC() / base
-	}
-	if len(errs) > 0 {
-		return errors.Join(errs...)
 	}
 
 	// Top10 at the default size would be the paper's selection; with a
 	// ten-workload sweep set, Top half plays that role.
-	baselineIdx := indexOf(fig13Sizes, core.DefaultConfig().CSTEntries)
-	type ranked struct {
-		name string
-		s    float64
+	atDefault := speedups[indexOf(fig13Sizes, core.DefaultConfig().CSTEntries)]
+	rank := make([]int, n)
+	for wi := range rank {
+		rank[wi] = wi
 	}
-	var rank []ranked
-	for _, wl := range fig13Workloads {
-		rank = append(rank, ranked{wl, cells[baselineIdx][wl]})
-	}
-	sort.Slice(rank, func(i, j int) bool { return rank[i].s > rank[j].s })
-	top := make(map[string]bool)
-	for i := 0; i < len(rank)/2; i++ {
-		top[rank[i].name] = true
+	sort.Slice(rank, func(i, j int) bool { return atDefault[rank[i]] > atDefault[rank[j]] })
+	top := make([]bool, n)
+	for _, wi := range rank[:n/2] {
+		top[wi] = true
 	}
 
 	tb := stats.NewTable("Figure 13: speedup vs CST storage size", "CST entries", "storage", "speedup (Top)", "speedup (All)")
 	for si, size := range fig13Sizes {
-		var all, topv []float64
-		for wl, s := range cells[si] {
-			all = append(all, s)
-			if top[wl] {
+		var topv []float64
+		for wi, s := range speedups[si] {
+			if top[wi] {
 				topv = append(topv, s)
 			}
 		}
 		cfg := fig13Config(size)
-		tb.AddRow(size, fmt.Sprintf("%dkB", cfg.StorageBytes()>>10), stats.Mean(topv), stats.Mean(all))
+		tb.AddRow(size, fmt.Sprintf("%dkB", cfg.StorageBytes()>>10), stats.Mean(topv), stats.Mean(speedups[si]))
 	}
 	tb.Render(w)
 	fmt.Fprintln(w, "expectation (paper): benefit peaks at mid sizes and does not keep improving with storage")
-	return nil
 }
 
 // fig13Config scales the context prefetcher to the given CST size with the

@@ -7,10 +7,10 @@ import (
 	"semloc/internal/stats"
 )
 
-// RunFig5 prints the reward function (Figure 5): the bell-shaped score
+// renderFig5 prints the reward function (Figure 5): the bell-shaped score
 // adjustment as a function of the prefetch-to-demand distance, for both
 // this substrate's calibrated window and the paper's gem5-derived window.
-func RunFig5(r *Runner, w io.Writer) error {
+func renderFig5(_ []JobResult, _ Options, w io.Writer) {
 	ours := core.DefaultRewardConfig()
 	paper := core.RewardConfig{Low: 18, High: 50, Peak: 16, Penalty: 4}
 	tb := stats.NewTable("Figure 5: reward vs prefetch distance (accesses)", "depth", "reward (this substrate)", "reward (paper window 18-50)")
@@ -18,5 +18,4 @@ func RunFig5(r *Runner, w io.Writer) error {
 		tb.AddRow(d, int(ours.Reward(d)), int(paper.Reward(d)))
 	}
 	tb.Render(w)
-	return nil
 }

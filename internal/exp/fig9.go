@@ -14,32 +14,24 @@ var fig9Workloads = []string{
 	"h264ref", "lbm", "namd", "omnetpp", "sphinx3", "mcf", "libquantum",
 }
 
-// RunFig9 regenerates Figure 9: for each workload and prefetcher, the
+// renderFig9 regenerates Figure 9: for each workload and prefetcher, the
 // fraction of demand accesses in each benefit category. "Prefetch never
 // hit" counts wasted prefetches on top of the demand accesses, so columns
 // can sum past 1.0, exactly as the paper's bars pass the 100% mark.
-func RunFig9(r *Runner, w io.Writer) error {
+func renderFig9(cells []JobResult, _ Options, w io.Writer) {
 	tb := stats.NewTable("Figure 9: accuracy and timeliness",
 		"workload", "prefetcher", "hit-prefetched", "shorter-wait", "non-timely",
 		"miss-not-prefetched", "hit-older-demand", "prefetch-never-hit")
-	for _, wl := range fig9Workloads {
-		results, err := r.ResultsFor(wl, FigurePrefetchers)
-		if err != nil {
-			return err
+	for _, cell := range cells {
+		c := cell.Result.Categories
+		d := float64(c.Demand)
+		if d == 0 {
+			d = 1
 		}
-		for _, pn := range FigurePrefetchers {
-			res := results[pn]
-			c := res.Categories
-			d := float64(c.Demand)
-			if d == 0 {
-				d = 1
-			}
-			tb.AddRow(wl, pn,
-				float64(c.HitPrefetched)/d, float64(c.ShorterWait)/d,
-				float64(c.NonTimely)/d, float64(c.MissNotPrefetched)/d,
-				float64(c.HitOlderDemand)/d, float64(c.PrefetchNeverHit)/d)
-		}
+		tb.AddRow(cell.Job.Workload, cell.Job.Prefetcher,
+			float64(c.HitPrefetched)/d, float64(c.ShorterWait)/d,
+			float64(c.NonTimely)/d, float64(c.MissNotPrefetched)/d,
+			float64(c.HitOlderDemand)/d, float64(c.PrefetchNeverHit)/d)
 	}
 	tb.Render(w)
-	return nil
 }

@@ -15,11 +15,7 @@ func figRunner() *Runner {
 }
 
 func TestFig5Output(t *testing.T) {
-	var buf bytes.Buffer
-	if err := RunFig5(figRunner(), &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	out, _ := render(t, figRunner(), "fig5")
 	if !strings.Contains(out, "reward (paper window 18-50)") {
 		t.Errorf("missing paper-window series:\n%s", out)
 	}
@@ -30,75 +26,57 @@ func TestFig5Output(t *testing.T) {
 }
 
 func TestFig8CDFsAreMonotone(t *testing.T) {
-	r := figRunner()
-	var buf bytes.Buffer
-	if err := RunFig8(r, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	out, cells := render(t, figRunner(), "fig8")
 	if !strings.Contains(out, "microbenchmarks") || !strings.Contains(out, "regular benchmarks") {
 		t.Fatalf("missing plot sections:\n%s", out[:200])
 	}
-	// CDF property via the runner: every per-workload CDF is monotone.
-	for _, wl := range fig8Micro {
-		res, err := r.Result(wl, "context")
-		if err != nil {
-			t.Fatal(err)
-		}
-		cdf := res.HitDepths.CDF()
+	// CDF property on the cells: every microbenchmark's CDF is monotone.
+	for _, c := range cells[:len(fig8Micro)] {
+		cdf := c.Result.HitDepths.CDF()
 		for i := 1; i < len(cdf); i++ {
 			if cdf[i] < cdf[i-1] {
-				t.Fatalf("%s: CDF not monotone at %d", wl, i)
+				t.Fatalf("%s: CDF not monotone at %d", c.Job.Workload, i)
 			}
 		}
 	}
 }
 
 func TestFig9FractionsBounded(t *testing.T) {
-	r := figRunner()
-	for _, wl := range []string{"list", "array"} {
-		results, err := r.ResultsFor(wl, FigurePrefetchers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for pn, res := range results {
-			c := res.Categories
-			sum := c.HitPrefetched + c.ShorterWait + c.NonTimely + c.MissNotPrefetched + c.HitOlderDemand
-			if sum != c.Demand {
-				t.Errorf("%s/%s: categories %d != demand %d", wl, pn, sum, c.Demand)
-			}
+	for _, jr := range runCells(t, figRunner(), crossJobs([]string{"list", "array"}, FigurePrefetchers)...) {
+		c := jr.Result.Categories
+		sum := c.HitPrefetched + c.ShorterWait + c.NonTimely + c.MissNotPrefetched + c.HitOlderDemand
+		if sum != c.Demand {
+			t.Errorf("%s/%s: categories %d != demand %d", jr.Job.Workload, jr.Job.Prefetcher, sum, c.Demand)
 		}
 	}
 }
 
+// TestFig10AndFig11Output renders both MPKI figures from one batch of
+// their shared cells, at a tiny scale: they touch every workload.
 func TestFig10AndFig11Output(t *testing.T) {
-	// Use a tiny scale: these touch every workload.
-	opts := DefaultOptions()
-	opts.Scale = 0.02
-	r := NewRunner(opts)
-	for _, fn := range []func(*Runner, *bytes.Buffer) error{
-		func(r *Runner, b *bytes.Buffer) error { return RunFig10(r, b) },
-		func(r *Runner, b *bytes.Buffer) error { return RunFig11(r, b) },
-	} {
+	fig10, err := ByID("fig10")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fig11, err := ByID("fig11")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := tinyRunner()
+	cells := runCells(t, r, fig10.Jobs()...)
+	for _, e := range []Experiment{fig10, fig11} {
 		var buf bytes.Buffer
-		if err := fn(r, &buf); err != nil {
+		if err := e.Render(cells, r.Options(), &buf); err != nil {
 			t.Fatal(err)
 		}
 		if !strings.Contains(buf.String(), "AVERAGE (all)") {
-			t.Errorf("missing average row:\n%s", buf.String())
+			t.Errorf("%s: missing average row:\n%s", e.ID, buf.String())
 		}
 	}
 }
 
 func TestFig12Output(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Scale = 0.02
-	r := NewRunner(opts)
-	var buf bytes.Buffer
-	if err := RunFig12(r, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	out, _ := render(t, tinyRunner(), "fig12")
 	for _, want := range []string{"AVERAGE (all)", "AVERAGE (SPEC2006)", "max speedup"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("fig12 output missing %q", want)
@@ -124,14 +102,7 @@ func TestGainVsBestWordsTheSign(t *testing.T) {
 }
 
 func TestFig13SweepShapes(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Scale = 0.02
-	r := NewRunner(opts)
-	var buf bytes.Buffer
-	if err := RunFig13(r, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	out, _ := render(t, tinyRunner(), "fig13")
 	if strings.Count(out, "kB") < len(fig13Sizes) {
 		t.Errorf("expected one row per CST size:\n%s", out)
 	}
@@ -140,12 +111,7 @@ func TestFig13SweepShapes(t *testing.T) {
 func TestFig14Output(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Scale = 0.03
-	r := NewRunner(opts)
-	var buf bytes.Buffer
-	if err := RunFig14(r, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	out, _ := render(t, NewRunner(opts), "fig14")
 	if !strings.Contains(out, "SSCA2") || !strings.Contains(out, "Graph500") {
 		t.Errorf("fig14 missing sections:\n%s", out)
 	}
@@ -163,56 +129,37 @@ func TestIntegrationHeadlineShape(t *testing.T) {
 	}
 	opts := DefaultOptions()
 	opts.Scale = 0.2
-	r := NewRunner(opts)
+	pfs := []string{"none", "context", "ghb-gdc", "ghb-pcdc"}
+	cells := runCells(t, NewRunner(opts), crossJobs([]string{"list"}, pfs)...)
+	base, cres := cells[0], cells[1]
 
-	ctx, err := r.Speedup("list", "context")
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctx := speedup(cres, base)
 	if ctx < 1.5 {
 		t.Errorf("context speedup on list = %.2f, want >= 1.5", ctx)
 	}
-	for _, pn := range []string{"ghb-gdc", "ghb-pcdc"} {
-		other, err := r.Speedup("list", pn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ctx <= other {
+	for i, pn := range pfs[2:] {
+		if other := speedup(cells[2+i], base); ctx <= other {
 			t.Errorf("context (%.2f) should beat %s (%.2f) on the linked list", ctx, pn, other)
 		}
 	}
 	// MPKI reduction (Figures 10/11 headline).
-	base, err := r.Result("list", "none")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cres, err := r.Result("list", "context")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cres.L1MPKI() >= base.L1MPKI()/2 {
-		t.Errorf("context should at least halve list L1 MPKI: %.1f vs %.1f", cres.L1MPKI(), base.L1MPKI())
+	if cres.Result.L1MPKI() >= base.Result.L1MPKI()/2 {
+		t.Errorf("context should at least halve list L1 MPKI: %.1f vs %.1f", cres.Result.L1MPKI(), base.Result.L1MPKI())
 	}
 }
 
 func TestLimitStudy(t *testing.T) {
-	opts := DefaultOptions()
-	opts.Scale = 0.05
-	r := NewRunner(opts)
-	var buf bytes.Buffer
-	if err := RunLimit(r, &buf); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
+	out, cells := render(t, figRunner(), "limit")
 	if !strings.Contains(out, "average capture of the oracle's gain") {
 		t.Fatalf("missing summary:\n%s", out)
 	}
-	// The oracle must dominate the baseline on the flagship list workload.
-	so, err := r.Speedup("list", "oracle")
-	if err != nil {
-		t.Fatal(err)
+	// The oracle must dominate the baseline on the flagship list workload,
+	// the first row: its cells are none, then oracle.
+	if cells[0].Job.Workload != "list" || cells[1].Job.Prefetcher != "oracle" {
+		t.Fatalf("limit study's first cells are %s/%s and %s/%s, want list/none and list/oracle",
+			cells[0].Job.Workload, cells[0].Job.Prefetcher, cells[1].Job.Workload, cells[1].Job.Prefetcher)
 	}
-	if so < 1.2 {
+	if so := speedup(cells[1], cells[0]); so < 1.2 {
 		t.Errorf("oracle speedup on list = %.2f, want substantial", so)
 	}
 }

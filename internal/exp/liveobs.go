@@ -42,16 +42,17 @@ func newRunMetrics(reg *obs.Registry) *runMetrics {
 	}
 }
 
-// batchSubmitted accounts a RunJobs batch entering the engine.
-func (m *runMetrics) batchSubmitted(jobs int) {
+// batchSubmitted accounts a RunJobs batch's distinct cells entering the
+// engine.
+func (m *runMetrics) batchSubmitted(cells int) {
 	if m == nil {
 		return
 	}
-	m.cellsTotal.Add(uint64(jobs))
+	m.cellsTotal.Add(uint64(cells))
 }
 
-// jobFinished accounts one batch cell completing — including memoized
-// cells that never re-simulated, so done converges on total.
+// jobFinished accounts one distinct cell of a batch completing, so done
+// converges on total.
 func (m *runMetrics) jobFinished(jr *JobResult) {
 	if m == nil {
 		return
@@ -82,8 +83,7 @@ func (m *runMetrics) workerReleased() {
 	m.busy.Add(-1)
 }
 
-// runExecuted accounts one actually-executed simulation (memoized cache
-// hits never reach here).
+// runExecuted accounts one run of a distinct cell, successful or failed.
 func (m *runMetrics) runExecuted(res *sim.Result, queueWait, total time.Duration) {
 	if m == nil {
 		return

@@ -18,10 +18,9 @@ func obsRunner(par int, reg *obs.Registry, rec *obs.SpanRecorder) *Runner {
 	return NewRunner(opts)
 }
 
-// engineJobs holds 8 jobs of which one is a memoized duplicate, so 7 cells
-// actually execute; job 4 fails at prefetcher construction.
+// engineJobs holds 8 jobs of which one repeats a named cell, so 7 distinct
+// cells execute; job 4 fails at prefetcher construction.
 const (
-	engineJobCount     = 8
 	engineExecuted     = 7
 	engineFailed       = 1
 	engineTraceDecodes = 2 // unique workloads: array, list
@@ -33,16 +32,17 @@ func TestRunJobsMetrics(t *testing.T) {
 	if _, err := r.RunJobs(engineJobs()); err != nil {
 		t.Fatal(err)
 	}
-	if got := reg.Counter(obs.MetricCellsTotal, "").Value(); got != engineJobCount {
-		t.Errorf("cells_total = %d, want %d", got, engineJobCount)
+	// The cell counters count distinct cells: the repeated one once.
+	if got := reg.Counter(obs.MetricCellsTotal, "").Value(); got != engineExecuted {
+		t.Errorf("cells_total = %d, want %d", got, engineExecuted)
 	}
-	if got := reg.Counter(obs.MetricCellsDone, "").Value(); got != engineJobCount {
-		t.Errorf("cells_done = %d, want %d", got, engineJobCount)
+	if got := reg.Counter(obs.MetricCellsDone, "").Value(); got != engineExecuted {
+		t.Errorf("cells_done = %d, want %d", got, engineExecuted)
 	}
 	if got := reg.Counter(obs.MetricCellsFailed, "").Value(); got != engineFailed {
 		t.Errorf("cells_failed = %d, want %d", got, engineFailed)
 	}
-	// Histograms count actually-executed runs: the memoized duplicate never
+	// Histograms count actually-executed runs: the repeated cell never
 	// re-simulates.
 	if got := reg.Histogram(obs.MetricRunSeconds, "", nil).Count(); got != engineExecuted {
 		t.Errorf("run_seconds count = %d, want %d", got, engineExecuted)
@@ -102,7 +102,7 @@ func TestRunJobsSpans(t *testing.T) {
 		}
 	}
 	if runs != engineExecuted {
-		t.Errorf("recorded %d run spans, want %d (memoized duplicate must not re-run)", runs, engineExecuted)
+		t.Errorf("recorded %d run spans, want %d (a repeated cell must not re-run)", runs, engineExecuted)
 	}
 	if failed != engineFailed {
 		t.Errorf("recorded %d failed spans, want %d", failed, engineFailed)

@@ -8,51 +8,50 @@ import (
 	"semloc/internal/stats"
 )
 
-// RunFig10 regenerates Figure 10: L1 misses per kilo-instruction for every
-// prefetcher, showing (as the paper does) the memory-intensive workloads
-// with baseline L1 MPKI > 5, plus the average over all workloads.
-func RunFig10(r *Runner, w io.Writer) error {
-	return runMPKI(r, w, "Figure 10: L1 MPKI", 5,
+// renderFig10 regenerates Figure 10: L1 misses per kilo-instruction for
+// every prefetcher, showing (as the paper does) the memory-intensive
+// workloads with baseline L1 MPKI > 5, plus the average over all workloads.
+func renderFig10(cells []JobResult, _ Options, w io.Writer) {
+	renderMPKI(cells, w, "Figure 10: L1 MPKI", 5,
 		func(res *sim.Result) float64 { return res.L1MPKI() })
 }
 
-// RunFig11 regenerates Figure 11: L2 misses per kilo-instruction, showing
-// workloads with baseline L2 MPKI > 1 plus the average over all workloads.
-func RunFig11(r *Runner, w io.Writer) error {
-	return runMPKI(r, w, "Figure 11: L2 MPKI", 1,
+// renderFig11 regenerates Figure 11: L2 misses per kilo-instruction,
+// showing workloads with baseline L2 MPKI > 1 plus the average over all
+// workloads.
+func renderFig11(cells []JobResult, _ Options, w io.Writer) {
+	renderMPKI(cells, w, "Figure 11: L2 MPKI", 1,
 		func(res *sim.Result) float64 { return res.L2MPKI() })
 }
 
-func runMPKI(r *Runner, w io.Writer, title string, minBaseline float64, metric func(*sim.Result) float64) error {
+// renderMPKI formats every workload under FigurePrefetchers, whose first
+// is the no-prefetch baseline.
+func renderMPKI(cells []JobResult, w io.Writer, title string, minBaseline float64, metric func(*sim.Result) float64) {
 	headers := append([]string{"workload"}, FigurePrefetchers...)
 	tb := stats.NewTable(title, headers...)
 	sums := make(map[string]float64, len(FigurePrefetchers))
-	count := 0
-	for _, wl := range AllWorkloads() {
-		results, err := r.ResultsFor(wl, FigurePrefetchers)
-		if err != nil {
-			return err
+	rows := byWorkload(cells, len(FigurePrefetchers))
+	for _, row := range rows {
+		for i, pn := range FigurePrefetchers {
+			sums[pn] += metric(row[i].Result)
 		}
-		count++
-		for _, pn := range FigurePrefetchers {
-			sums[pn] += metric(results[pn])
-		}
-		if metric(results["none"]) <= minBaseline {
+		if metric(row[0].Result) <= minBaseline {
 			continue // the paper plots only memory-intensive workloads
 		}
-		cells := make([]interface{}, len(headers))
-		cells[0] = wl
-		for i, pn := range FigurePrefetchers {
-			cells[i+1] = metric(results[pn])
+		line := make([]interface{}, len(headers))
+		line[0] = row[0].Job.Workload
+		for i, c := range row {
+			line[i+1] = metric(c.Result)
 		}
-		tb.AddRow(cells...)
+		tb.AddRow(line...)
 	}
-	cells := make([]interface{}, len(headers))
-	cells[0] = "AVERAGE (all)"
+	count := len(rows)
+	line := make([]interface{}, len(headers))
+	line[0] = "AVERAGE (all)"
 	for i, pn := range FigurePrefetchers {
-		cells[i+1] = sums[pn] / float64(count)
+		line[i+1] = sums[pn] / float64(count)
 	}
-	tb.AddRow(cells...)
+	tb.AddRow(line...)
 	tb.Render(w)
 
 	base := sums["none"] / float64(count)
@@ -63,5 +62,4 @@ func runMPKI(r *Runner, w io.Writer, title string, minBaseline float64, metric f
 	if sms := sums["sms"] / float64(count); sms > 0 && ctx > 0 {
 		fmt.Fprintf(w, "context vs SMS average ratio: %.2fx\n", sms/ctx)
 	}
-	return nil
 }

@@ -2,11 +2,9 @@ package exp
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"runtime"
-	"sync"
 
 	"semloc/internal/harness"
 	"semloc/internal/obs"
@@ -59,18 +57,18 @@ func DefaultOptions() Options {
 	return Options{Scale: 1, Seed: 1, Sim: sim.DefaultConfig()}
 }
 
-// Runner runs (workload, prefetcher) simulations, memoizing both generated
-// traces and results so different figures share work. Every run executes
-// under the harness: a panicking or stalled (workload, prefetcher) pair
-// fails its own run without taking down the sweep, and cancelling the
+// Runner runs batches of simulation cells (RunJobs), memoizing generated
+// traces so every batch and every figure shares one generation per
+// workload. Every run executes under the harness: a panicking or stalled
+// cell fails its own run without taking down the batch, and cancelling the
 // runner's context stops in-flight simulations promptly.
 //
 // Traces live in a TraceCache (shared read-only across all concurrent
 // runs); per-run mutable scratch is recycled through a sim.RunPool, so a
 // long experiment matrix reaches a steady state where simulations stop
-// allocating cache hierarchies. RunJobs is the batch entry point with the
-// full determinism contract; Result/ResultsFor remain the memoized
-// per-pair API.
+// allocating cache hierarchies. Results are not kept between batches: a
+// command submits all the cells it reads as one batch, and RunJobs runs
+// each distinct cell of it once.
 type Runner struct {
 	opts   Options
 	ctx    context.Context
@@ -79,12 +77,7 @@ type Runner struct {
 	met    *runMetrics
 	lm     *obs.LearnerMetrics
 	spans  *obs.SpanRecorder
-
-	mu      sync.Mutex
-	results map[string]*sim.Result
-	errs    map[string]error
-	inFly   map[string]*sync.WaitGroup
-	sem     chan struct{}
+	sem    chan struct{}
 }
 
 // NewRunner creates a runner with a background context.
@@ -123,17 +116,14 @@ func NewRunnerContext(ctx context.Context, opts Options) *Runner {
 		lm = obs.NewLearnerMetrics(opts.Metrics)
 	}
 	return &Runner{
-		opts:    opts,
-		ctx:     ctx,
-		traces:  tc,
-		pool:    sim.NewRunPool(),
-		met:     newRunMetrics(opts.Metrics),
-		lm:      lm,
-		spans:   opts.Spans,
-		results: make(map[string]*sim.Result),
-		errs:    make(map[string]error),
-		inFly:   make(map[string]*sync.WaitGroup),
-		sem:     make(chan struct{}, p),
+		opts:   opts,
+		ctx:    ctx,
+		traces: tc,
+		pool:   sim.NewRunPool(),
+		met:    newRunMetrics(opts.Metrics),
+		lm:     lm,
+		spans:  opts.Spans,
+		sem:    make(chan struct{}, p),
 	}
 }
 
@@ -146,58 +136,13 @@ func (r *Runner) Trace(workload string) (*trace.Trace, error) {
 	return r.traces.Get(r.ctx, workload)
 }
 
-// Result runs (or returns the cached result of) workload under prefetcher.
-func (r *Runner) Result(workload, prefetcher string) (*sim.Result, error) {
-	key := workload + "|" + prefetcher
-
-	r.mu.Lock()
-	for {
-		if res, ok := r.results[key]; ok {
-			r.mu.Unlock()
-			return res, nil
-		}
-		if err, ok := r.errs[key]; ok {
-			r.mu.Unlock()
-			return nil, err
-		}
-		wg, running := r.inFly[key]
-		if !running {
-			break
-		}
-		r.mu.Unlock()
-		wg.Wait()
-		r.mu.Lock()
-	}
-	wg := &sync.WaitGroup{}
-	wg.Add(1)
-	r.inFly[key] = wg
-	r.mu.Unlock()
-
-	res, _, err := r.run(Job{Workload: workload, Prefetcher: prefetcher})
-
-	r.mu.Lock()
-	switch {
-	case err == nil:
-		r.results[key] = res
-	case harness.IsCancelled(err):
-		// Cancellation is a property of this attempt, not of the
-		// (workload, prefetcher) pair: don't memoize it.
-	default:
-		r.errs[key] = err
-	}
-	delete(r.inFly, key)
-	r.mu.Unlock()
-	wg.Done()
-	return res, err
-}
-
 // run simulates one cell: it builds the cell's prefetcher with
 // NewCellPrefetcher, waits for a worker slot and runs the simulation under
-// the harness with pooled scratch. Only named cells (Config == nil), the
-// memoized ones, get telemetry, a decision trace and an artifact: the
-// artifact namespace is keyed by (workload, prefetcher name), which a
-// sweep's points would collide all over. The prefetcher instance comes
-// back for parameterised callers that read its learned state.
+// the harness with pooled scratch. Only named cells (Config == nil) get
+// telemetry, a decision trace and an artifact: the artifact namespace is
+// keyed by (workload, prefetcher name), which a sweep's points would
+// collide all over. The prefetcher instance comes back for parameterised
+// callers that read its learned state.
 func (r *Runner) run(job Job) (*sim.Result, prefetch.Prefetcher, error) {
 	named := job.Config == nil
 	cell := job.Workload + "/" + job.Prefetcher
@@ -273,59 +218,6 @@ func (r *Runner) run(job Job) (*sim.Result, prefetch.Prefetcher, error) {
 		}
 	}
 	return res, pf, nil
-}
-
-// ResultsFor runs every listed prefetcher on the workload concurrently and
-// returns results indexed by prefetcher name. When several runs fail,
-// their errors are joined so a multi-workload failure report names every
-// failing pair, not just the first off the channel.
-func (r *Runner) ResultsFor(workload string, prefetchers []string) (map[string]*sim.Result, error) {
-	out := make(map[string]*sim.Result, len(prefetchers))
-	errCh := make(chan error, len(prefetchers))
-	var mu sync.Mutex
-	var wg sync.WaitGroup
-	for _, pn := range prefetchers {
-		pn := pn
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res, err := r.Result(workload, pn)
-			if err != nil {
-				errCh <- err
-				return
-			}
-			mu.Lock()
-			out[pn] = res
-			mu.Unlock()
-		}()
-	}
-	wg.Wait()
-	close(errCh)
-	var errs []error
-	for err := range errCh {
-		errs = append(errs, err)
-	}
-	if len(errs) > 0 {
-		return nil, errors.Join(errs...)
-	}
-	return out, nil
-}
-
-// Speedup returns the IPC ratio of prefetcher over the no-prefetch
-// baseline for the workload.
-func (r *Runner) Speedup(workload, prefetcher string) (float64, error) {
-	base, err := r.Result(workload, "none")
-	if err != nil {
-		return 0, err
-	}
-	res, err := r.Result(workload, prefetcher)
-	if err != nil {
-		return 0, err
-	}
-	if base.IPC() == 0 {
-		return 0, fmt.Errorf("exp: %s baseline IPC is zero", workload)
-	}
-	return res.IPC() / base.IPC(), nil
 }
 
 // AllWorkloads lists every Table 3 workload name.

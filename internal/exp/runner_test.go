@@ -1,7 +1,9 @@
 package exp
 
 import (
+	"bytes"
 	"context"
+	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -11,17 +13,33 @@ import (
 	"semloc/internal/trace"
 )
 
-func TestResultsForJoinsAllErrors(t *testing.T) {
+// TestExperimentReportsEveryFailedCell: an experiment with two failing
+// cells renders nothing and reports both, joined, not just the first.
+func TestExperimentReportsEveryFailedCell(t *testing.T) {
+	e := Experiment{
+		ID: "failing",
+		Jobs: func() []Job {
+			return crossJobs([]string{"array"}, []string{"none", "bogus-a", "bogus-b"})
+		},
+		render: func([]JobResult, Options, io.Writer) { t.Error("rendered an experiment whose cells failed") },
+	}
 	r := tinyRunner()
-	_, err := r.ResultsFor("array", []string{"none", "bogus-a", "bogus-b"})
+	cells, err := r.RunJobs(e.Jobs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	err = e.Render(cells, r.Options(), &buf)
 	if err == nil {
 		t.Fatal("expected errors for unknown prefetchers")
 	}
-	msg := err.Error()
 	for _, want := range []string{"bogus-a", "bogus-b"} {
-		if !strings.Contains(msg, want) {
-			t.Errorf("joined error %q does not name failing pair %q", msg, want)
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("joined error %q does not name failing cell %q", err, want)
 		}
+	}
+	if buf.Len() != 0 {
+		t.Errorf("wrote %q for a failed experiment", buf.String())
 	}
 }
 
@@ -30,24 +48,22 @@ func TestRunnerCancelledContext(t *testing.T) {
 	cancel()
 	opts := DefaultOptions()
 	opts.Scale = 0.02
-	r := NewRunnerContext(ctx, opts)
-	_, err := r.Result("array", "none")
-	if err == nil {
+	res, err := NewRunnerContext(ctx, opts).RunJobs([]Job{{Workload: "array", Prefetcher: "none"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res[0].Err == nil {
 		t.Fatal("expected cancellation error")
 	}
-	if !harness.IsCancelled(err) {
-		t.Errorf("IsCancelled = false for %v", err)
+	if !harness.IsCancelled(res[0].Err) {
+		t.Errorf("IsCancelled = false for %v", res[0].Err)
 	}
-	// Cancellation must not be memoized as a permanent failure: a fresh
-	// runner with a live context still runs the pair.
-	r2 := tinyRunner()
-	if _, err := r2.Result("array", "none"); err != nil {
-		t.Errorf("fresh runner failed after cancelled one: %v", err)
-	}
+	// Cancellation is a property of the attempt: a fresh runner with a
+	// live context still runs the cell.
+	runCells(t, tinyRunner(), Job{Workload: "array", Prefetcher: "none"})
 }
 
-// TestTraceSingleFlight regresses the duplicated-generation bug: Result
-// always went through a single-flight guard, but Trace did not — N
+// TestTraceSingleFlight regresses the duplicated-generation bug: N
 // concurrent callers racing on a cold workload each ran the generator,
 // multiplying work and peak heap by N. All concurrent callers must share
 // one generation and receive the same memoized trace.

@@ -2,84 +2,16 @@ package exp
 
 import (
 	"context"
-	"sync"
 	"testing"
 	"time"
 
 	"semloc/internal/harness"
-	"semloc/internal/sim"
 )
 
-// TestRunnerMemoStress hammers the Runner's memoization from many
-// goroutines with overlapping keys — concurrent Trace, Result and
-// ResultsFor calls racing on cold and warm entries. It exists for the race
-// detector (`make check` runs the suite under -race): the property checked
-// here is that every caller lands on the same memoized instance, and the
-// property -race checks is that they do so without data races.
-func TestRunnerMemoStress(t *testing.T) {
-	if testing.Short() {
-		t.Skip("stress test")
-	}
-	opts := DefaultOptions()
-	opts.Scale = 0.02
-	opts.Parallelism = 4
-	r := NewRunner(opts)
-
-	keys := [][2]string{
-		{"list", "none"}, {"list", "sms"},
-		{"array", "none"}, {"array", "context"},
-	}
-	const goroutines = 12
-	got := make([]map[string]*sim.Result, goroutines)
-	errs := make([]error, goroutines)
-	start := make(chan struct{})
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		g := g
-		got[g] = make(map[string]*sim.Result)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-start
-			for _, k := range keys {
-				res, err := r.Result(k[0], k[1])
-				if err != nil {
-					errs[g] = err
-					return
-				}
-				got[g][k[0]+"|"+k[1]] = res
-			}
-			// Overlap the per-pair calls with batch and trace lookups on
-			// the same keys.
-			if _, err := r.ResultsFor("list", []string{"none", "sms"}); err != nil {
-				errs[g] = err
-				return
-			}
-			if _, err := r.Trace("array"); err != nil {
-				errs[g] = err
-			}
-		}()
-	}
-	close(start)
-	wg.Wait()
-
-	for g := 0; g < goroutines; g++ {
-		if errs[g] != nil {
-			t.Fatalf("goroutine %d: %v", g, errs[g])
-		}
-		for key, res := range got[g] {
-			if res != got[0][key] {
-				t.Fatalf("goroutine %d received a different %s instance than goroutine 0", g, key)
-			}
-		}
-	}
-}
-
-// TestRunnerCancellationStress cancels a runner while a crowd of callers
-// races on overlapping keys: every call must return either a completed
-// result or a cancellation, promptly, and cancellations must not be
-// memoized (checked here via a fresh runner over the same shared cache
-// type, and by the suite's -race run for the teardown itself).
+// TestRunnerCancellationStress cancels a runner while a batch of
+// overlapping cells is in flight on four workers: every job must come back
+// with either a completed result or a cancellation, promptly (the suite's
+// -race run checks the teardown itself).
 func TestRunnerCancellationStress(t *testing.T) {
 	if testing.Short() {
 		t.Skip("stress test")
@@ -90,29 +22,20 @@ func TestRunnerCancellationStress(t *testing.T) {
 	opts.Parallelism = 4
 	r := NewRunnerContext(ctx, opts)
 
-	const goroutines = 10
-	errCh := make(chan error, goroutines)
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		g := g
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			wl := []string{"list", "array"}[g%2]
-			pf := []string{"none", "sms", "context"}[g%3]
-			if _, err := r.Result(wl, pf); err != nil {
-				errCh <- err
-			}
-		}()
+	jobs := make([]Job, 10)
+	for g := range jobs {
+		jobs[g] = Job{Workload: []string{"list", "array"}[g%2], Prefetcher: []string{"none", "sms", "context"}[g%3]}
 	}
 	// Let some runs get in flight, then pull the plug.
-	time.Sleep(5 * time.Millisecond)
-	cancel()
-	wg.Wait()
-	close(errCh)
-	for err := range errCh {
-		if !harness.IsCancelled(err) {
-			t.Errorf("non-cancellation error during cancelled stress run: %v", err)
+	timer := time.AfterFunc(5*time.Millisecond, cancel)
+	defer timer.Stop()
+	res, err := r.RunJobs(jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, jr := range res {
+		if jr.Err != nil && !harness.IsCancelled(jr.Err) {
+			t.Errorf("non-cancellation error during cancelled stress run: %v", jr.Err)
 		}
 	}
 }

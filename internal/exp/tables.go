@@ -9,10 +9,10 @@ import (
 	"semloc/internal/workloads"
 )
 
-// RunTable2 prints the simulated machine and prefetcher parameters
+// renderTable2 prints the simulated machine and prefetcher parameters
 // (Table 2 of the paper) as configured in this reproduction.
-func RunTable2(r *Runner, w io.Writer) error {
-	cfg := r.Options().Sim
+func renderTable2(_ []JobResult, opts Options, w io.Writer) {
+	cfg := opts.Sim
 	ctx := core.DefaultConfig()
 
 	tb := stats.NewTable("Table 2: simulator parameters", "parameter", "value")
@@ -28,15 +28,13 @@ func RunTable2(r *Runner, w io.Writer) error {
 	tb.AddRow("Prefetch queue", fmt.Sprintf("%d entries", ctx.QueueDepth))
 	tb.AddRow("Context prefetcher size", fmt.Sprintf("~%dkB", ctx.StorageBytes()>>10))
 	tb.Render(w)
-	return nil
 }
 
-// RunTable3 prints the workload inventory (Table 3 of the paper).
-func RunTable3(r *Runner, w io.Writer) error {
+// renderTable3 prints the workload inventory (Table 3 of the paper).
+func renderTable3(_ []JobResult, _ Options, w io.Writer) {
 	tb := stats.NewTable("Table 3: workloads and benchmarks", "suite", "workload", "irregular", "modelled behaviour")
 	for _, wl := range workloads.All() {
 		tb.AddRow(wl.Suite, wl.Name, wl.Irregular, wl.Description)
 	}
 	tb.Render(w)
-	return nil
 }

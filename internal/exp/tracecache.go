@@ -82,7 +82,7 @@ func (c *TraceCache) spanRecorder() *obs.SpanRecorder {
 // generation — without the single-flight, every figure touching a workload
 // first would generate its trace redundantly (and large-scale generations
 // would multiply peak heap by the caller count). Failed generations are
-// memoized like failed results; cancellations are not.
+// memoized; cancellations are not.
 func (c *TraceCache) Get(ctx context.Context, workload string) (*trace.Trace, error) {
 	c.mu.Lock()
 	for {

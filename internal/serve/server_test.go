@@ -195,8 +195,19 @@ func TestServerDegradedFallbackWhenInboxFull(t *testing.T) {
 	// With the worker gated, the first access is pulled off the inbox and
 	// parks at the gate; the next InboxDepth fill the inbox; one more must
 	// shed to the degraded fallback — served inline by the reader, so it
-	// answers even though every learner slot is stuck.
-	for i := uint64(1); i <= 3; i++ {
+	// answers even though every learner slot is stuck. Seq 1 goes alone:
+	// until the worker holds it at the gate (in flight, inbox empty), seq 3
+	// would find the inbox full and be the access shed.
+	tc.send(&Frame{Type: FrameAccess, Seq: 1, PC: 1, Addr: accessAddr(1)})
+	sess := s.store.all()[0]
+	held := time.Now().Add(2 * time.Second)
+	for s.inflight.Load() != 1 || len(sess.inbox) != 0 {
+		if time.Now().After(held) {
+			t.Fatalf("worker never held seq 1 at the gate: inflight %d, inbox %d", s.inflight.Load(), len(sess.inbox))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	for i := uint64(2); i <= 3; i++ {
 		tc.send(&Frame{Type: FrameAccess, Seq: i, PC: 1, Addr: accessAddr(i)})
 	}
 	// Give the worker/inbox a moment to reach steady state, then overflow.
