@@ -6,8 +6,9 @@
 # cmd/experiments (the race build skips both) and
 # the written-trace golden (the bytes of every generator's trace file) +
 # short fuzz runs of the trace decoder, the trace emitter's
-# compact storage, the prefetchd wire-frame decoder, the learner
-# restore path and the observability endpoint's request-head parser + the
+# compact storage, the prefetchd wire-frame decoder, the daemon snapshot
+# parser, the learner restore path and the observability endpoint's
+# request-head parser + the
 # recorded BENCH
 # diff (the frozen simulator reports must validate and show no
 # regression) + an overhead guard that pins the disabled-telemetry hot
@@ -74,22 +75,27 @@ results:
 	$(GO) run ./cmd/experiments -q -scale 1 -seed 1 > results/experiments_scale1.txt
 
 # fuzz smokes the untrusted-input decoders, trace.Read (FuzzReader), the
-# prefetchd wire-protocol frame decoder (FuzzDecodeFrame), the learner
+# prefetchd wire-protocol frame decoder (FuzzDecodeFrame), the snapshot
+# file a daemon boots from (FuzzLoadSnapshot: refused, or parsed back
+# deeply equal once written back through the envelope code), the learner
 # restore path a warm start takes from a snapshot (FuzzLearnerState: any
 # state Validate accepts must restore and then decide without panicking)
 # and the observability endpoint's request-head parser (FuzzRequestHead:
 # bounded reads, and agreement with net/http's ReadRequest on every GET or
 # HEAD it accepts), and the trace emitter's compact storage against a
 # plain record list (FuzzAppend); go test allows one -fuzz pattern per
-# invocation, hence five runs. FuzzLearnerState's inputs are tens of
-# kilobytes of JSON, whose minimisation would take the whole 10 s, so that
-# run skips it (-fuzzminimizetime=0); a crasher is written to testdata at
-# full size. The endpoint run skips the package's unit tests (-run '^$$'),
-# one of which waits out the 5 s read deadline; `test` and `race` run them.
+# invocation, hence six runs. The snapshot and learner-state inputs are
+# tens of kilobytes of JSON, whose minimisation would take the whole 10 s,
+# so those runs skip it (-fuzzminimizetime=0); a crasher is written to
+# testdata at full size. The snapshot run and the endpoint run skip their
+# packages' unit tests (-run '^$$'), which the FuzzDecodeFrame run has
+# already run for serve, and one of which waits out the 5 s read deadline
+# for the endpoint; `test` and `race` run them.
 fuzz:
 	$(GO) test -fuzz=FuzzReader -fuzztime=10s ./internal/trace
 	$(GO) test -fuzz=FuzzAppend -fuzztime=10s ./internal/trace
 	$(GO) test -fuzz=FuzzDecodeFrame -fuzztime=10s ./internal/serve
+	$(GO) test -run '^$$' -fuzz=FuzzLoadSnapshot -fuzztime=10s -fuzzminimizetime=0 ./internal/serve
 	$(GO) test -fuzz=FuzzLearnerState -fuzztime=10s -fuzzminimizetime=0 ./internal/core
 	$(GO) test -run '^$$' -fuzz=FuzzRequestHead -fuzztime=10s ./internal/obs/endpoint
 

@@ -69,7 +69,6 @@ func renderSpans(spans []obs.Span, path string, top int, w io.Writer) {
 		if end := s.Start + s.Dur; end > wall {
 			wall = end
 		}
-		busy += s.Dur
 		switch s.Cat {
 		case obs.CatTrace:
 			traces++
@@ -78,6 +77,7 @@ func renderSpans(spans []obs.Span, path string, top int, w io.Writer) {
 			serves = append(serves, s)
 		default:
 			runs = append(runs, s)
+			busy += s.Dur
 			if s.Err {
 				failed++
 			}
@@ -89,7 +89,10 @@ func renderSpans(spans []obs.Span, path string, top int, w io.Writer) {
 		renderServeSpans(serves, path, wall, top, w)
 		return
 	}
-	lanes := obs.Lanes(spans)
+	// Workers and their busy time count run spans only: a trace
+	// generation runs inside the decode-wait phase of the run waiting on
+	// it, so counting it too would open a lane no worker has.
+	lanes := obs.Lanes(runs)
 	workers := 0
 	for _, l := range lanes {
 		if l+1 > workers {

@@ -77,6 +77,46 @@ func TestInspectSpans(t *testing.T) {
 	}
 }
 
+// TestInspectSpansCountsRunLanes records two workers' runs side by side,
+// with a trace generation inside the first run's decode wait: the
+// generation is a row of the phase table, but opens no worker lane.
+func TestInspectSpansCountsRunLanes(t *testing.T) {
+	rec := obs.NewSpanRecorder()
+	ms := func(n int) time.Duration { return time.Duration(n) * time.Millisecond }
+	rec.Add(obs.Span{Cat: obs.CatRun, Workload: "list", Prefetcher: "none", Start: 0, Dur: ms(100),
+		Phases: []obs.Phase{
+			{Name: obs.PhaseDecode, Start: 0, Dur: ms(30)},
+			{Name: obs.PhaseMeasured, Start: ms(30), Dur: ms(70)},
+		}})
+	rec.Add(obs.Span{Cat: obs.CatTrace, Workload: "list", Start: ms(1), Dur: ms(28)})
+	rec.Add(obs.Span{Cat: obs.CatRun, Workload: "mcf", Prefetcher: "none", Start: 0, Dur: ms(100),
+		Phases: []obs.Phase{{Name: obs.PhaseMeasured, Start: 0, Dur: ms(100)}}})
+	path := filepath.Join(t.TempDir(), "lanes.trace.json")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rec.WriteChromeTrace(f); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	var out bytes.Buffer
+	if code := run([]string{"spans", path}, &out); code != harness.ExitOK {
+		t.Fatalf("inspect spans exited %d:\n%s", code, out.String())
+	}
+	got := out.String()
+	for _, want := range []string{
+		"2 run spans (0 failed), 1 trace generations",
+		"wall 100ms, busy 200ms across 2 worker lanes (utilization 100%)",
+		"trace-generate",
+	} {
+		if !strings.Contains(got, want) {
+			t.Errorf("spans output missing %q:\n%s", want, got)
+		}
+	}
+}
+
 func TestInspectSpansTopLimit(t *testing.T) {
 	path := writeSpanFile(t)
 	var out bytes.Buffer

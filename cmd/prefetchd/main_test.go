@@ -1,6 +1,9 @@
 package main
 
 import (
+	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -306,6 +309,76 @@ func TestObservabilityAndDrainReadiness(t *testing.T) {
 	for _, sp := range spans {
 		if sp.Cat != obs.CatServe || sp.Workload != "obs" || len(sp.Phases) != 4 {
 			t.Fatalf("bad serve span in file: %+v", sp)
+		}
+	}
+}
+
+// TestBootRefusesUnverifiableSnapshot boots the daemon on a snapshot with
+// one payload digit changed and on a schema-1 snapshot (SHA-256): each
+// must exit 1 before serving, naming what it refused, and leave the file
+// for the operator to delete.
+func TestBootRefusesUnverifiableSnapshot(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds and runs the daemon binary")
+	}
+	bin := buildDaemon(t)
+	dir := t.TempDir()
+	l, err := serve.NewLearner(core.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := &serve.Snapshot{Sessions: []serve.SessionSnapshot{{ID: "s", Learner: l.Save()}}}
+	good := filepath.Join(dir, "good.snap")
+	if err := serve.SaveSnapshot(good, snap); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := serve.LoadSnapshot(good); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped := append([]byte(nil), raw...)
+	for i := strings.Index(string(flipped), `"payload":`); i < len(flipped); i++ {
+		if flipped[i] >= '1' && flipped[i] <= '8' {
+			flipped[i]++
+			break
+		}
+	}
+	if string(flipped) == string(raw) {
+		t.Fatal("snapshot payload has no digit to flip")
+	}
+	payload, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(payload)
+	schema1 := fmt.Appendf(nil, `{"schema":1,"sha256":%q,"payload":%s}`, hex.EncodeToString(sum[:]), payload)
+
+	for _, tc := range []struct {
+		name, want string
+		file       []byte
+	}{
+		{"flipped.snap", "snapshot checksum mismatch", flipped},
+		{"schema1.snap", "snapshot schema 1, want 2: this daemon cannot verify it; delete the file to cold-start", schema1},
+	} {
+		p := filepath.Join(dir, tc.name)
+		if err := os.WriteFile(p, tc.file, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		// A daemon that boots serves until killed: the deadline ends it.
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		out, err := exec.CommandContext(ctx, bin, "-listen", "127.0.0.1:0", "-snapshot", p).CombinedOutput()
+		cancel()
+		if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+			t.Errorf("%s: want exit 1, got %v\n%s", tc.name, err, out)
+		}
+		if !strings.Contains(string(out), tc.want) {
+			t.Errorf("%s: output does not say %q:\n%s", tc.name, tc.want, out)
+		}
+		if b, err := os.ReadFile(p); err != nil || string(b) != string(tc.file) {
+			t.Errorf("%s: the refused snapshot changed or went: %v", tc.name, err)
 		}
 	}
 }

@@ -118,8 +118,8 @@ func DeriveSeed(base uint64, workload, prefetcher string, point int) uint64 {
 //
 // Individual job failures land in their JobResult.Err and do not stop the
 // batch (cancellation does, via the per-run harness). The returned error
-// reports batch-level corruption only: a shared cached trace that changed
-// checksum during the batch, meaning some run wrote to memory every other
+// reports batch-level corruption only: a shared cached trace whose digest
+// changed during the batch, meaning some run wrote to memory every other
 // run was reading.
 func (r *Runner) RunJobs(jobs []Job) ([]JobResult, error) {
 	out := make([]JobResult, len(jobs))

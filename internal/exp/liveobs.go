@@ -130,13 +130,18 @@ func (r *Runner) beginCell(workload, prefetcher string, point int) *cellTrace {
 	if r.met == nil && r.spans == nil {
 		return nil
 	}
+	// off is read before start: the span then ends at off plus the time
+	// since start, never after finish runs, so the worker's next span
+	// starts after it even when the goroutine is descheduled between the
+	// two reads.
+	off := r.spans.Now()
 	return &cellTrace{
 		r:        r,
 		workload: workload,
 		pf:       prefetcher,
 		point:    point,
 		start:    time.Now(),
-		off:      r.spans.Now(),
+		off:      off,
 	}
 }
 

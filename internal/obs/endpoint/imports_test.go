@@ -11,11 +11,16 @@ const self = "semloc/internal/obs/endpoint"
 
 // httpStack is what a program links when it speaks HTTP through the
 // standard library's client or server rather than on net itself. No
-// package of the module reaches it but loadgen, whose HTTP client scrapes
-// a daemon's endpoint; the endpoint answers HTTP/1.1 on net.
-var httpStack = []string{"net/http", "crypto/tls", "expvar", "net/http/pprof"}
+// package of the module reaches it, or any crypto/ package, but loadgen,
+// whose HTTP client scrapes a daemon's endpoint and needs crypto/tls; the
+// endpoint answers HTTP/1.1 on net, and the trace cache and the daemon's
+// snapshot guard their bytes with hash/crc64.
+var httpStack = []string{"net/http", "expvar", "net/http/pprof"}
 
 const httpClient = "semloc/cmd/loadgen"
+
+// isCrypto reports whether a standard package is crypto or under it.
+func isCrypto(dep string) bool { return dep == "crypto" || strings.HasPrefix(dep, "crypto/") }
 
 // internalRule names, for each guarded standard package, the internal
 // packages that may reach it. The runtime profiler stays in this package,
@@ -62,6 +67,9 @@ func TestInternalImportRule(t *testing.T) {
 			t.Fatalf("go list shows %s not reaching %s: the graph was not read, so the rule would check nothing", self, dep)
 		}
 	}
+	if !slices.ContainsFunc(graph[httpClient].deps, isCrypto) {
+		t.Fatalf("go list shows %s reaching no crypto package: the crypto rule would check nothing", httpClient)
+	}
 	fail := func(pkg, dep, allowed string) {
 		via := dep
 		for _, imp := range graph[pkg].imports {
@@ -73,9 +81,15 @@ func TestInternalImportRule(t *testing.T) {
 		t.Errorf("%s reaches %s (through its import of %s); only %s may", pkg, dep, via, allowed)
 	}
 	for _, pkg := range module {
-		for _, dep := range httpStack {
-			if pkg != httpClient && reaches(pkg, dep) {
-				fail(pkg, dep, httpClient)
+		if pkg != httpClient {
+			for _, dep := range httpStack {
+				if reaches(pkg, dep) {
+					fail(pkg, dep, httpClient)
+				}
+			}
+			// One line per package: the first crypto package it reaches.
+			if i := slices.IndexFunc(graph[pkg].deps, isCrypto); i >= 0 {
+				fail(pkg, graph[pkg].deps[i], httpClient)
 			}
 		}
 		if !strings.HasPrefix(pkg, "semloc/internal/") {

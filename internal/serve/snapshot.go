@@ -1,17 +1,17 @@
 package serve
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"hash/crc64"
 	"os"
 	"path/filepath"
 )
 
 // SnapshotSchema versions the daemon snapshot envelope (the per-learner
-// encoding is versioned separately by core.StateSchema).
-const SnapshotSchema = 1
+// encoding is versioned separately by core.StateSchema). Schema 2 guards
+// the payload with a CRC-64; schema 1 guarded it with a SHA-256.
+const SnapshotSchema = 2
 
 // Snapshot is the daemon's durable state: every live session, sorted by
 // id so marshaling is deterministic.
@@ -19,33 +19,42 @@ type Snapshot struct {
 	Sessions []SessionSnapshot `json:"sessions"`
 }
 
-// snapshotFile is the on-disk envelope: the payload bytes plus a sha256
-// over exactly those bytes, so a torn or bit-flipped file is detected at
-// restore instead of silently warm-starting a corrupt learner.
+// snapshotFile is the on-disk envelope: the payload bytes plus a CRC-64
+// (ECMA) of exactly those bytes, so a torn or bit-flipped file is detected
+// at restore instead of silently warm-starting a corrupt learner. The CRC
+// guards against accidents, not forgery: whoever can write the file could
+// recompute any digest of it.
 type snapshotFile struct {
 	Schema  int             `json:"schema"`
-	SHA256  string          `json:"sha256"`
+	CRC64   uint64          `json:"crc64"`
 	Payload json.RawMessage `json:"payload"`
+}
+
+// encodeSnapshot renders snap as the envelope SaveSnapshot writes.
+func encodeSnapshot(snap *Snapshot) ([]byte, error) {
+	payload, err := json.Marshal(snap)
+	if err != nil {
+		return nil, fmt.Errorf("serve: encoding snapshot: %w", err)
+	}
+	env, err := json.Marshal(snapshotFile{
+		Schema:  SnapshotSchema,
+		CRC64:   crc64.Checksum(payload, crc64.MakeTable(crc64.ECMA)),
+		Payload: payload,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("serve: encoding snapshot envelope: %w", err)
+	}
+	return append(env, '\n'), nil
 }
 
 // SaveSnapshot atomically persists snap at path: the envelope is written
 // to a temp file in the same directory and renamed into place, so readers
 // only ever observe a complete previous or complete new snapshot.
 func SaveSnapshot(path string, snap *Snapshot) error {
-	payload, err := json.Marshal(snap)
+	env, err := encodeSnapshot(snap)
 	if err != nil {
-		return fmt.Errorf("serve: encoding snapshot: %w", err)
+		return err
 	}
-	sum := sha256.Sum256(payload)
-	env, err := json.Marshal(snapshotFile{
-		Schema:  SnapshotSchema,
-		SHA256:  hex.EncodeToString(sum[:]),
-		Payload: payload,
-	})
-	if err != nil {
-		return fmt.Errorf("serve: encoding snapshot envelope: %w", err)
-	}
-	env = append(env, '\n')
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -73,11 +82,9 @@ func SaveSnapshot(path string, snap *Snapshot) error {
 	return nil
 }
 
-// LoadSnapshot reads and verifies a snapshot: the checksum, then every
-// session — a nonempty id no other session has, a valid learner, and a
-// replay cache whose seqs are nonzero, strictly ascending and at most the
-// session's LastSeq. A missing file is not an error: it returns
-// (nil, nil) — the cold-start case.
+// LoadSnapshot reads and verifies a snapshot (see parseSnapshot). A
+// missing file is not an error: it returns (nil, nil) — the cold-start
+// case.
 func LoadSnapshot(path string) (*Snapshot, error) {
 	raw, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
@@ -86,16 +93,24 @@ func LoadSnapshot(path string) (*Snapshot, error) {
 	if err != nil {
 		return nil, fmt.Errorf("serve: reading snapshot: %w", err)
 	}
+	return parseSnapshot(raw)
+}
+
+// parseSnapshot verifies a snapshot file's bytes: the schema, the CRC,
+// then every session — a nonempty id no other session has, a valid
+// learner, and a replay cache whose seqs are nonzero, strictly ascending
+// and at most the session's LastSeq.
+func parseSnapshot(raw []byte) (*Snapshot, error) {
 	var env snapshotFile
 	if err := json.Unmarshal(raw, &env); err != nil {
 		return nil, fmt.Errorf("serve: parsing snapshot envelope: %w", err)
 	}
 	if env.Schema != SnapshotSchema {
-		return nil, fmt.Errorf("serve: snapshot schema %d, want %d", env.Schema, SnapshotSchema)
+		return nil, fmt.Errorf("serve: snapshot schema %d, want %d: this daemon cannot verify it; delete the file to cold-start",
+			env.Schema, SnapshotSchema)
 	}
-	sum := sha256.Sum256(env.Payload)
-	if got := hex.EncodeToString(sum[:]); got != env.SHA256 {
-		return nil, fmt.Errorf("serve: snapshot checksum mismatch: file says %s, payload hashes to %s", env.SHA256, got)
+	if got := crc64.Checksum(env.Payload, crc64.MakeTable(crc64.ECMA)); got != env.CRC64 {
+		return nil, fmt.Errorf("serve: snapshot checksum mismatch: file says %#x, payload hashes to %#x", env.CRC64, got)
 	}
 	var snap Snapshot
 	if err := json.Unmarshal(env.Payload, &snap); err != nil {

@@ -1,9 +1,16 @@
 package serve
 
 import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
+	"fmt"
+	"hash/crc64"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"semloc/internal/core"
@@ -11,7 +18,7 @@ import (
 
 // buildSnapshot trains a learner a little and wraps it as a one-session
 // snapshot, so tests exercise non-trivial table state.
-func buildSnapshot(t *testing.T, id string, accesses int) *Snapshot {
+func buildSnapshot(t testing.TB, id string, accesses int) *Snapshot {
 	t.Helper()
 	l, err := NewLearner(core.Config{})
 	if err != nil {
@@ -67,10 +74,53 @@ func TestSnapshotMissingFileIsColdStart(t *testing.T) {
 	}
 }
 
+// flipPayloadDigit returns a copy of a snapshot file with one digit of its
+// payload changed, so the envelope still parses and only the CRC can
+// tell.
+func flipPayloadDigit(t testing.TB, file []byte) []byte {
+	t.Helper()
+	b := append([]byte(nil), file...)
+	start := bytes.Index(b, []byte(`"payload":`))
+	if start < 0 {
+		t.Fatal("snapshot file has no payload")
+	}
+	for i := start; i < len(b); i++ {
+		if b[i] >= '1' && b[i] <= '8' {
+			b[i]++
+			return b
+		}
+	}
+	t.Fatal("snapshot payload has no digit to flip")
+	return nil
+}
+
+// schema1File renders snap in the envelope schema 1 wrote: the payload
+// with a hex SHA-256 of its bytes.
+func schema1File(t testing.TB, snap *Snapshot) []byte {
+	t.Helper()
+	payload, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(payload)
+	env, err := json.Marshal(struct {
+		Schema  int             `json:"schema"`
+		SHA256  string          `json:"sha256"`
+		Payload json.RawMessage `json:"payload"`
+	}{1, hex.EncodeToString(sum[:]), payload})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(env, '\n')
+}
+
+// TestSnapshotDetectsCorruption feeds LoadSnapshot and the daemon's boot
+// (NewServer) files it cannot verify; both must refuse each one.
 func TestSnapshotDetectsCorruption(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "state.snap")
-	if err := SaveSnapshot(path, buildSnapshot(t, "s", 100)); err != nil {
+	snap := buildSnapshot(t, "s", 100)
+	if err := SaveSnapshot(path, snap); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)
@@ -78,33 +128,29 @@ func TestSnapshotDetectsCorruption(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	flip := func(name string, mutate func([]byte) []byte) {
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, mutate(append([]byte(nil), raw...)), 0o644); err != nil {
+	for _, tc := range []struct {
+		name, want string
+		file       []byte
+	}{
+		{"bitflip.snap", "checksum mismatch", flipPayloadDigit(t, raw)},
+		{"schema1.snap", "schema 1, want 2: this daemon cannot verify it; delete the file to cold-start", schema1File(t, snap)},
+		{"trunc.snap", "parsing snapshot envelope", raw[:len(raw)/2]},
+		{"garbage.snap", "parsing snapshot envelope", []byte("not a snapshot")},
+	} {
+		p := filepath.Join(dir, tc.name)
+		if err := os.WriteFile(p, tc.file, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadSnapshot(p); err == nil {
-			t.Fatalf("%s: corrupt snapshot loaded", name)
+		if _, err := LoadSnapshot(p); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: LoadSnapshot error %v, want one saying %q", tc.name, err, tc.want)
+		}
+		if _, err := NewServer(Config{SnapshotPath: p}); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: boot error %v, want one saying %q", tc.name, err, tc.want)
 		}
 	}
-	// Flip one byte inside the payload: checksum must catch it. Find a
-	// digit in the payload region and change it.
-	flip("bitflip.snap", func(b []byte) []byte {
-		for i := len(b) / 2; i < len(b); i++ {
-			if b[i] >= '1' && b[i] <= '8' {
-				b[i]++
-				break
-			}
-		}
-		return b
-	})
-	// Truncate: envelope no longer parses.
-	flip("trunc.snap", func(b []byte) []byte { return b[:len(b)/2] })
-	// Garbage.
-	flip("garbage.snap", func(b []byte) []byte { return []byte("not a snapshot") })
 }
 
-// TestSnapshotRejectsBadSessions covers what the checksum cannot: a
+// TestSnapshotRejectsBadSessions covers what the CRC cannot: a
 // snapshot written whole whose sessions a restore would corrupt. Two
 // sessions under one id would start two workers while the store keeps
 // only the second; a replay cache with a zero, repeated or descending
@@ -179,4 +225,50 @@ func TestSnapshotAtomicReplace(t *testing.T) {
 	if len(ents) != 1 {
 		t.Fatalf("snapshot dir has %d entries, want just the snapshot", len(ents))
 	}
+}
+
+// FuzzLoadSnapshot checks the snapshot parser a daemon boots from on
+// arbitrary bytes: each input, read as a whole file and as the payload of
+// an envelope with the right CRC (which mutation alone almost never
+// produces), must be refused or give a snapshot that, written back
+// through the envelope code, parses back deeply equal.
+func FuzzLoadSnapshot(f *testing.F) {
+	two := buildSnapshot(f, "a", 40)
+	two.Sessions = append(two.Sessions, buildSnapshot(f, "b", 20).Sessions...)
+	valid, err := encodeSnapshot(two)
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := parseSnapshot(valid); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid)
+	for _, bad := range [][]byte{flipPayloadDigit(f, valid), valid[:len(valid)/2], schema1File(f, two)} {
+		if _, err := parseSnapshot(bad); err == nil {
+			f.Fatalf("seed %.40q... parsed", bad)
+		}
+		f.Add(bad)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		wrapped := fmt.Appendf(nil, `{"schema":%d,"crc64":%d,"payload":%s}`,
+			SnapshotSchema, crc64.Checksum(data, crc64.MakeTable(crc64.ECMA)), data)
+		for _, raw := range [][]byte{data, wrapped} {
+			snap, err := parseSnapshot(raw)
+			if err != nil {
+				continue
+			}
+			again, err := encodeSnapshot(snap)
+			if err != nil {
+				t.Fatalf("encoding a parsed snapshot: %v", err)
+			}
+			back, err := parseSnapshot(again)
+			if err != nil {
+				t.Fatalf("written back, the snapshot is refused: %v", err)
+			}
+			if !reflect.DeepEqual(back, snap) {
+				t.Fatalf("written back, the snapshot parses as %+v, not %+v", back, snap)
+			}
+		}
+	})
 }

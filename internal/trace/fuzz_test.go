@@ -13,7 +13,7 @@ import (
 // FuzzReader proves Read never panics on arbitrary bytes: every malformed
 // input must surface as an error. Every trace it accepts must be one the
 // store could hold: written back, it reads back deeply equal, and rebuilt
-// record by record through Append it keeps its Checksum, its Accesses and
+// record by record through Append it keeps its checksum, its Accesses and
 // its dependency reach, which agrees with ComputeStats. A seed corpus is
 // checked in under testdata/fuzz/FuzzReader.
 func FuzzReader(f *testing.F) {
@@ -58,9 +58,9 @@ func FuzzReader(f *testing.F) {
 			t.Fatal("written back, the trace reads back with other storage")
 		}
 		rebuilt := fromRecords(tr.Name, records(tr)...)
-		if rebuilt.Checksum() != tr.Checksum() {
+		if rebuilt.checksum() != tr.checksum() {
 			sameRecords(t, rebuilt, tr)
-			t.Fatalf("checksum %#x rebuilt through Append as %#x", tr.Checksum(), rebuilt.Checksum())
+			t.Fatalf("checksum %#x rebuilt through Append as %#x", tr.checksum(), rebuilt.checksum())
 		}
 		if rebuilt.Accesses() != tr.Accesses() || rebuilt.DepReach() != tr.DepReach() ||
 			tr.DepReach() != tr.ComputeStats().DepReach {

@@ -188,7 +188,7 @@ func streamBytes(tr *Trace) (ops map[opKey]bool, pay, regs int) {
 // TestAppendKeepsWhatWriteEncodes appends a record of every kind with
 // every field set, Hints included but not Valid: each must read back with
 // only the fields Write encodes for its kind (the model's drops), so the
-// trace comes back from Write→Read with the same records and Checksum.
+// trace comes back from Write→Read with the same records and checksum.
 func TestAppendKeepsWhatWriteEncodes(t *testing.T) {
 	m := newModel("drops")
 	m.load(MemSpec{PC: 0x10, Addr: 0x80, Dep: -1}) // the producer of each Dep below
@@ -209,8 +209,8 @@ func TestAppendKeepsWhatWriteEncodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameRecords(t, back, tr)
-	if back.Checksum() != tr.Checksum() {
-		t.Errorf("checksum %#x read back as %#x", tr.Checksum(), back.Checksum())
+	if back.checksum() != tr.checksum() {
+		t.Errorf("checksum %#x read back as %#x", tr.checksum(), back.checksum())
 	}
 }
 
@@ -534,7 +534,7 @@ func TestDeltaCoding(t *testing.T) {
 // merged compute blocks; an unknown kind; and, which the table holds, an
 // Addr, Value or Reg of 2^32 or more and a dependency Validate rejects.
 // Records that still fit are interleaved after the escapes. Each
-// trace must read back as emitted, give the Validate verdict, Checksum and
+// trace must read back as emitted, give the Validate verdict, checksum and
 // DepReach the 8-byte-op layout gave it (the first three and the last also
 // the 16-byte-op, 32-byte-payload one), and, where it is valid, survive
 // Write→Read.
@@ -668,8 +668,8 @@ func TestKeptWholeRecords(t *testing.T) {
 			if _, whole := tr.Footprint(); whole != tc.whole {
 				t.Errorf("%d records kept whole, want %d", whole, tc.whole)
 			}
-			if got := tr.Checksum(); got != tc.sum {
-				t.Errorf("Checksum %#x, want %#x", got, tc.sum)
+			if got := tr.checksum(); got != tc.sum {
+				t.Errorf("checksum %#x, want %#x", got, tc.sum)
 			}
 			if got := tr.DepReach(); got != tc.reach {
 				t.Errorf("DepReach %d, want %d", got, tc.reach)
@@ -690,8 +690,8 @@ func TestKeptWholeRecords(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameRecords(t, back, tr)
-			if back.Checksum() != tr.Checksum() || back.DepReach() != tr.DepReach() {
-				t.Errorf("read back with checksum %#x, DepReach %d", back.Checksum(), back.DepReach())
+			if back.checksum() != tr.checksum() || back.DepReach() != tr.DepReach() {
+				t.Errorf("read back with checksum %#x, DepReach %d", back.checksum(), back.DepReach())
 			}
 		})
 	}
