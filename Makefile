@@ -7,8 +7,8 @@
 # the written-trace golden (the bytes of every generator's trace file) +
 # short fuzz runs of the trace decoder, the trace emitter's
 # compact storage, the prefetchd wire-frame decoder, the daemon snapshot
-# parser, the learner restore path and the observability endpoint's
-# request-head parser + the
+# parser, the learner restore path, the observability endpoint's
+# request-head parser and the file readers of cmd/inspect + the
 # recorded BENCH
 # diff (the frozen simulator reports must validate and show no
 # regression) + an overhead guard that pins the disabled-telemetry hot
@@ -82,15 +82,18 @@ results:
 # state Validate accepts must restore and then decide without panicking)
 # and the observability endpoint's request-head parser (FuzzRequestHead:
 # bounded reads, and agreement with net/http's ReadRequest on every GET or
-# HEAD it accepts), and the trace emitter's compact storage against a
+# HEAD it accepts), every form of cmd/inspect that reads a file
+# (FuzzInspectReaders: run artifacts, decision traces, span files, LOADGEN
+# and BENCH reports and explain dumps are rendered or refused with exit 0
+# or 1, never a panic), and the trace emitter's compact storage against a
 # plain record list (FuzzAppend); go test allows one -fuzz pattern per
-# invocation, hence six runs. The snapshot and learner-state inputs are
-# tens of kilobytes of JSON, whose minimisation would take the whole 10 s,
-# so those runs skip it (-fuzzminimizetime=0); a crasher is written to
-# testdata at full size. The snapshot run and the endpoint run skip their
-# packages' unit tests (-run '^$$'), which the FuzzDecodeFrame run has
-# already run for serve, and one of which waits out the 5 s read deadline
-# for the endpoint; `test` and `race` run them.
+# invocation, hence seven runs. The snapshot, learner-state and inspect
+# inputs are kilobytes of JSON, whose minimisation would take the whole
+# 10 s, so those runs skip it (-fuzzminimizetime=0); a crasher is written
+# to testdata at full size. The snapshot, endpoint and inspect runs skip
+# their packages' unit tests (-run '^$$'), which the FuzzDecodeFrame run
+# has already run for serve, one of which waits out the 5 s read deadline
+# for the endpoint, and which `test` and `race` run for inspect.
 fuzz:
 	$(GO) test -fuzz=FuzzReader -fuzztime=10s ./internal/trace
 	$(GO) test -fuzz=FuzzAppend -fuzztime=10s ./internal/trace
@@ -98,6 +101,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz=FuzzLoadSnapshot -fuzztime=10s -fuzzminimizetime=0 ./internal/serve
 	$(GO) test -fuzz=FuzzLearnerState -fuzztime=10s -fuzzminimizetime=0 ./internal/core
 	$(GO) test -run '^$$' -fuzz=FuzzRequestHead -fuzztime=10s ./internal/obs/endpoint
+	$(GO) test -run '^$$' -fuzz=FuzzInspectReaders -fuzztime=10s -fuzzminimizetime=0 ./cmd/inspect
 
 # bench-diff checks two of the frozen simulator reports (BENCH_2-4; the
 # schema is in DESIGN.md, "Hot path & benchmarking"): both must validate,

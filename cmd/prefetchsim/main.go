@@ -10,13 +10,18 @@
 //	prefetchsim -workload list -remote 127.0.0.1:7077 # cross-check prefetchd
 //	prefetchsim -list             # list available workloads
 //
-// Each row is built by exp.NewCellPrefetcher, the rule behind every
-// figure: -seed seeds both the workload and the context prefetcher's
+// The rows run as one exp.Runner.RunJobs batch, the path cmd/experiments
+// and cmd/sweep take, on GOMAXPROCS workers; they print in -prefetchers
+// order, and speedup is IPC over the none row's (0 when none is not
+// listed). Each row is built by exp.NewCellPrefetcher, the rule behind
+// every figure: -seed seeds both the workload and the context prefetcher's
 // learner, so a row equals the matching cmd/experiments cell at the same
 // -scale and -seed. The names it accepts are exp.PrefetcherNames plus
-// context-softmax, context-ucb and oracle. A -config file's context section
-// replaces the default configuration of the context rows only; it may not
-// set Seed, which -seed derives.
+// context-softmax, context-ucb and oracle. A -config file (see
+// exp.FileConfig) sets the machine of every row; its context section
+// configures the context rows only, and may not set Seed, which -seed
+// derives. A -trace file enters the runner as a generated trace does, and
+// the check after the batch that no run wrote to it covers it too.
 //
 // -remote streams the workload's access records to a running prefetchd
 // (see cmd/prefetchd) and cross-checks every remote decision against an
@@ -100,6 +105,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		logger.Error("-workload or -trace required (or -list)")
 		return harness.ExitUsage
 	}
+	if *traceFile == "" {
+		if _, err := workloads.ByName(*workload); err != nil {
+			logger.Error("unknown workload", "err", err)
+			return harness.ExitUsage
+		}
+	}
+	fc := &exp.FileConfig{}
+	if *configPath != "" {
+		var err error
+		fc, err = exp.LoadConfig(*configPath)
+		if err != nil {
+			logger.Error("loading config", "path", *configPath, "err", err)
+			return harness.ExitUsage
+		}
+	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -108,34 +128,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ctx, cancelTimeout := harness.WithTimeout(ctx, *timeout)
 	defer cancelTimeout()
 
-	var tr *trace.Trace
-	if *traceFile != "" {
-		f, err := os.Open(*traceFile)
-		if err != nil {
-			logger.Error("opening trace", "err", err)
-			return harness.ExitRunFailed
-		}
-		tr, err = trace.Read(f)
-		f.Close()
-		if err != nil {
-			logger.Error("reading trace", "path", *traceFile, "err", err)
-			return harness.ExitRunFailed
-		}
-	} else {
-		w, err := workloads.ByName(*workload)
-		if err != nil {
-			logger.Error("unknown workload", "err", err)
-			return harness.ExitUsage
-		}
-		// Generation can panic (heap exhaustion on an oversized scale);
-		// contain it into an orderly failure.
-		if err := harness.Safely(func() error {
-			tr = w.Generate(workloads.GenConfig{Scale: *scale, Seed: *seed})
-			return nil
-		}); err != nil {
-			logger.Error("generating workload", "workload", *workload, "err", err)
-			return harness.ExitRunFailed
-		}
+	live, err := endpoint.StartLive(ctx, logger, *listen, "", 0)
+	if err != nil {
+		logger.Error("observability setup failed", "err", err)
+		return harness.ExitUsage
+	}
+	defer live.Close()
+	opts := exp.DefaultOptions()
+	opts.Scale, opts.Seed, opts.Sim = *scale, *seed, fc.SimConfig()
+	opts.Harness = harness.RunConfig{StallTimeout: *stall}
+	opts.Metrics = live.Reg
+	runner := exp.NewRunnerContext(ctx, opts)
+
+	tr, err := loadTrace(runner, *traceFile, *workload)
+	if err != nil {
+		logger.Error("loading trace", "err", err)
+		return exitCode(ctx, logger, *timeout, nil, harness.IsCancelled(err), 1)
 	}
 	st := tr.ComputeStats()
 	fmt.Fprintf(stdout, "workload %s: %d records, %d instructions, %d loads (%d dependent), %d stores\n\n",
@@ -149,75 +157,42 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runRemote(ctx, logger, stdout, tr, *remote, name, *timeout)
 	}
 
-	fc := &exp.FileConfig{}
-	if *configPath != "" {
-		var err error
-		fc, err = exp.LoadConfig(*configPath)
-		if err != nil {
-			logger.Error("loading config", "path", *configPath, "err", err)
+	// One job per listed name, each checked by building its prefetcher
+	// before any of them runs.
+	var jobs []exp.Job
+	for _, name := range strings.Split(*prefetchers, ",") {
+		job := exp.Job{Workload: tr.Name, Prefetcher: strings.TrimSpace(name), Config: fc.Context}
+		if _, err := exp.NewCellPrefetcher(tr, job, *seed); err != nil {
+			logger.Error("building prefetcher", "prefetcher", job.Prefetcher, "err", err)
 			return harness.ExitUsage
 		}
+		jobs = append(jobs, job)
 	}
-	cfg := fc.SimConfig()
-	rc := harness.RunConfig{StallTimeout: *stall}
-	names := strings.Split(*prefetchers, ",")
-
-	live, err := endpoint.StartLive(ctx, logger, *listen, "", 0)
-	if err != nil {
-		logger.Error("observability setup failed", "err", err)
-		return harness.ExitUsage
-	}
-	defer live.Close()
-	// prefetchsim runs the harness directly (no exp engine), so it feeds the
-	// shared live-run counters itself — the endpoint and progress lines read
-	// the same names the engine-backed commands publish.
-	cellsTotal := live.Reg.Counter(obs.MetricCellsTotal, "runs submitted")
-	cellsDone := live.Reg.Counter(obs.MetricCellsDone, "runs completed (success or failure)")
-	cellsFailed := live.Reg.Counter(obs.MetricCellsFailed, "runs that finished with an error")
-	lastIPC := live.Reg.Gauge(obs.GaugeLastIPC, "IPC of the most recently completed run")
-	lastMPKI := live.Reg.Gauge(obs.GaugeLastL1MPKI, "L1 MPKI of the most recently completed run")
-	cellsTotal.Add(uint64(len(names)))
 	live.Ready()
+	results, batchErr := runner.RunJobs(jobs)
 
 	var baseIPC float64
+	for _, jr := range results {
+		if jr.Job.Prefetcher == "none" && jr.Err == nil {
+			baseIPC = jr.Result.IPC()
+		}
+	}
 	tb := stats.NewTable("results", "prefetcher", "IPC", "speedup", "L1 MPKI", "L2 MPKI", "cycles")
 	var verboseRows []string
 	failed, cancelled := 0, false
-	for _, name := range names {
-		if ctx.Err() != nil {
+	for _, jr := range results {
+		switch {
+		case jr.Err != nil && harness.IsCancelled(jr.Err):
 			cancelled = true
-			break
-		}
-		name = strings.TrimSpace(name)
-		pf, err := exp.NewCellPrefetcher(tr, exp.Job{Workload: tr.Name, Prefetcher: name, Config: fc.Context}, *seed)
-		if err != nil {
-			logger.Error("building prefetcher", "prefetcher", name, "err", err)
-			return harness.ExitUsage
-		}
-		start := time.Now()
-		res, err := harness.Run(ctx, tr, pf, cfg, rc)
-		if err != nil {
-			if harness.IsCancelled(err) {
-				cancelled = true
-				break
-			}
-			// One bad (workload, prefetcher) pair fails its run without
-			// killing the rest of the comparison. A -timeout expiry fails
-			// this run and cancels the remaining ones via ctx.
-			logger.Error("run failed", "prefetcher", name, "err", err)
-			cellsDone.Inc()
-			cellsFailed.Inc()
+			continue
+		case jr.Err != nil:
+			// One bad (workload, prefetcher) pair fails its row without
+			// killing the rest of the comparison.
+			logger.Error("run failed", "prefetcher", jr.Job.Prefetcher, "err", jr.Err)
 			failed++
 			continue
 		}
-		cellsDone.Inc()
-		lastIPC.Set(res.IPC())
-		lastMPKI.Set(res.L1MPKI())
-		logger.Info("run complete", "workload", tr.Name, "prefetcher", name,
-			"duration", time.Since(start).Round(time.Millisecond))
-		if name == "none" {
-			baseIPC = res.IPC()
-		}
+		res := jr.Result
 		speedup := 0.0
 		if baseIPC > 0 {
 			speedup = res.IPC() / baseIPC
@@ -239,12 +214,42 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout, row)
 		}
 	}
+	return exitCode(ctx, logger, *timeout, batchErr, cancelled, failed)
+}
+
+// loadTrace returns the trace the rows replay: the workload the runner
+// generates, or the -trace file, handed to the runner so that the check
+// after the batch covers it as it covers a generated trace.
+func loadTrace(r *exp.Runner, path, workload string) (*trace.Trace, error) {
+	if path == "" {
+		return r.Trace(workload)
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	tr, err := trace.Read(f)
+	if err != nil {
+		return nil, fmt.Errorf("reading %s: %w", path, err)
+	}
+	return tr, r.AddTrace(tr)
+}
+
+// exitCode logs why a simulating invocation did not complete and maps it
+// to its exit code as cmd/sweep does: an expired -timeout and a shared
+// trace written to during the batch are run failures, then cancellation
+// (exit 3), then failed rows.
+func exitCode(ctx context.Context, logger *slog.Logger, timeout time.Duration, batchErr error, cancelled bool, failed int) int {
 	switch {
 	case harness.IsTimeout(context.Cause(ctx)):
-		logger.Error("timed out; partial results above", "timeout", *timeout)
+		logger.Error("timed out; any results above are partial", "timeout", timeout)
+		return harness.ExitRunFailed
+	case batchErr != nil:
+		logger.Error("batch integrity check failed", "err", batchErr)
 		return harness.ExitRunFailed
 	case cancelled:
-		logger.Error("cancelled; partial results above")
+		logger.Error("cancelled; any results above are partial")
 		return harness.ExitCancelled
 	case failed > 0:
 		return harness.ExitRunFailed

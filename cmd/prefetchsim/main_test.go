@@ -11,6 +11,8 @@ import (
 	"semloc/internal/exp"
 	"semloc/internal/harness"
 	"semloc/internal/serve"
+	"semloc/internal/trace"
+	"semloc/internal/workloads"
 )
 
 // simOut runs the prefetchsim CLI in-process and returns (stdout, stderr,
@@ -73,6 +75,63 @@ func TestMatchesFigureCell(t *testing.T) {
 		if got := rowCycles(out, "context"); got != fmt.Sprint(want.CPU.Cycles) {
 			t.Errorf("seed %d: prefetchsim context cycles %q, engine cell %d\n%s", seed, got, want.CPU.Cycles, out)
 		}
+	}
+}
+
+// TestRowsIndependentOfOrder: each prefetcher's row, speedup included,
+// reads the same whatever its place in -prefetchers.
+func TestRowsIndependentOfOrder(t *testing.T) {
+	rows := func(list string) map[string]string {
+		out, errOut, code := simOut(t, "-workload", "list", "-scale", "0.05", "-prefetchers", list, "-q")
+		if code != harness.ExitOK {
+			t.Fatalf("-prefetchers %s exited %d\nstderr:\n%s", list, code, errOut)
+		}
+		m := make(map[string]string)
+		for _, line := range strings.Split(out, "\n") {
+			if f := strings.Fields(line); len(f) == 6 {
+				m[f[0]] = line
+			}
+		}
+		return m
+	}
+	a, b := rows("context,sms,none"), rows("none,context,sms")
+	for _, name := range []string{"none", "sms", "context"} {
+		if a[name] == "" || a[name] != b[name] {
+			t.Errorf("%s row depends on the order:\n%q\n%q", name, a[name], b[name])
+		}
+	}
+}
+
+// TestTraceFileMatchesWorkload: a workload written to a file as
+// cmd/tracegen writes it and replayed with -trace prints what -workload
+// prints at the same scale and seed.
+func TestTraceFileMatchesWorkload(t *testing.T) {
+	w, err := workloads.ByName("list")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "list.trace.gz")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := trace.WriteGzip(f, w.Generate(workloads.GenConfig{Scale: 0.05, Seed: 2})); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	common := []string{"-seed", "2", "-prefetchers", "none,sms,context", "-v", "-q"}
+	want, errOut, code := simOut(t, append([]string{"-workload", "list", "-scale", "0.05"}, common...)...)
+	if code != harness.ExitOK {
+		t.Fatalf("-workload exited %d\nstderr:\n%s", code, errOut)
+	}
+	got, errOut, code := simOut(t, append([]string{"-trace", path}, common...)...)
+	if code != harness.ExitOK {
+		t.Fatalf("-trace exited %d\nstderr:\n%s", code, errOut)
+	}
+	if got != want {
+		t.Errorf("-trace prints\n%s\n-workload prints\n%s", got, want)
 	}
 }
 

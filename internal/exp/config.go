@@ -12,9 +12,11 @@ import (
 
 // FileConfig is the JSON configuration accepted by cmd/prefetchsim's
 // -config flag: optional overrides for the machine and for the context
-// prefetcher. Omitted sections keep the Table 2 defaults; within a
-// provided section, zero-valued fields are filled from the defaults before
-// validation, so a file only needs the fields it changes, e.g.
+// prefetcher. Each section the file has is decoded over the defaults
+// (Table 2 for the machine, core.DefaultConfig for the prefetcher): a
+// field the file omits keeps its default, and a field it sets, zero
+// included, is taken as given and then validated. So a file only needs
+// the fields it changes, e.g.
 //
 //	{"sim": {"Cache": {"DRAMLatency": 200}},
 //	 "context": {"MaxDegree": 2, "Epsilon": 0.1}}
@@ -36,14 +38,28 @@ func LoadConfig(path string) (*FileConfig, error) {
 	if err != nil {
 		return nil, fmt.Errorf("exp: reading config: %w", err)
 	}
+	var sections struct {
+		Sim     json.RawMessage `json:"sim"`
+		Context json.RawMessage `json:"context"`
+	}
 	var fc FileConfig
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&fc); err != nil {
+	err = decodeStrict(data, &sections)
+	if err == nil && sections.Sim != nil {
+		c := sim.DefaultConfig()
+		fc.Sim = &c
+		err = decodeStrict(sections.Sim, fc.Sim)
+	}
+	if err == nil && sections.Context != nil {
+		// Seed starts at zero so that a file setting it can be told apart.
+		c := core.DefaultConfig()
+		c.Seed = 0
+		fc.Context = &c
+		err = decodeStrict(sections.Context, fc.Context)
+	}
+	if err != nil {
 		return nil, fmt.Errorf("exp: parsing config %s: %w", path, err)
 	}
 	if fc.Sim != nil {
-		fillSimDefaults(fc.Sim)
 		if err := fc.Sim.Cache.Validate(); err != nil {
 			return nil, fmt.Errorf("exp: config %s: %w", path, err)
 		}
@@ -55,12 +71,19 @@ func LoadConfig(path string) (*FileConfig, error) {
 		if fc.Context.Seed != 0 {
 			return nil, fmt.Errorf("exp: config %s: context Seed is not configurable: the learner's seed is derived from -seed", path)
 		}
-		fillContextDefaults(fc.Context)
 		if err := fc.Context.Validate(); err != nil {
 			return nil, fmt.Errorf("exp: config %s: %w", path, err)
 		}
 	}
 	return &fc, nil
+}
+
+// decodeStrict decodes one JSON value from data into v, refusing fields v
+// does not have.
+func decodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	return dec.Decode(v)
 }
 
 // SimConfig returns the machine configuration (defaults if absent).
@@ -69,78 +92,4 @@ func (fc *FileConfig) SimConfig() sim.Config {
 		return sim.DefaultConfig()
 	}
 	return *fc.Sim
-}
-
-// fillSimDefaults replaces zero-valued machine fields with Table 2 values.
-func fillSimDefaults(c *sim.Config) {
-	def := sim.DefaultConfig()
-	if c.CPU.Width == 0 {
-		c.CPU.Width = def.CPU.Width
-	}
-	if c.CPU.ROB == 0 {
-		c.CPU.ROB = def.CPU.ROB
-	}
-	if c.CPU.LQ == 0 {
-		c.CPU.LQ = def.CPU.LQ
-	}
-	if c.CPU.SQ == 0 {
-		c.CPU.SQ = def.CPU.SQ
-	}
-	if c.CPU.MispredictPenalty == 0 {
-		c.CPU.MispredictPenalty = def.CPU.MispredictPenalty
-	}
-	if c.Cache.L1.Size == 0 {
-		c.Cache.L1 = def.Cache.L1
-	}
-	if c.Cache.L2.Size == 0 {
-		c.Cache.L2 = def.Cache.L2
-	}
-	if c.Cache.DRAMLatency == 0 {
-		c.Cache.DRAMLatency = def.Cache.DRAMLatency
-	}
-	if c.Cache.PrefetchQueue == 0 {
-		c.Cache.PrefetchQueue = def.Cache.PrefetchQueue
-	}
-	if c.Cache.DRAMChannels == 0 {
-		c.Cache.DRAMChannels = def.Cache.DRAMChannels
-	}
-	if c.Cache.DRAMBusyCycles == 0 {
-		c.Cache.DRAMBusyCycles = def.Cache.DRAMBusyCycles
-	}
-}
-
-// fillContextDefaults replaces zero-valued prefetcher fields with the
-// paper's defaults.
-func fillContextDefaults(c *core.Config) {
-	def := core.DefaultConfig()
-	if c.CSTEntries == 0 {
-		c.CSTEntries = def.CSTEntries
-	}
-	if c.CSTLinks == 0 {
-		c.CSTLinks = def.CSTLinks
-	}
-	if c.ReducerEntries == 0 {
-		c.ReducerEntries = def.ReducerEntries
-	}
-	if c.HistoryDepth == 0 {
-		c.HistoryDepth = def.HistoryDepth
-	}
-	if c.QueueDepth == 0 {
-		c.QueueDepth = def.QueueDepth
-	}
-	if len(c.SampleDepths) == 0 {
-		c.SampleDepths = def.SampleDepths
-	}
-	if c.Reward == (core.RewardConfig{}) {
-		c.Reward = def.Reward
-	}
-	if c.Epsilon == 0 {
-		c.Epsilon = def.Epsilon
-	}
-	if c.MaxDegree == 0 {
-		c.MaxDegree = def.MaxDegree
-	}
-	if c.BlockShift == 0 {
-		c.BlockShift = def.BlockShift
-	}
 }

@@ -205,21 +205,59 @@ func TestTraceImmutabilityGuard(t *testing.T) {
 	}
 	// A simulated stray write by a buggy run: one access's address
 	// changes in the shared trace.
-	e := trace.NewEmitter(tr.Name)
-	flipped := false
-	c := tr.Cursor()
-	for c.Next() {
-		r := *c.Record()
-		if r.IsMem() && !flipped {
-			r.Addr ^= 0x40
-			flipped = true
-		}
-		e.Append(r)
-	}
-	*tr = *e.Finish()
+	*tr = *copyTrace(tr, tr.Name, true)
 	if _, err := r.RunJobs([]Job{{Workload: "array", Prefetcher: "none"}}); err == nil {
 		t.Fatal("RunJobs returned no error after a cached trace was mutated")
 	}
+}
+
+// TestAddTraceGuardedLikeGenerated: a trace handed to the runner replays
+// under its name as the generated trace it copies does, and the check
+// after each batch covers it: a write into it between two batches fails
+// the second. A second trace under a name the runner holds is refused.
+func TestAddTraceGuardedLikeGenerated(t *testing.T) {
+	r := engineRunner(2)
+	gen, err := r.Trace("array")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := copyTrace(gen, "array-file", false)
+	if err := r.AddTrace(tr); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"array-file", "array"} {
+		if err := r.AddTrace(copyTrace(gen, name, false)); err == nil {
+			t.Errorf("a second trace named %q was accepted", name)
+		}
+	}
+	jobs := []Job{{Workload: "array-file", Prefetcher: "none"}, {Workload: "array", Prefetcher: "none"}}
+	res, err := r.RunJobs(jobs)
+	if err != nil || res[0].Err != nil || res[1].Err != nil {
+		t.Fatal(err, res[0].Err, res[1].Err)
+	}
+	if a, b := res[0].Result.CPU.Cycles, res[1].Result.CPU.Cycles; a != b {
+		t.Errorf("the added copy runs %d cycles, the generated trace %d", a, b)
+	}
+	*tr = *copyTrace(gen, "array-file", true)
+	if _, err := r.RunJobs(jobs[:1]); err == nil {
+		t.Fatal("RunJobs returned no error after an added trace was mutated")
+	}
+}
+
+// copyTrace rebuilds tr's records under name, with the first access's
+// address changed when flip is set.
+func copyTrace(tr *trace.Trace, name string, flip bool) *trace.Trace {
+	e := trace.NewEmitter(name)
+	c := tr.Cursor()
+	for c.Next() {
+		r := *c.Record()
+		if flip && r.IsMem() {
+			r.Addr ^= 0x40
+			flip = false
+		}
+		e.Append(r)
+	}
+	return e.Finish()
 }
 
 // TestExperimentOutputDeterministic renders a full simulation-backed

@@ -16,30 +16,15 @@ import (
 	"semloc/internal/sim"
 )
 
-// runMetrics bundles the engine's registered metric handles. A nil
+// runMetrics are the engine's handles on the live-run metrics. A nil
 // *runMetrics (Options.Metrics unset) makes every method a no-op.
-type runMetrics struct {
-	cellsTotal, cellsDone, cellsFailed *obs.Counter
-	accesses                           *obs.Counter
-	queueWait, runSeconds              *obs.Histogram
-	busy, lastIPC, lastMPKI            *obs.Gauge
-}
+type runMetrics obs.RunMetrics
 
 func newRunMetrics(reg *obs.Registry) *runMetrics {
 	if reg == nil {
 		return nil
 	}
-	return &runMetrics{
-		cellsTotal:  reg.Counter(obs.MetricCellsTotal, "matrix cells submitted to the engine"),
-		cellsDone:   reg.Counter(obs.MetricCellsDone, "matrix cells completed (success or failure)"),
-		cellsFailed: reg.Counter(obs.MetricCellsFailed, "matrix cells that finished with an error"),
-		accesses:    reg.Counter(obs.MetricAccesses, "demand accesses simulated by completed runs"),
-		queueWait:   reg.Histogram(obs.MetricQueueWait, "seconds runs waited for a worker slot", nil),
-		runSeconds:  reg.Histogram(obs.MetricRunSeconds, "end-to-end simulation seconds per executed run", nil),
-		busy:        reg.Gauge(obs.GaugeWorkersBusy, "runs currently holding a worker slot"),
-		lastIPC:     reg.Gauge(obs.GaugeLastIPC, "IPC of the most recently completed cell"),
-		lastMPKI:    reg.Gauge(obs.GaugeLastL1MPKI, "L1 MPKI of the most recently completed cell"),
-	}
+	return (*runMetrics)(obs.NewRunMetrics(reg))
 }
 
 // batchSubmitted accounts a RunJobs batch's distinct cells entering the
@@ -48,7 +33,7 @@ func (m *runMetrics) batchSubmitted(cells int) {
 	if m == nil {
 		return
 	}
-	m.cellsTotal.Add(uint64(cells))
+	m.CellsTotal.Add(uint64(cells))
 }
 
 // jobFinished accounts one distinct cell of a batch completing, so done
@@ -57,14 +42,14 @@ func (m *runMetrics) jobFinished(jr *JobResult) {
 	if m == nil {
 		return
 	}
-	m.cellsDone.Inc()
+	m.CellsDone.Inc()
 	if jr.Err != nil {
-		m.cellsFailed.Inc()
+		m.CellsFailed.Inc()
 		return
 	}
 	if jr.Result != nil {
-		m.lastIPC.Set(jr.Result.IPC())
-		m.lastMPKI.Set(jr.Result.L1MPKI())
+		m.LastIPC.Set(jr.Result.IPC())
+		m.LastL1MPKI.Set(jr.Result.L1MPKI())
 	}
 }
 
@@ -73,14 +58,14 @@ func (m *runMetrics) workerAcquired() {
 	if m == nil {
 		return
 	}
-	m.busy.Add(1)
+	m.WorkersBusy.Add(1)
 }
 
 func (m *runMetrics) workerReleased() {
 	if m == nil {
 		return
 	}
-	m.busy.Add(-1)
+	m.WorkersBusy.Add(-1)
 }
 
 // runExecuted accounts one run of a distinct cell, successful or failed.
@@ -88,10 +73,10 @@ func (m *runMetrics) runExecuted(res *sim.Result, queueWait, total time.Duration
 	if m == nil {
 		return
 	}
-	m.queueWait.Observe(queueWait.Seconds())
-	m.runSeconds.Observe(total.Seconds())
+	m.QueueWait.Observe(queueWait.Seconds())
+	m.RunSeconds.Observe(total.Seconds())
 	if res != nil {
-		m.accesses.Add(res.Categories.Demand)
+		m.Accesses.Add(res.Categories.Demand)
 	}
 }
 

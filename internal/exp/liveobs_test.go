@@ -1,8 +1,14 @@
 package exp
 
 import (
+	"bytes"
+	"context"
+	"io"
+	"log/slog"
 	"reflect"
+	"strings"
 	"testing"
+	"time"
 
 	"semloc/internal/obs"
 )
@@ -58,6 +64,44 @@ func TestRunJobsMetrics(t *testing.T) {
 	}
 	if got := reg.Gauge(obs.GaugeLastIPC, "").Value(); got <= 0 {
 		t.Errorf("last_ipc = %v, want > 0", got)
+	}
+}
+
+// TestRunMetricsHelpIndependentOfOrder: the engine and the progress
+// reporter declare the live-run metrics in one place, so /metrics reads
+// the same whichever registers first (a command's endpoint starts its
+// reporter before its runner exists).
+func TestRunMetricsHelpIndependentOfOrder(t *testing.T) {
+	help := func(reporterFirst bool) []string {
+		reg := obs.NewRegistry()
+		logger := slog.New(slog.NewTextHandler(io.Discard, nil))
+		var stop func()
+		if reporterFirst {
+			stop = obs.StartProgress(context.Background(), logger, reg, time.Hour)
+			obsRunner(1, reg, nil)
+		} else {
+			obsRunner(1, reg, nil)
+			stop = obs.StartProgress(context.Background(), logger, reg, time.Hour)
+		}
+		stop()
+		var buf bytes.Buffer
+		if err := reg.WritePrometheus(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var lines []string
+		for _, line := range strings.Split(buf.String(), "\n") {
+			if strings.HasPrefix(line, "# HELP ") {
+				lines = append(lines, line)
+			}
+		}
+		return lines
+	}
+	first, second := help(true), help(false)
+	if !reflect.DeepEqual(first, second) {
+		t.Errorf("reporter first:\n%s\nengine first:\n%s", strings.Join(first, "\n"), strings.Join(second, "\n"))
+	}
+	if len(first) != 9 {
+		t.Errorf("%d live-run metrics exported, want 9:\n%s", len(first), strings.Join(first, "\n"))
 	}
 }
 

@@ -136,6 +136,22 @@ func (r *Runner) Trace(workload string) (*trace.Trace, error) {
 	return r.traces.Get(r.ctx, workload)
 }
 
+// AddTrace hands the runner a trace it did not generate, such as one read
+// from a file; jobs whose Workload is tr.Name replay it. It enters the
+// cache as a finished generation does, digest included, so the integrity
+// check after each batch covers it too. A second trace under a name the
+// runner already holds is refused.
+func (r *Runner) AddTrace(tr *trace.Trace) error {
+	got, err := r.traces.land(tr.Name, tr)
+	if err != nil {
+		return fmt.Errorf("exp: adding trace %q: %w", tr.Name, err)
+	}
+	if got != tr {
+		return fmt.Errorf("exp: adding trace %q: the runner already holds a trace of that name", tr.Name)
+	}
+	return nil
+}
+
 // run simulates one cell: it builds the cell's prefetcher with
 // NewCellPrefetcher, waits for a worker slot and runs the simulation under
 // the harness with pooled scratch. Only named cells (Config == nil) get

@@ -150,22 +150,11 @@ func (c *TraceCache) generate(ctx context.Context, workload string) (*trace.Trac
 			start := rec.Now()
 			gen := w.Generate(workloads.GenConfig{Scale: c.scale, Seed: c.seed})
 			rec.Add(obs.Span{Cat: obs.CatTrace, Workload: workload, Start: start, Dur: rec.Now() - start})
-			sum, err := digest(gen)
-			if err != nil {
-				return err
-			}
-			c.mu.Lock()
 			// An abandoned earlier generation may have landed meanwhile;
-			// keep the first (and its digest).
-			if existing, ok := c.traces[workload]; ok {
-				gen = existing
-			} else {
-				c.traces[workload] = gen
-				c.sums[workload] = sum
-			}
-			c.mu.Unlock()
-			tr = gen
-			return nil
+			// land keeps the first.
+			var err error
+			tr, err = c.land(workload, gen)
+			return err
 		})
 	}()
 	select {
@@ -177,6 +166,23 @@ func (c *TraceCache) generate(ctx context.Context, workload string) (*trace.Trac
 	case <-ctx.Done():
 		return nil, fmt.Errorf("exp: generating %s: %w", workload, context.Cause(ctx))
 	}
+}
+
+// land digests tr and stores it under name with its digest, unless a trace
+// is there already; it returns the trace the cache holds under name.
+func (c *TraceCache) land(name string, tr *trace.Trace) (*trace.Trace, error) {
+	sum, err := digest(tr)
+	if err != nil {
+		return nil, err
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if existing, ok := c.traces[name]; ok {
+		return existing, nil
+	}
+	c.traces[name] = tr
+	c.sums[name] = sum
+	return tr, nil
 }
 
 // VerifyImmutable re-hashes every cached trace and compares it with the

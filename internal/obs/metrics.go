@@ -11,10 +11,10 @@ import (
 )
 
 // Live-run metric names shared by the experiment engine and the progress
-// reporter. The engine registers and updates them; StartProgress and the
-// /metrics endpoint read them. Keeping the names here (rather than in exp)
-// lets the reporter stay decoupled from the engine while still computing
-// done/total and ETA.
+// reporter. Both register them through NewRunMetrics; the engine updates
+// them, StartProgress and the /metrics endpoint read them. Keeping the
+// names here (rather than in exp) lets the reporter stay decoupled from
+// the engine while still computing done/total and ETA.
 const (
 	// MetricCellsTotal counts matrix cells submitted to RunJobs.
 	MetricCellsTotal = "cells_total"
@@ -36,6 +36,32 @@ const (
 	// GaugeLastL1MPKI holds the L1 MPKI of the most recently completed cell.
 	GaugeLastL1MPKI = "last_l1_mpki"
 )
+
+// RunMetrics are the handles of the nine live-run metrics.
+type RunMetrics struct {
+	CellsTotal, CellsDone, CellsFailed, Accesses *Counter
+	QueueWait, RunSeconds                        *Histogram
+	WorkersBusy, LastIPC, LastL1MPKI             *Gauge
+}
+
+// NewRunMetrics registers the live-run metrics in reg, or looks them up
+// when they are there already. It is their one declaration: the registry
+// keeps the help text of a metric's first registration, so whichever of
+// the engine and the progress reporter comes first, /metrics reads the
+// same.
+func NewRunMetrics(reg *Registry) *RunMetrics {
+	return &RunMetrics{
+		CellsTotal:  reg.Counter(MetricCellsTotal, "matrix cells submitted to the engine"),
+		CellsDone:   reg.Counter(MetricCellsDone, "matrix cells completed (success or failure)"),
+		CellsFailed: reg.Counter(MetricCellsFailed, "matrix cells that finished with an error"),
+		Accesses:    reg.Counter(MetricAccesses, "demand accesses simulated by completed runs"),
+		QueueWait:   reg.Histogram(MetricQueueWait, "seconds runs waited for a worker slot", nil),
+		RunSeconds:  reg.Histogram(MetricRunSeconds, "end-to-end simulation seconds per executed run", nil),
+		WorkersBusy: reg.Gauge(GaugeWorkersBusy, "runs currently holding a worker slot"),
+		LastIPC:     reg.Gauge(GaugeLastIPC, "IPC of the most recently completed cell"),
+		LastL1MPKI:  reg.Gauge(GaugeLastL1MPKI, "L1 MPKI of the most recently completed cell"),
+	}
+}
 
 // DefaultDurationBuckets are the histogram bucket upper bounds (seconds)
 // used for queue-wait and run-time observations: exponential from 1ms to

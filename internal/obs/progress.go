@@ -25,21 +25,15 @@ func StartProgress(ctx context.Context, logger *slog.Logger, reg *Registry, inte
 	if interval <= 0 {
 		interval = DefaultProgressInterval
 	}
-	var (
-		total   = reg.Counter(MetricCellsTotal, "matrix cells submitted")
-		done    = reg.Counter(MetricCellsDone, "matrix cells completed")
-		failed  = reg.Counter(MetricCellsFailed, "matrix cells failed")
-		busy    = reg.Gauge(GaugeWorkersBusy, "runs holding a worker slot")
-		lastIPC = reg.Gauge(GaugeLastIPC, "IPC of the last completed cell")
-		lastMPK = reg.Gauge(GaugeLastL1MPKI, "L1 MPKI of the last completed cell")
-	)
+	m := NewRunMetrics(reg)
+	total, done := m.CellsTotal, m.CellsDone
 	start := time.Now()
 	line := func(event string) {
 		d, t := done.Value(), total.Value()
 		elapsed := time.Since(start)
 		attrs := []any{
-			"done", d, "total", t, "failed", failed.Value(),
-			"busy", int(busy.Value()),
+			"done", d, "total", t, "failed", m.CellsFailed.Value(),
+			"busy", int(m.WorkersBusy.Value()),
 			"elapsed", elapsed.Round(time.Millisecond),
 		}
 		if d > 0 && elapsed > 0 {
@@ -49,7 +43,7 @@ func StartProgress(ctx context.Context, logger *slog.Logger, reg *Registry, inte
 				eta := time.Duration(float64(t-d) / rate * float64(time.Second))
 				attrs = append(attrs, "eta", eta.Round(time.Second))
 			}
-			attrs = append(attrs, "last_ipc", lastIPC.Value(), "last_l1_mpki", lastMPK.Value())
+			attrs = append(attrs, "last_ipc", m.LastIPC.Value(), "last_l1_mpki", m.LastL1MPKI.Value())
 		}
 		logger.Info(event, attrs...)
 	}
