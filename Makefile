@@ -18,14 +18,16 @@
 # snapshot warm-start, chaos transport) + a race-enabled load-generator
 # smoke and the recorded LOADGEN gate + a race-enabled
 # learner-introspection smoke (instrumented sweep rendered via inspect
-# learner, live explain round-trip against prefetchd) + perfbench's own
+# learner, live explain round-trip against prefetchd) + one iteration of
+# each trace generation and walk benchmark (BenchmarkGenerate,
+# BenchmarkGenerateSetup, BenchmarkCursor) + perfbench's own
 # tests (it is a separate Go module, so `go test ./...` skips them).
 # `make results`, which rewrites results/experiments_scale1.txt at paper
 # scale, stays out of check.
 
 GO ?= go
 
-.PHONY: all fmt vet build test race golden results fuzz bench-diff overhead-guard obs-smoke serve-smoke loadgen-smoke loadgen-gate learner-smoke perfbench-test check clean
+.PHONY: all fmt vet build test race golden results fuzz bench-diff overhead-guard obs-smoke serve-smoke loadgen-smoke loadgen-gate learner-smoke bench-smoke perfbench-test check clean
 
 all: build
 
@@ -190,6 +192,15 @@ learner-smoke:
 	$(GO) test -race -count=1 -run '^TestRunJobsLearnerObsMatchesDisabled$$' ./internal/exp
 	$(GO) test -count=1 -run '^TestLearnerHealthSnapshotZeroAlloc$$' ./internal/core
 
+# bench-smoke runs the trace benchmarks of internal/workloads once each, so
+# one that no longer builds or runs fails check: BenchmarkGenerate
+# (perfbench's five sim traces with the collector on), BenchmarkGenerateSetup
+# (the same traces one by one with the collector paused, as perfbench's
+# setup_s times them) and BenchmarkCursor. One iteration times nothing
+# worth comparing; see DESIGN.md §10 for how to compare two trees.
+bench-smoke:
+	$(GO) test -run '^$$' -bench '^(BenchmarkGenerate|BenchmarkGenerateSetup|BenchmarkCursor)$$' -benchtime 1x ./internal/workloads
+
 # perfbench-test runs the benchmark's own tests: every workload end to end
 # at a tiny size, and the doctored-input checks that each correctness and
 # closure check fails when it should. perfbench is its own Go module
@@ -198,7 +209,7 @@ learner-smoke:
 perfbench-test:
 	cd perfbench && $(GO) test -count=1 .
 
-check: fmt vet build race golden fuzz bench-diff overhead-guard obs-smoke serve-smoke loadgen-smoke loadgen-gate learner-smoke perfbench-test
+check: fmt vet build race golden fuzz bench-diff overhead-guard obs-smoke serve-smoke loadgen-smoke loadgen-gate learner-smoke bench-smoke perfbench-test
 
 clean:
 	rm -f .overhead-guard.txt

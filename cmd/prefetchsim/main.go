@@ -157,12 +157,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runRemote(ctx, logger, stdout, tr, *remote, name, *timeout)
 	}
 
-	// One job per listed name, each checked by building its prefetcher
-	// before any of them runs.
+	// One job per listed name, each checked before any of them runs by
+	// building its prefetcher for an empty trace, which costs no pass over
+	// tr (an oracle's does); RunJobs builds the prefetcher it runs.
 	var jobs []exp.Job
+	empty := trace.NewEmitter(tr.Name).Finish()
 	for _, name := range strings.Split(*prefetchers, ",") {
 		job := exp.Job{Workload: tr.Name, Prefetcher: strings.TrimSpace(name), Config: fc.Context}
-		if _, err := exp.NewCellPrefetcher(tr, job, *seed); err != nil {
+		if _, err := exp.NewCellPrefetcher(empty, job, *seed); err != nil {
 			logger.Error("building prefetcher", "prefetcher", job.Prefetcher, "err", err)
 			return harness.ExitUsage
 		}

@@ -44,6 +44,7 @@ func TestUsageErrors(t *testing.T) {
 		{"-workload", "list", "x"}, // stray positional
 		{"-workload", "list", "-prefetchers", "no-such", "-scale", "0.05"},
 		{"-workload", "list", "-prefetchers", "context-egreedy", "-scale", "0.05"},
+		{"-workload", "list", "-prefetchers", "oracle,bogus", "-scale", "0.05"}, // checked before any row runs
 	}
 	for _, args := range cases {
 		if _, _, code := simOut(t, append(args, "-q")...); code != harness.ExitUsage {

@@ -64,9 +64,11 @@ func buildTrace() *trace.Trace {
 	for q := 0; q < lookups; q++ {
 		key := rng.Intn(records)
 		b := key % buckets
-		// Hash-index probe: an array-indexed load.
+		// Hash-index probe: an array-indexed load. LoadSpec and StoreSpec
+		// take a *trace.MemSpec and keep no pointer to it, so the literal
+		// stays on this stack, built once where the emitter reads it.
 		head := versions[key*versionsPerRecord]
-		dep := e.LoadSpec(trace.MemSpec{
+		dep := e.LoadSpec(&trace.MemSpec{
 			PC: pcBucket, Addr: bucketArr + memmodel.Addr(b*8),
 			Value: uint64(head), Reg: uint64(key), Dep: -1,
 			Hints: trace.SWHints{Valid: true, TypeID: typeBucket, RefForm: trace.RefIndex},
@@ -79,14 +81,14 @@ func buildTrace() *trace.Trace {
 			if v+1 < versionsPerRecord {
 				next = versions[key*versionsPerRecord+v+1]
 			}
-			dep = e.LoadSpec(trace.MemSpec{
+			dep = e.LoadSpec(&trace.MemSpec{
 				PC: pcVersion, Addr: node, Value: uint64(next), Reg: uint64(key),
 				Dep: dep, Hints: trace.SWHints{Valid: true, TypeID: typeVersion, LinkOffset: 0, RefForm: trace.RefArrow},
 			})
 			e.Branch(pcVersion+8, v+1 < versionsPerRecord)
 		}
 		// Read the payload of the chosen version.
-		e.LoadSpec(trace.MemSpec{PC: pcValue, Addr: versions[key*versionsPerRecord+versionsPerRecord-1] + 16, Dep: dep})
+		e.LoadSpec(&trace.MemSpec{PC: pcValue, Addr: versions[key*versionsPerRecord+versionsPerRecord-1] + 16, Dep: dep})
 		e.Compute(6)
 		if q == lookups/8 {
 			e.EndWarmup()

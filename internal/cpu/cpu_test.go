@@ -60,7 +60,7 @@ func TestDependentLoadsSerialize(t *testing.T) {
 	const n = 16
 	prev := -1
 	for i := 0; i < n; i++ {
-		prev = e.LoadSpec(trace.MemSpec{PC: 0x100, Addr: 0x1000 + 64*memAddr(i), Dep: prev})
+		prev = e.LoadSpec(&trace.MemSpec{PC: 0x100, Addr: 0x1000 + 64*memAddr(i), Dep: prev})
 	}
 	res := run(t, e.Finish(), fixedMem{300}, DefaultConfig())
 	if res.Cycles < 16*300 {
@@ -293,7 +293,7 @@ func TestMemLatencyDominatesSlowTrace(t *testing.T) {
 	e := trace.NewEmitter("slow")
 	prev := -1
 	for i := 0; i < 10; i++ {
-		prev = e.LoadSpec(trace.MemSpec{PC: 0x1, Addr: memAddr(i) * 64, Dep: prev})
+		prev = e.LoadSpec(&trace.MemSpec{PC: 0x1, Addr: memAddr(i) * 64, Dep: prev})
 		e.Compute(10)
 	}
 	res := run(t, e.Finish(), fixedMem{1000}, DefaultConfig())

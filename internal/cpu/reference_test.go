@@ -212,7 +212,7 @@ func randomTrace(seed uint64, n, reach int) *trace.Trace {
 				e.Append(trace.Record{Kind: kind, PC: 0x400, Addr: addr, Size: 8,
 					Value: uint64(i), Dep: int32(dep)})
 			} else {
-				s := trace.MemSpec{PC: 0x400, Addr: addr, Value: uint64(i), Dep: dep}
+				s := &trace.MemSpec{PC: 0x400, Addr: addr, Value: uint64(i), Dep: dep}
 				if kind == trace.KindLoad {
 					e.LoadSpec(s)
 				} else {

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"fmt"
 	"sync"
 	"sync/atomic"
 
@@ -40,6 +41,15 @@ type Job struct {
 	// this configuration (its Seed field is overwritten by the derived
 	// seed, its Policy by a policy variant's name).
 	Config *core.Config
+}
+
+// cell names the job in errors: "workload/prefetcher", and a Config job's
+// point as "[point]".
+func (j Job) cell() string {
+	if j.Config == nil {
+		return j.Workload + "/" + j.Prefetcher
+	}
+	return fmt.Sprintf("%s/%s[%d]", j.Workload, j.Prefetcher, j.Point)
 }
 
 // JobResult pairs a Job with its outcome. Results come back indexed by the

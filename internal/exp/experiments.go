@@ -26,17 +26,21 @@ type Experiment struct {
 
 // Render writes the experiment to w from its cells' results, in Jobs()
 // order as RunJobs returns them, and the run's options. If any cell
-// failed, it writes nothing and returns every cell's error joined, so the
-// report names each failing cell. A no-prefetch baseline with zero IPC
-// fails the same way: every speedup divides by it.
+// failed, it writes nothing and returns the cells' errors joined, one line
+// per failing cell, each naming its cell once; cells that share a name and
+// an error share a line. A no-prefetch baseline with zero IPC fails the
+// same way: every speedup divides by it.
 func (e Experiment) Render(cells []JobResult, opts Options, w io.Writer) error {
 	var errs []error
+	seen := make(map[string]bool)
 	for _, c := range cells {
-		switch {
-		case c.Err != nil:
-			errs = append(errs, c.Err)
-		case c.Job.Prefetcher == "none" && c.Result.IPC() == 0:
-			errs = append(errs, fmt.Errorf("exp: %s baseline IPC is zero", c.Job.Workload))
+		err := c.Err
+		if err == nil && c.Job.Prefetcher == "none" && c.Result.IPC() == 0 {
+			err = fmt.Errorf("exp: %s: baseline IPC is zero", c.Job.cell())
+		}
+		if err != nil && !seen[err.Error()] {
+			seen[err.Error()] = true
+			errs = append(errs, err)
 		}
 	}
 	if err := errors.Join(errs...); err != nil {

@@ -133,7 +133,11 @@ func (r *Runner) Options() Options { return r.opts }
 // Trace returns the (cached) generated trace for a workload; see
 // TraceCache.Get for the single-flight and supervision contract.
 func (r *Runner) Trace(workload string) (*trace.Trace, error) {
-	return r.traces.Get(r.ctx, workload)
+	tr, err := r.traces.Get(r.ctx, workload)
+	if err != nil {
+		return nil, fmt.Errorf("exp: generating %s: %w", workload, err)
+	}
+	return tr, nil
 }
 
 // AddTrace hands the runner a trace it did not generate, such as one read
@@ -160,19 +164,15 @@ func (r *Runner) AddTrace(tr *trace.Trace) error {
 // collide all over. The prefetcher instance comes back for parameterised
 // callers that read its learned state.
 func (r *Runner) run(job Job) (*sim.Result, prefetch.Prefetcher, error) {
-	named := job.Config == nil
-	cell := job.Workload + "/" + job.Prefetcher
-	if !named {
-		cell += fmt.Sprintf("[%d]", job.Point)
-	}
+	named, cell := job.Config == nil, job.cell()
 	ct := r.beginCell(job.Workload, job.Prefetcher, job.Point)
 	fail := func(err error) (*sim.Result, prefetch.Prefetcher, error) {
 		ct.finish(nil, err)
 		return nil, nil, err
 	}
-	tr, err := r.Trace(job.Workload)
+	tr, err := r.traces.Get(r.ctx, job.Workload)
 	if err != nil {
-		return fail(err)
+		return fail(fmt.Errorf("exp: %s: generating the trace: %w", cell, err))
 	}
 	ct.decodeDone()
 	pf, err := NewCellPrefetcher(tr, job, r.opts.Seed)

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"semloc/internal/core"
 	"semloc/internal/harness"
 	"semloc/internal/trace"
 )
@@ -40,6 +41,40 @@ func TestExperimentReportsEveryFailedCell(t *testing.T) {
 	}
 	if buf.Len() != 0 {
 		t.Errorf("wrote %q for a failed experiment", buf.String())
+	}
+}
+
+// TestExperimentNamesEachFailedCellOnce: when a trace fails to generate,
+// the error holds one line per failing cell, and each line names its cell,
+// workload, prefetcher and a Config job's point, once.
+func TestExperimentNamesEachFailedCellOnce(t *testing.T) {
+	cfg := core.DefaultConfig()
+	e := Experiment{
+		ID: "failing",
+		Jobs: func() []Job {
+			return append(crossJobs([]string{"nope"}, []string{"none", "context"}),
+				Job{Workload: "nope", Prefetcher: "context", Point: 2, Config: &cfg})
+		},
+		render: func([]JobResult, Options, io.Writer) { t.Error("rendered an experiment whose cells failed") },
+	}
+	r := tinyRunner()
+	cells, err := r.RunJobs(e.Jobs())
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = e.Render(cells, r.Options(), io.Discard)
+	if err == nil {
+		t.Fatal("expected errors for an unknown workload")
+	}
+	lines := strings.Split(err.Error(), "\n")
+	want := []string{"nope/none", "nope/context", "nope/context[2]"}
+	if len(lines) != len(want) {
+		t.Fatalf("%d lines, want %d:\n%v", len(lines), len(want), err)
+	}
+	for i, line := range lines {
+		if !strings.HasPrefix(line, "exp: "+want[i]+": ") || strings.Count(line, "nope") != 1 {
+			t.Errorf("line %d %q does not name cell %s once", i, line, want[i])
+		}
 	}
 }
 

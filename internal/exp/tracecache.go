@@ -2,6 +2,7 @@ package exp
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"hash/crc64"
 	"sync"
@@ -83,7 +84,9 @@ func (c *TraceCache) spanRecorder() *obs.SpanRecorder {
 // generation — without the single-flight, every figure touching a workload
 // first would generate its trace redundantly (and large-scale generations
 // would multiply peak heap by the caller count). Failed generations are
-// memoized; cancellations are not.
+// memoized; cancellations are not. An error is the bare cause, naming
+// neither the workload nor the generation: the runner's callers add
+// whichever of the trace or the cell they asked for.
 func (c *TraceCache) Get(ctx context.Context, workload string) (*trace.Trace, error) {
 	c.mu.Lock()
 	for {
@@ -133,11 +136,11 @@ func (c *TraceCache) Get(ctx context.Context, workload string) (*trace.Trace, er
 // eventually finishes.
 func (c *TraceCache) generate(ctx context.Context, workload string) (*trace.Trace, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, fmt.Errorf("exp: generating %s: %w", workload, context.Cause(ctx))
+		return nil, context.Cause(ctx)
 	}
 	w, err := workloads.ByName(workload)
 	if err != nil {
-		return nil, err
+		return nil, errors.New("unknown workload")
 	}
 	if c.genHook != nil {
 		c.genHook(workload)
@@ -159,12 +162,9 @@ func (c *TraceCache) generate(ctx context.Context, workload string) (*trace.Trac
 	}()
 	select {
 	case err := <-done:
-		if err != nil {
-			return nil, fmt.Errorf("exp: generating %s: %w", workload, err)
-		}
-		return tr, nil
+		return tr, err
 	case <-ctx.Done():
-		return nil, fmt.Errorf("exp: generating %s: %w", workload, context.Cause(ctx))
+		return nil, context.Cause(ctx)
 	}
 }
 

@@ -109,7 +109,7 @@ func chainTrace(n int) *trace.Trace {
 	e := trace.NewEmitter("chain")
 	prev := -1
 	for e.Len() < n {
-		prev = e.LoadSpec(trace.MemSpec{PC: 0x400, Addr: memmodel.Addr(e.Len()%8192) * 64, Dep: prev})
+		prev = e.LoadSpec(&trace.MemSpec{PC: 0x400, Addr: memmodel.Addr(e.Len()%8192) * 64, Dep: prev})
 		e.Compute(2)
 		e.Branch(0x408, true)
 	}

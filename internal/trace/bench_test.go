@@ -18,7 +18,7 @@ func benchTrace(records int) *Trace {
 		e.Compute(3)
 		e.Branch(0x400+uint64(i%7)*4, i%3 == 0)
 		addr := memmodelAddr(0x10000 + (i*832)%(1<<20))
-		dep = e.LoadSpec(MemSpec{
+		dep = e.LoadSpec(&MemSpec{
 			PC: 0x500, Addr: addr, Value: uint64(addr) + 64, Dep: dep,
 			Hints: SWHints{Valid: true, TypeID: 2, LinkOffset: 8, RefForm: RefArrow},
 		})

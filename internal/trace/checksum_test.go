@@ -58,14 +58,14 @@ func checksumTrace() *Trace {
 	e := NewEmitter("sum")
 	e.Compute(3)
 	e.Branch(0x10, true)
-	e.LoadSpec(MemSpec{PC: 0x20, Addr: 0x1000, Reg: 5, Dep: -1,
+	e.LoadSpec(&MemSpec{PC: 0x20, Addr: 0x1000, Reg: 5, Dep: -1,
 		Hints: SWHints{Valid: true, TypeID: 7, LinkOffset: 16, RefForm: RefArrow}})
 	e.Store(0x30, 0x2000)
-	e.LoadSpec(MemSpec{PC: 0x50, Addr: 0x3000, Dep: 2})
+	e.LoadSpec(&MemSpec{PC: 0x50, Addr: 0x3000, Dep: 2})
 	for pc := uint64(0x100); len(e.table) < maxEntries; pc += 4 {
 		e.Branch(pc, false)
 	}
-	e.StoreSpec(MemSpec{PC: 0x60, Addr: 0x4000, Dep: 2})
+	e.StoreSpec(&MemSpec{PC: 0x60, Addr: 0x4000, Dep: 2})
 	return e.Finish()
 }
 

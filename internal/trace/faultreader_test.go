@@ -75,11 +75,11 @@ func biggerTrace() *Trace {
 	e := NewEmitter("fault-test")
 	for i := 0; i < 200; i++ {
 		e.Compute(3)
-		j := e.LoadSpec(MemSpec{PC: 0x400 + uint64(i), Addr: memmodel.Addr(0x10000 + i*64),
+		j := e.LoadSpec(&MemSpec{PC: 0x400 + uint64(i), Addr: memmodel.Addr(0x10000 + i*64),
 			Value: uint64(0x20000 + i), Reg: uint64(i), Dep: -1,
 			Hints: SWHints{Valid: i%3 == 0, TypeID: uint16(i), LinkOffset: 8, RefForm: RefArrow}})
 		e.Branch(0x800+uint64(i), i%2 == 0)
-		e.LoadSpec(MemSpec{PC: 0x900 + uint64(i), Addr: memmodel.Addr(0x20000 + i*64), Dep: j})
+		e.LoadSpec(&MemSpec{PC: 0x900 + uint64(i), Addr: memmodel.Addr(0x20000 + i*64), Dep: j})
 		e.Store(0xa00+uint64(i), memmodel.Addr(0x30000+i*64))
 	}
 	return e.Finish()

@@ -162,18 +162,18 @@ func FuzzAppend(f *testing.F) {
 				m.compute(int(int8(in.u8())))
 			case 2:
 				size, flags := in.u8(), in.u8()
-				m.load(MemSpec{Size: size, PC: in.u64(), Addr: memmodel.Addr(in.u64()), Value: in.u64(), Reg: in.u64(),
+				m.load(&MemSpec{Size: size, PC: in.u64(), Addr: memmodel.Addr(in.u64()), Value: in.u64(), Reg: in.u64(),
 					Hints: in.hints(flags&2 != 0), Dep: int(int64(in.u64()))})
 			case 3:
 				m.branch(in.u64(), in.u8()&1 != 0)
 			case 4:
 				sort, n := in.u8()%4, int(in.u8())|int(in.u8())<<8
-				producer := m.load(MemSpec{PC: 0x44, Addr: 0x2000, Dep: -1})
+				producer := m.load(&MemSpec{PC: 0x44, Addr: 0x2000, Dep: -1})
 				for j := 0; j < n; j++ {
 					fresh++
 					switch sort {
 					case 0:
-						m.load(MemSpec{PC: 0x40, Addr: 0x1000, Dep: -1, Hints: SWHints{Valid: true, TypeID: uint16(fresh)}})
+						m.load(&MemSpec{PC: 0x40, Addr: 0x1000, Dep: -1, Hints: SWHints{Valid: true, TypeID: uint16(fresh)}})
 					case 1:
 						m.branch(fresh, j&1 == 0)
 					case 2:
@@ -182,7 +182,7 @@ func FuzzAppend(f *testing.F) {
 							m.branch(0x48, true)
 						}
 					case 3:
-						m.load(MemSpec{PC: 0x40, Addr: 0x1000, Dep: producer})
+						m.load(&MemSpec{PC: 0x40, Addr: 0x1000, Dep: producer})
 					}
 				}
 			}

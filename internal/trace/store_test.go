@@ -191,7 +191,7 @@ func streamBytes(tr *Trace) (ops map[opKey]bool, pay, regs int) {
 // trace comes back from Write→Read with the same records and checksum.
 func TestAppendKeepsWhatWriteEncodes(t *testing.T) {
 	m := newModel("drops")
-	m.load(MemSpec{PC: 0x10, Addr: 0x80, Dep: -1}) // the producer of each Dep below
+	m.load(&MemSpec{PC: 0x10, Addr: 0x80, Dep: -1}) // the producer of each Dep below
 	for _, k := range []Kind{KindCompute, KindBranch, KindWarmupEnd, KindLoad, KindStore} {
 		m.append(Record{Kind: k, PC: 0x40, Addr: 0x1000, Value: 7, Reg: 9, Dep: 0, Count: 5, Size: 4, Taken: true,
 			BranchHist: 3, Hints: SWHints{TypeID: 2, LinkOffset: 8, RefForm: RefArrow}})
@@ -252,7 +252,7 @@ func TestStorageFootprint(t *testing.T) {
 
 	e := NewEmitter("reg")
 	for i := 0; i < 2*chunkLen; i++ {
-		e.LoadSpec(MemSpec{PC: 0x10, Addr: memmodel.Addr(64 * i), Reg: uint64(i / chunkLen), Dep: -1})
+		e.LoadSpec(&MemSpec{PC: 0x10, Addr: memmodel.Addr(64 * i), Reg: uint64(i / chunkLen), Dep: -1})
 		e.Compute(1)
 	}
 	e.Store(0x20, 0x40) // the stream covers the accesses after the last nonzero Reg
@@ -382,7 +382,7 @@ func (m *model) compute(n int) {
 
 // load defaults the size to 8 and drops Hints that are not Valid and a
 // Dep that is not an earlier record.
-func (m *model) load(s MemSpec) int {
+func (m *model) load(s *MemSpec) int {
 	i := m.e.LoadSpec(s)
 	r := Record{Kind: KindLoad, PC: s.PC, Addr: s.Addr, Size: s.Size, Value: s.Value, Reg: s.Reg, Dep: NoDep}
 	if r.Size == 0 {
@@ -463,7 +463,7 @@ func TestDeltaCoding(t *testing.T) {
 			// Every difference wraps modulo 2^64: 2^64−1 is −1 from 0, and
 			// 0 is 1 from it, one byte each; 2^63 and back take ten.
 			for _, v := range []uint64{math.MaxUint64, 0, math.MaxUint64, 1 << 63, math.MaxUint64} {
-				m.load(MemSpec{PC: 0x10, Addr: memmodel.Addr(v), Value: v, Reg: v, Dep: -1})
+				m.load(&MemSpec{PC: 0x10, Addr: memmodel.Addr(v), Value: v, Reg: v, Dep: -1})
 			}
 		}, 2 * (1 + 1 + 1 + 10 + 10), 1 + 1 + 1 + 10 + 10, 0},
 		{"interleaved", func(m *model) {
@@ -472,8 +472,8 @@ func TestDeltaCoding(t *testing.T) {
 			// bytes of Addr), the differences take one byte, where
 			// differences from the PC's last access would take four.
 			for i := 0; i < 100; i++ {
-				m.load(MemSpec{PC: 0x20, Addr: memmodel.Addr(0x1000000 + 8*i), Value: uint64(i), Dep: -1})
-				m.load(MemSpec{PC: 0x20, Addr: memmodel.Addr(0x9000000 - 8*i), Value: uint64(2 * i), Size: 4, Dep: -1})
+				m.load(&MemSpec{PC: 0x20, Addr: memmodel.Addr(0x1000000 + 8*i), Value: uint64(i), Dep: -1})
+				m.load(&MemSpec{PC: 0x20, Addr: memmodel.Addr(0x9000000 - 8*i), Value: uint64(2 * i), Size: 4, Dep: -1})
 			}
 		}, (4 + 1) + (5 + 1) + 198*2, 0, 0},
 		{"late reg", func(m *model) {
@@ -482,32 +482,32 @@ func TestDeltaCoding(t *testing.T) {
 			// bytes, the first of each op three.
 			n := 3*chunkLen + 5
 			for i := 0; i < n; i++ {
-				m.load(MemSpec{PC: 0x30, Addr: 0x40, Dep: -1})
+				m.load(&MemSpec{PC: 0x30, Addr: 0x40, Dep: -1})
 			}
-			m.load(MemSpec{PC: 0x34, Addr: 0x40, Reg: 7, Dep: -1})
-			m.load(MemSpec{PC: 0x30, Addr: 0x40, Dep: -1})
+			m.load(&MemSpec{PC: 0x34, Addr: 0x40, Reg: 7, Dep: -1})
+			m.load(&MemSpec{PC: 0x30, Addr: 0x40, Dep: -1})
 		}, 2*(3*chunkLen+7) + 2, 3*chunkLen + 7, 0},
 		{"reg kept whole", func(m *model) {
 			// The first nonzero Reg arrives on a load kept whole: it
 			// starts no stream. The next one does, backfilling 3 bytes.
-			m.load(MemSpec{PC: 0x40, Addr: 0x80, Dep: -1})
+			m.load(&MemSpec{PC: 0x40, Addr: 0x80, Dep: -1})
 			fill(m, maxEntries-1)
-			m.load(MemSpec{PC: 0x44, Addr: 0x80, Reg: 9, Dep: -1}) // a new op: kept whole
-			m.load(MemSpec{PC: 0x40, Addr: 0x80, Dep: -1})
+			m.load(&MemSpec{PC: 0x44, Addr: 0x80, Reg: 9, Dep: -1}) // a new op: kept whole
+			m.load(&MemSpec{PC: 0x40, Addr: 0x80, Dep: -1})
 			m.append(Record{Kind: KindStore, PC: 0x48, Addr: 0xc0, Reg: 3, Size: 8, Dep: NoDep}) // kept whole
-			m.load(MemSpec{PC: 0x40, Addr: 0x80, Dep: -1})
-			m.load(MemSpec{PC: 0x40, Addr: 0x80, Reg: 5, Dep: -1})
-			m.load(MemSpec{PC: 0x40, Addr: 0x80, Reg: 5, Dep: -1})
+			m.load(&MemSpec{PC: 0x40, Addr: 0x80, Dep: -1})
+			m.load(&MemSpec{PC: 0x40, Addr: 0x80, Reg: 5, Dep: -1})
+			m.load(&MemSpec{PC: 0x40, Addr: 0x80, Reg: 5, Dep: -1})
 		}, 2 + 1 + 2*4, 5, 2},
 		{"whole between", func(m *model) {
 			// Records kept whole between accesses of one op, a load of a
 			// new op and a record of an unknown kind, leave the op's last
 			// access where it was: its next difference is 8.
-			m.load(MemSpec{PC: 0x50, Addr: 0x1000, Value: 0x2000, Dep: -1})
+			m.load(&MemSpec{PC: 0x50, Addr: 0x1000, Value: 0x2000, Dep: -1})
 			fill(m, maxEntries-1)
-			m.load(MemSpec{PC: 0x54, Addr: 0x9000, Value: 0x9000, Dep: -1})
+			m.load(&MemSpec{PC: 0x54, Addr: 0x9000, Value: 0x9000, Dep: -1})
 			m.append(Record{Kind: kindCount, PC: 0x50, Addr: 0x9000, Value: 0x9000, Size: 8, Dep: NoDep})
-			m.load(MemSpec{PC: 0x50, Addr: 0x1008, Value: 0x2008, Dep: -1})
+			m.load(&MemSpec{PC: 0x50, Addr: 0x1008, Value: 0x2008, Dep: -1})
 		}, 2 + 3 + 1 + 1, 0, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -553,14 +553,14 @@ func TestKeptWholeRecords(t *testing.T) {
 				pc := uint64(i) << 2
 				switch i % 3 {
 				case 0:
-					dep = m.load(MemSpec{PC: pc, Addr: memmodel.Addr(i) << 6, Value: uint64(i), Dep: dep})
+					dep = m.load(&MemSpec{PC: pc, Addr: memmodel.Addr(i) << 6, Value: uint64(i), Dep: dep})
 				case 1:
 					m.branch(pc, i%4 == 1)
 				case 2:
 					m.append(Record{Kind: KindStore, PC: pc, Addr: memmodel.Addr(i) << 6, Size: 4, Dep: NoDep})
 				}
 				if i > 1<<16-8 { // around the 8-byte ops' PC table filling up
-					m.load(MemSpec{PC: 4, Addr: 0x40, Reg: uint64(i), Dep: dep})
+					m.load(&MemSpec{PC: 4, Addr: 0x40, Reg: uint64(i), Dep: dep})
 					m.compute(2)
 				}
 			}
@@ -569,15 +569,15 @@ func TestKeptWholeRecords(t *testing.T) {
 			dep := -1
 			for i := 0; i < 1<<8+8; i++ {
 				h := SWHints{Valid: true, TypeID: uint16(i), LinkOffset: 8, RefForm: RefArrow}
-				dep = m.load(MemSpec{PC: 0x100, Addr: memmodel.Addr(0x1000 + 64*i), Dep: dep, Hints: h})
-				m.load(MemSpec{PC: 0x104, Addr: 0x40, Dep: dep})
+				dep = m.load(&MemSpec{PC: 0x100, Addr: memmodel.Addr(0x1000 + 64*i), Dep: dep, Hints: h})
+				m.load(&MemSpec{PC: 0x104, Addr: 0x40, Dep: dep})
 			}
 			m.append(Record{Kind: KindCompute, Count: 3, Taken: true})
 			m.compute(2) // merges into the compute record kept whole
 			m.branch(0x108, true)
 			m.branch(0x108, false)
 			m.append(Record{Kind: KindStore, PC: 0x10c, Addr: 0x80, Size: 2, Dep: int32(dep)})
-			m.load(MemSpec{PC: 0x104, Addr: 0x40, Dep: dep})
+			m.load(&MemSpec{PC: 0x104, Addr: 0x40, Dep: dep})
 		}, 16, 0xf6f9ed2f1884c265, 6, ""},
 		{"wide", func(m *model) {
 			vals := []uint64{0, 1<<32 - 1, 1 << 32, 1 << 63, math.MaxUint64}
@@ -585,7 +585,7 @@ func TestKeptWholeRecords(t *testing.T) {
 			for _, a := range vals {
 				for _, v := range vals {
 					for _, r := range vals {
-						dep = m.load(MemSpec{PC: 0x200, Addr: memmodel.Addr(a), Value: v, Reg: r, Dep: dep})
+						dep = m.load(&MemSpec{PC: 0x200, Addr: memmodel.Addr(a), Value: v, Reg: r, Dep: dep})
 						m.append(Record{Kind: KindStore, PC: 0x204, Addr: memmodel.Addr(a ^ 0x40), Value: r, Reg: v, Size: 8, Dep: NoDep})
 						m.compute(1)
 					}
@@ -598,16 +598,16 @@ func TestKeptWholeRecords(t *testing.T) {
 				m.branch(0x10, true)
 				if n > maxEntries-8 { // around the table filling up, ops it holds
 					m.compute(1)
-					m.load(MemSpec{PC: 0x14, Addr: memmodel.Addr(n) << 6, Dep: -1})
+					m.load(&MemSpec{PC: 0x14, Addr: memmodel.Addr(n) << 6, Dep: -1})
 				}
 			}
 		}, 8, 0xf5ed78b774452062, 0, ""},
 		{"distances", func(m *model) {
-			first := m.load(MemSpec{PC: 0x20, Addr: 0x1000, Dep: -1})
+			first := m.load(&MemSpec{PC: 0x20, Addr: 0x1000, Dep: -1})
 			for i := 1; i <= maxEntries+6; i++ {
-				m.load(MemSpec{PC: 0x24, Addr: memmodel.Addr(0x1000 + 64*i), Value: uint64(i), Dep: first})
+				m.load(&MemSpec{PC: 0x24, Addr: memmodel.Addr(0x1000 + 64*i), Value: uint64(i), Dep: first})
 				if i > maxEntries-8 { // around the table filling up, an op it holds
-					m.load(MemSpec{PC: 0x24, Addr: 0x40, Dep: len(m.recs) - 1})
+					m.load(&MemSpec{PC: 0x24, Addr: 0x40, Dep: len(m.recs) - 1})
 				}
 			}
 			// Dependencies Validate rejects, as distances forward, onto
@@ -646,19 +646,19 @@ func TestKeptWholeRecords(t *testing.T) {
 			for i := 1; i <= maxEntries; i++ {
 				m.branch(uint64(i)<<2, false)
 			}
-			ld := m.load(MemSpec{PC: 0x1000, Addr: 0x40, Dep: -1})
-			m.load(MemSpec{PC: 0x1004, Addr: 0x80, Dep: ld}) // on a load kept whole
+			ld := m.load(&MemSpec{PC: 0x1000, Addr: 0x40, Dep: -1})
+			m.load(&MemSpec{PC: 0x1004, Addr: 0x80, Dep: ld}) // on a load kept whole
 			st := len(m.recs)
 			m.append(Record{Kind: KindStore, PC: 0x1008, Addr: 0xc0, Size: 8, Dep: NoDep})
-			m.load(MemSpec{PC: 0x100c, Addr: 0x100, Dep: st}) // on a store kept whole
+			m.load(&MemSpec{PC: 0x100c, Addr: 0x100, Dep: st}) // on a store kept whole
 		}, 4, 0x6c590b2cd07ba57e, 1, `trace "producers": record 257 depends on non-load 256`},
 		{"kind", func(m *model) {
-			m.load(MemSpec{PC: 0x300, Addr: 0x1000, Dep: -1})
+			m.load(&MemSpec{PC: 0x300, Addr: 0x1000, Dep: -1})
 			m.append(Record{Kind: Kind(99), PC: 0x304, Addr: 0x2000, Value: 5, Reg: 6, Count: 7, Size: 3, Taken: true, Dep: 0,
 				Hints: SWHints{Valid: true, TypeID: 1}})
 			m.branch(0x308, true)
 			m.append(Record{Kind: kindCount, Dep: NoDep})
-			m.load(MemSpec{PC: 0x300, Addr: 0x1040, Reg: 1, Dep: 0})
+			m.load(&MemSpec{PC: 0x300, Addr: 0x1040, Reg: 1, Dep: 0})
 		}, 2, 0x6ad415836ce3041a, 4, `trace "kind": record 1 has unknown kind 99`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

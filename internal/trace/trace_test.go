@@ -10,10 +10,10 @@ import (
 func sampleTrace() *Trace {
 	e := NewEmitter("sample")
 	e.Compute(10)
-	i := e.LoadSpec(MemSpec{PC: 0x400, Addr: 0x10000, Value: 0x20000, Reg: 7, Dep: -1,
+	i := e.LoadSpec(&MemSpec{PC: 0x400, Addr: 0x10000, Value: 0x20000, Reg: 7, Dep: -1,
 		Hints: SWHints{Valid: true, TypeID: 3, LinkOffset: 8, RefForm: RefArrow}})
 	e.Branch(0x408, true)
-	e.LoadSpec(MemSpec{PC: 0x410, Addr: 0x20000, Dep: i})
+	e.LoadSpec(&MemSpec{PC: 0x410, Addr: 0x20000, Dep: i})
 	e.EndWarmup()
 	e.Store(0x418, 0x30040)
 	e.Compute(5)
@@ -71,7 +71,7 @@ func TestEmitterDefaultSize(t *testing.T) {
 
 func TestEmitterInvalidDepIgnored(t *testing.T) {
 	e := NewEmitter("dep")
-	e.LoadSpec(MemSpec{PC: 1, Addr: 2, Dep: 57}) // out of range forward dep
+	e.LoadSpec(&MemSpec{PC: 1, Addr: 2, Dep: 57}) // out of range forward dep
 	tr := e.Finish()
 	if got := records(tr)[0].Dep; got != NoDep {
 		t.Errorf("forward dep should be dropped, got %d", got)
@@ -138,7 +138,7 @@ func TestCodecRoundTripLarge(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				h = SWHints{Valid: true, TypeID: uint16(rng.Intn(8)), LinkOffset: uint16(rng.Intn(64)), RefForm: RefForm(rng.Intn(5))}
 			}
-			lastLoad = e.LoadSpec(MemSpec{
+			lastLoad = e.LoadSpec(&MemSpec{
 				PC:    uint64(0x2000 + rng.Intn(32)*4),
 				Addr:  memmodel.Addr(rng.Uint64() % (1 << 40)),
 				Value: rng.Uint64() % 1000,

@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"semloc/internal/trace"
@@ -33,6 +35,32 @@ func BenchmarkGenerate(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(records), "ns/record")
+}
+
+// BenchmarkGenerateSetup times what perfbench's setup_s times: generating
+// its five sim traces (scale 0.25, seed 1), one sub-benchmark per trace and
+// "all" for the set, each iteration after a runtime.GC() with the collector
+// paused, as perfbench's set-up runs them, so a regression names its
+// generator. BenchmarkGenerate keeps the collector on, as the experiment
+// engine, prefetchsim and tracegen generate.
+func BenchmarkGenerateSetup(b *testing.B) {
+	ws := simWorkloads(b)
+	gen := func(b *testing.B, ws []*Workload) {
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			runtime.GC()
+			b.StartTimer()
+			for _, w := range ws {
+				w.Generate(GenConfig{Scale: 0.25, Seed: 1})
+			}
+		}
+	}
+	for _, w := range ws {
+		b.Run(w.Name, func(b *testing.B) { gen(b, []*Workload{w}) })
+	}
+	b.Run("all", func(b *testing.B) { gen(b, ws) })
 }
 
 // BenchmarkCursor walks perfbench's five sim traces (scale 0.25, seed 1)

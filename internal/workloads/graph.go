@@ -59,12 +59,12 @@ func buildGraph(n, avgDeg int, rng *memmodel.RNG) *synthGraph {
 		for d := 0; d < deg; d++ {
 			var t int
 			if rng.Float64() < 0.8 {
-				// Community edge: nearby vertex.
-				t = v + rng.Intn(201) - 100
+				// Community edge: nearby vertex, wrapping around a graph
+				// of any size.
+				t = (v + rng.Intn(201) - 100) % n
 				if t < 0 {
 					t += n
 				}
-				t %= n
 			} else {
 				t = rng.Intn(n)
 			}
@@ -167,23 +167,23 @@ func buildListGraph(g *synthGraph, h *memmodel.Heap, rng *memmodel.RNG) *listLay
 // emitVisitCSR emits one BFS vertex visit over CSR.
 func emitVisitCSR(e *trace.Emitter, pc uint64, g *synthGraph, c *csrLayout, v int) {
 	// Row pointer loads (v, v+1): sequential-ish array accesses.
-	rp := e.LoadSpec(trace.MemSpec{PC: pc, Addr: c.rowPtr + memmodel.Addr(v*8), Dep: -1,
+	rp := e.LoadSpec(&trace.MemSpec{PC: pc, Addr: c.rowPtr + memmodel.Addr(v*8), Dep: -1,
 		Hints: trace.SWHints{Valid: true, TypeID: typeGraphVertex, RefForm: trace.RefIndex}})
-	e.LoadSpec(trace.MemSpec{PC: pc + 4, Addr: c.rowPtr + memmodel.Addr((v+1)*8), Dep: -1})
+	e.LoadSpec(&trace.MemSpec{PC: pc + 4, Addr: c.rowPtr + memmodel.Addr((v+1)*8), Dep: -1})
 	e.Compute(2)
 	start := c.offsets[v]
 	for i, t := range g.adj[v] {
 		// Column index load: sequential within the row.
-		ci := e.LoadSpec(trace.MemSpec{PC: pc + 8, Addr: c.colIdx + memmodel.Addr((start+i)*8),
+		ci := e.LoadSpec(&trace.MemSpec{PC: pc + 8, Addr: c.colIdx + memmodel.Addr((start+i)*8),
 			Value: uint64(t), Dep: rp,
 			Hints: trace.SWHints{Valid: true, TypeID: typeGraphEdge, RefForm: trace.RefIndex}})
 		// Visited probe: data-dependent scatter — the irregular heart of BFS.
-		e.LoadSpec(trace.MemSpec{PC: pc + 12, Addr: c.visited + memmodel.Addr(t*8), Dep: ci,
+		e.LoadSpec(&trace.MemSpec{PC: pc + 12, Addr: c.visited + memmodel.Addr(t*8), Dep: ci,
 			Hints: trace.SWHints{Valid: true, TypeID: typeGraphVertex, RefForm: trace.RefIndex}})
 		e.Compute(2)
 		e.Branch(pc+16, i+1 < len(g.adj[v]))
 	}
-	e.StoreSpec(trace.MemSpec{PC: pc + 20, Addr: c.visited + memmodel.Addr(v*8), Dep: -1})
+	e.StoreSpec(&trace.MemSpec{PC: pc + 20, Addr: c.visited + memmodel.Addr(v*8), Dep: -1})
 }
 
 // emitVisitList emits one BFS vertex visit over the linked layout.
@@ -196,7 +196,7 @@ func emitVisitList(e *trace.Emitter, pc uint64, g *synthGraph, l *listLayout, v 
 	if len(edges) > 0 {
 		firstEdge = edges[0]
 	}
-	vd := e.LoadSpec(trace.MemSpec{PC: pc, Addr: l.vertex[v], Value: uint64(firstEdge), Dep: dep,
+	vd := e.LoadSpec(&trace.MemSpec{PC: pc, Addr: l.vertex[v], Value: uint64(firstEdge), Dep: dep,
 		Hints: ptrHint(typeGraphVertex, 8)})
 	e.Compute(2)
 	ed := vd
@@ -206,15 +206,15 @@ func emitVisitList(e *trace.Emitter, pc uint64, g *synthGraph, l *listLayout, v 
 			next = edges[i+1]
 		}
 		// Edge node: pointer chase along the adjacency chain.
-		ed = e.LoadSpec(trace.MemSpec{PC: pc + 8, Addr: edges[i], Value: uint64(next), Dep: ed,
+		ed = e.LoadSpec(&trace.MemSpec{PC: pc + 8, Addr: edges[i], Value: uint64(next), Dep: ed,
 			Hints: ptrHint(typeGraphEdge, listNextOff)})
 		// Visited probe for the target.
-		e.LoadSpec(trace.MemSpec{PC: pc + 12, Addr: visited + memmodel.Addr(t*8), Dep: ed,
+		e.LoadSpec(&trace.MemSpec{PC: pc + 12, Addr: visited + memmodel.Addr(t*8), Dep: ed,
 			Hints: trace.SWHints{Valid: true, TypeID: typeGraphVertex, RefForm: trace.RefIndex}})
 		e.Compute(2)
 		e.Branch(pc+16, i+1 < len(adj))
 	}
-	e.StoreSpec(trace.MemSpec{PC: pc + 20, Addr: visited + memmodel.Addr(v*8), Dep: -1})
+	e.StoreSpec(&trace.MemSpec{PC: pc + 20, Addr: visited + memmodel.Addr(v*8), Dep: -1})
 	return vd
 }
 
@@ -269,10 +269,10 @@ func genSSCA2(cfg GenConfig, name string, csr bool) *trace.Trace {
 	emitAccum := func() {
 		// Back-propagation pass: sequential score array update.
 		for i := 0; i < n; i++ {
-			d := e.LoadSpec(trace.MemSpec{PC: pc + 0x100, Addr: scores + memmodel.Addr(i*8), Dep: -1,
+			d := e.LoadSpec(&trace.MemSpec{PC: pc + 0x100, Addr: scores + memmodel.Addr(i*8), Dep: -1,
 				Hints: trace.SWHints{Valid: true, TypeID: typeGraphVertex, RefForm: trace.RefIndex}})
 			e.Compute(3)
-			e.StoreSpec(trace.MemSpec{PC: pc + 0x108, Addr: scores + memmodel.Addr(i*8), Dep: d})
+			e.StoreSpec(&trace.MemSpec{PC: pc + 0x108, Addr: scores + memmodel.Addr(i*8), Dep: d})
 		}
 	}
 	sweeps := 4

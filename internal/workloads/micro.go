@@ -80,11 +80,11 @@ func init() {
 // the previous link load) and a payload load, followed by loop control.
 // Returns the index of the link load for the next step's dependency.
 func emitChase(e *trace.Emitter, pcBase uint64, node, next memmodel.Addr, dep int, typeID uint16) int {
-	li := e.LoadSpec(trace.MemSpec{
+	li := e.LoadSpec(&trace.MemSpec{
 		PC: pcBase, Addr: node + listNextOff, Value: uint64(next),
 		Dep: dep, Hints: ptrHint(typeID, listNextOff),
 	})
-	e.LoadSpec(trace.MemSpec{PC: pcBase + 8, Addr: node + listPayOff, Dep: dep})
+	e.LoadSpec(&trace.MemSpec{PC: pcBase + 8, Addr: node + listPayOff, Dep: dep})
 	e.Compute(2)
 	e.Branch(pcBase+16, true)
 	return li
@@ -136,11 +136,11 @@ func genArray(cfg GenConfig) *trace.Trace {
 	for pass := 0; pass < passes; pass++ {
 		for i := 0; i < n; i++ {
 			addr := base + memmodel.Addr(i*listNodeSize)
-			e.LoadSpec(trace.MemSpec{
+			e.LoadSpec(&trace.MemSpec{
 				PC: pc, Addr: addr, Dep: -1,
 				Hints: trace.SWHints{Valid: true, TypeID: typeListNode, RefForm: trace.RefIndex},
 			})
-			e.LoadSpec(trace.MemSpec{PC: pc + 8, Addr: addr + listPayOff, Dep: -1})
+			e.LoadSpec(&trace.MemSpec{PC: pc + 8, Addr: addr + listPayOff, Dep: -1})
 			e.Compute(2)
 			e.Branch(pc+16, true)
 		}
@@ -183,11 +183,11 @@ func genListSort(cfg GenConfig) *trace.Trace {
 			if pos+1 < len(sorted) {
 				next = nodes[sorted[pos+1]]
 			}
-			dep = e.LoadSpec(trace.MemSpec{
+			dep = e.LoadSpec(&trace.MemSpec{
 				PC: pc, Addr: cur + listNextOff, Value: uint64(next),
 				Reg: uint64(key), Dep: dep, Hints: ptrHint(typeListNode, listNextOff),
 			})
-			e.LoadSpec(trace.MemSpec{PC: pc + 8, Addr: cur + listPayOff, Dep: dep})
+			e.LoadSpec(&trace.MemSpec{PC: pc + 8, Addr: cur + listPayOff, Dep: dep})
 			e.Compute(2)
 			e.Branch(pc+16, true)
 			pos++
@@ -195,10 +195,10 @@ func genListSort(cfg GenConfig) *trace.Trace {
 		e.Branch(pc+16, false) // loop exit
 		// Splice in the new node: write its next pointer and patch the
 		// predecessor.
-		e.StoreSpec(trace.MemSpec{PC: pc + 24, Addr: nodes[i] + listNextOff, Dep: dep,
+		e.StoreSpec(&trace.MemSpec{PC: pc + 24, Addr: nodes[i] + listNextOff, Dep: dep,
 			Hints: ptrHint(typeListNode, listNextOff)})
 		if pos > 0 {
-			e.StoreSpec(trace.MemSpec{PC: pc + 32, Addr: nodes[sorted[pos-1]] + listNextOff, Dep: dep,
+			e.StoreSpec(&trace.MemSpec{PC: pc + 32, Addr: nodes[sorted[pos-1]] + listNextOff, Dep: dep,
 				Hints: ptrHint(typeListNode, listNextOff)})
 		}
 		e.Compute(4)
@@ -242,7 +242,7 @@ func genBST(cfg GenConfig) *trace.Trace {
 			mid := (lo + hi) / 2
 			node := nodes[mid]
 			// Load the key, then the taken child pointer.
-			kd := e.LoadSpec(trace.MemSpec{PC: pc, Addr: node + treeKeyOff, Reg: reg, Dep: dep,
+			kd := e.LoadSpec(&trace.MemSpec{PC: pc, Addr: node + treeKeyOff, Reg: reg, Dep: dep,
 				Hints: derefHint(typeTreeNode)})
 			e.Compute(1)
 			goLeft := key < mid
@@ -258,7 +258,7 @@ func genBST(cfg GenConfig) *trace.Trace {
 			if lo < hi {
 				next = nodes[(lo+hi)/2]
 			}
-			dep = e.LoadSpec(trace.MemSpec{PC: pc + 16, Addr: node + off, Value: uint64(next),
+			dep = e.LoadSpec(&trace.MemSpec{PC: pc + 16, Addr: node + off, Value: uint64(next),
 				Reg: reg, Dep: kd, Hints: ptrHint(typeTreeNode, uint16(off))})
 			e.Branch(pc+24, goLeft)
 		}
@@ -293,7 +293,7 @@ func genHashTest(cfg GenConfig) *trace.Trace {
 		key := rng.Intn(items)
 		b := key % buckets
 		// Bucket head load (array indexed).
-		dep := e.LoadSpec(trace.MemSpec{
+		dep := e.LoadSpec(&trace.MemSpec{
 			PC: pc, Addr: bucketArr + memmodel.Addr(b*8), Reg: uint64(key),
 			Value: uint64(nodes[b]), Dep: -1,
 			Hints: trace.SWHints{Valid: true, TypeID: typeHashNode, RefForm: trace.RefIndex},
@@ -303,7 +303,7 @@ func genHashTest(cfg GenConfig) *trace.Trace {
 		for hop := 0; hop <= key/buckets; hop++ {
 			node := nodes[(b+hop*buckets)%items]
 			next := nodes[(b+(hop+1)*buckets)%items]
-			dep = e.LoadSpec(trace.MemSpec{
+			dep = e.LoadSpec(&trace.MemSpec{
 				PC: pc + 16, Addr: node + listNextOff, Value: uint64(next),
 				Reg: uint64(key), Dep: dep, Hints: ptrHint(typeHashNode, listNextOff),
 			})
@@ -329,7 +329,7 @@ func genMapTest(cfg GenConfig) *trace.Trace {
 	nodes := ShuffledLayout(h, rng, n, treeNodeSize, 64)
 
 	e := trace.NewEmitter("maptest")
-	hot := n / 5
+	hot := max(n/5, 1)
 	warm := lookups / 8
 	for p := 0; p < lookups; p++ {
 		var key int
@@ -343,7 +343,7 @@ func genMapTest(cfg GenConfig) *trace.Trace {
 		for lo < hi {
 			mid := (lo + hi) / 2
 			node := nodes[mid]
-			kd := e.LoadSpec(trace.MemSpec{PC: pc, Addr: node + treeKeyOff, Reg: uint64(key), Dep: dep,
+			kd := e.LoadSpec(&trace.MemSpec{PC: pc, Addr: node + treeKeyOff, Reg: uint64(key), Dep: dep,
 				Hints: derefHint(typeTreeNode)})
 			e.Compute(2) // key compare + colour checks
 			goLeft := key < mid
@@ -359,7 +359,7 @@ func genMapTest(cfg GenConfig) *trace.Trace {
 			if lo < hi {
 				next = nodes[(lo+hi)/2]
 			}
-			dep = e.LoadSpec(trace.MemSpec{PC: pc + 16, Addr: node + off, Value: uint64(next),
+			dep = e.LoadSpec(&trace.MemSpec{PC: pc + 16, Addr: node + off, Value: uint64(next),
 				Reg: uint64(key), Dep: kd, Hints: ptrHint(typeTreeNode, uint16(off))})
 			e.Branch(pc+24, goLeft)
 		}
@@ -410,7 +410,7 @@ func genPrim(cfg GenConfig) *trace.Trace {
 		dep := -1
 		for lvl := 0; lvl < path && lvl < 16; lvl++ {
 			slot := (1<<lvl - 1) % vertices
-			dep = e.LoadSpec(trace.MemSpec{PC: pc, Addr: heapArr + memmodel.Addr(slot*16), Dep: dep,
+			dep = e.LoadSpec(&trace.MemSpec{PC: pc, Addr: heapArr + memmodel.Addr(slot*16), Dep: dep,
 				Hints: trace.SWHints{Valid: true, TypeID: typeHeapNode, RefForm: trace.RefIndex}})
 			e.Compute(2)
 			e.Branch(pc+8, lvl < path-1)
@@ -423,15 +423,15 @@ func genPrim(cfg GenConfig) *trace.Trace {
 			if d+1 < len(edges[v]) {
 				next = edges[v][d+1]
 			}
-			dep = e.LoadSpec(trace.MemSpec{PC: pc + 32, Addr: en + listNextOff, Value: uint64(next),
+			dep = e.LoadSpec(&trace.MemSpec{PC: pc + 32, Addr: en + listNextOff, Value: uint64(next),
 				Dep: dep, Hints: ptrHint(typeGraphEdge, listNextOff)})
 			// Relaxation: read the target's key (random array access).
 			t := edgeTargets[v][d]
-			e.LoadSpec(trace.MemSpec{PC: pc + 40, Addr: keyArr + memmodel.Addr(t*8), Dep: dep,
+			e.LoadSpec(&trace.MemSpec{PC: pc + 40, Addr: keyArr + memmodel.Addr(t*8), Dep: dep,
 				Hints: trace.SWHints{Valid: true, TypeID: typeHeapNode, RefForm: trace.RefIndex}})
 			e.Compute(3)
 			if !inTree[t] {
-				e.StoreSpec(trace.MemSpec{PC: pc + 48, Addr: heapArr + memmodel.Addr(t*16), Dep: -1})
+				e.StoreSpec(&trace.MemSpec{PC: pc + 48, Addr: heapArr + memmodel.Addr(t*16), Dep: -1})
 			}
 			e.Branch(pc+56, d+1 < len(edges[v]))
 		}
@@ -488,7 +488,7 @@ func genSSCALds(cfg GenConfig) *trace.Trace {
 		dep = -1
 		for i := 0; i < 64; i++ {
 			cur := cold[rng.Intn(coldN)]
-			dep = e.LoadSpec(trace.MemSpec{PC: pc + 64, Addr: cur, Dep: dep,
+			dep = e.LoadSpec(&trace.MemSpec{PC: pc + 64, Addr: cur, Dep: dep,
 				Hints: ptrHint(typeGraphVertex, 0)})
 			e.Compute(2)
 		}

@@ -63,7 +63,7 @@ func genSuffixArray(cfg GenConfig) *trace.Trace {
 	for r := 0; r < rounds; r++ {
 		for i := 0; i < n; i++ {
 			// Sequential: sa[i].
-			sd := e.LoadSpec(trace.MemSpec{PC: pc, Addr: sa + memmodel.Addr(i*8),
+			sd := e.LoadSpec(&trace.MemSpec{PC: pc, Addr: sa + memmodel.Addr(i*8),
 				Value: uint64(perm[i]), Dep: -1,
 				Hints: trace.SWHints{Valid: true, TypeID: 1, RefForm: trace.RefIndex}})
 			// Gather: rank[sa[i]+k] — data-dependent scatter.
@@ -71,11 +71,11 @@ func genSuffixArray(cfg GenConfig) *trace.Trace {
 			if t >= n {
 				t -= n
 			}
-			e.LoadSpec(trace.MemSpec{PC: pc + 8, Addr: rank + memmodel.Addr(t*8), Dep: sd,
+			e.LoadSpec(&trace.MemSpec{PC: pc + 8, Addr: rank + memmodel.Addr(t*8), Dep: sd,
 				Hints: trace.SWHints{Valid: true, TypeID: 2, RefForm: trace.RefIndex}})
 			e.Compute(3)
 			// Write back the new rank sequentially.
-			e.StoreSpec(trace.MemSpec{PC: pc + 16, Addr: rank + memmodel.Addr(i*8), Dep: -1})
+			e.StoreSpec(&trace.MemSpec{PC: pc + 16, Addr: rank + memmodel.Addr(i*8), Dep: -1})
 			e.Branch(pc+24, i+1 < n)
 		}
 		if r == 0 {
@@ -133,18 +133,18 @@ func genSetCover(cfg GenConfig) *trace.Trace {
 	for s := 0; s < sets; s++ {
 		// Scan the set's element list (sequential)...
 		for i, m := range members[s] {
-			ed := e.LoadSpec(trace.MemSpec{PC: pc, Addr: elements + memmodel.Addr((s*setSize+i)*8),
+			ed := e.LoadSpec(&trace.MemSpec{PC: pc, Addr: elements + memmodel.Addr((s*setSize+i)*8),
 				Value: uint64(m), Dep: -1,
 				Hints: trace.SWHints{Valid: true, TypeID: 1, RefForm: trace.RefIndex}})
 			// ...probing each element's covered flag (scatter).
-			e.LoadSpec(trace.MemSpec{PC: pc + 8, Addr: covered + memmodel.Addr(m), Dep: ed,
+			e.LoadSpec(&trace.MemSpec{PC: pc + 8, Addr: covered + memmodel.Addr(m), Dep: ed,
 				Hints: trace.SWHints{Valid: true, TypeID: 2, RefForm: trace.RefIndex}})
 			e.Compute(2)
 			e.Branch(pc+16, i+1 < setSize)
 		}
 		// Mark the set's elements covered.
 		for _, m := range members[s] {
-			e.StoreSpec(trace.MemSpec{PC: pc + 24, Addr: covered + memmodel.Addr(m), Dep: -1})
+			e.StoreSpec(&trace.MemSpec{PC: pc + 24, Addr: covered + memmodel.Addr(m), Dep: -1})
 		}
 		e.Compute(8)
 		if s == warm {
@@ -174,15 +174,16 @@ func genConvexHull(cfg GenConfig) *trace.Trace {
 	for i := range live {
 		live[i] = i
 	}
-	level := 0
-	for len(live) > 64 {
+	// The first level is warm-up, so at least one level follows it however
+	// few points there are.
+	for level := 0; level < 2 || len(live) > 64; level++ {
 		for k, p := range live {
 			// Index load (sequential over the compacted index array)...
-			id := e.LoadSpec(trace.MemSpec{PC: pc, Addr: idx + memmodel.Addr(k*8),
+			id := e.LoadSpec(&trace.MemSpec{PC: pc, Addr: idx + memmodel.Addr(k*8),
 				Value: uint64(p), Dep: -1,
 				Hints: trace.SWHints{Valid: true, TypeID: 1, RefForm: trace.RefIndex}})
 			// ...then the point itself (gather over the original array).
-			e.LoadSpec(trace.MemSpec{PC: pc + 8, Addr: points + memmodel.Addr(p*16), Dep: id,
+			e.LoadSpec(&trace.MemSpec{PC: pc + 8, Addr: points + memmodel.Addr(p*16), Dep: id,
 				Hints: trace.SWHints{Valid: true, TypeID: 2, RefForm: trace.RefIndex}})
 			e.Compute(4) // cross products
 			e.Branch(pc+16, rng.Intn(5) != 0)
@@ -192,15 +193,17 @@ func genConvexHull(cfg GenConfig) *trace.Trace {
 		for _, p := range live {
 			if rng.Float64() < 0.4 {
 				next = append(next, p)
-				e.StoreSpec(trace.MemSpec{PC: pc + 24, Addr: idx + memmodel.Addr(len(next)*8), Dep: -1})
+				e.StoreSpec(&trace.MemSpec{PC: pc + 24, Addr: idx + memmodel.Addr(len(next)*8), Dep: -1})
 			}
+		}
+		if len(next) == 0 { // the hull keeps at least one point
+			next = live[:1]
 		}
 		live = next
 		e.Compute(16)
 		if level == 0 {
 			e.EndWarmup()
 		}
-		level++
 	}
 	return e.Finish()
 }
@@ -225,7 +228,7 @@ func genKNN(cfg GenConfig) *trace.Trace {
 		for lo < hi {
 			mid := (lo + hi) / 2
 			node := treeNodes[mid]
-			kd := e.LoadSpec(trace.MemSpec{PC: pc, Addr: node + treeKeyOff, Reg: uint64(key), Dep: dep,
+			kd := e.LoadSpec(&trace.MemSpec{PC: pc, Addr: node + treeKeyOff, Reg: uint64(key), Dep: dep,
 				Hints: derefHint(typeTreeNode)})
 			e.Compute(2)
 			goLeft := key < mid
@@ -241,7 +244,7 @@ func genKNN(cfg GenConfig) *trace.Trace {
 			if lo < hi {
 				next = treeNodes[(lo+hi)/2]
 			}
-			dep = e.LoadSpec(trace.MemSpec{PC: pc + 16, Addr: node + off, Value: uint64(next),
+			dep = e.LoadSpec(&trace.MemSpec{PC: pc + 16, Addr: node + off, Value: uint64(next),
 				Reg: uint64(key), Dep: kd, Hints: ptrHint(typeTreeNode, uint16(off))})
 			e.Branch(pc+24, goLeft)
 		}
@@ -249,7 +252,7 @@ func genKNN(cfg GenConfig) *trace.Trace {
 		base := key &^ 7
 		for i := 0; i < 8; i++ {
 			p := (base + i) % points
-			e.LoadSpec(trace.MemSpec{PC: pc + 32, Addr: pointArr + memmodel.Addr(p*32), Dep: -1,
+			e.LoadSpec(&trace.MemSpec{PC: pc + 32, Addr: pointArr + memmodel.Addr(p*32), Dep: -1,
 				Hints: trace.SWHints{Valid: true, TypeID: 3, RefForm: trace.RefIndex}})
 			e.Compute(4)
 		}

@@ -71,10 +71,10 @@ func genMCF(cfg GenConfig) *trace.Trace {
 				next = arcNodes[i+1]
 			}
 			// Arc record (chained walk).
-			dep = e.LoadSpec(trace.MemSpec{PC: pc, Addr: arcNodes[i], Value: uint64(next), Dep: dep,
+			dep = e.LoadSpec(&trace.MemSpec{PC: pc, Addr: arcNodes[i], Value: uint64(next), Dep: dep,
 				Hints: ptrHint(typeArcNode, 0)})
 			// Tail node potential (scattered pointer dereference).
-			e.LoadSpec(trace.MemSpec{PC: pc + 8, Addr: nodeRecs[t], Dep: dep,
+			e.LoadSpec(&trace.MemSpec{PC: pc + 8, Addr: nodeRecs[t], Dep: dep,
 				Hints: ptrHint(typeArcNode, 16)})
 			e.Compute(3)
 			e.Branch(pc+16, k&15 != 15)
@@ -110,24 +110,24 @@ func genOmnetpp(cfg GenConfig) *trace.Trace {
 		dep := -1
 		for lvl := 0; lvl < 8; lvl++ {
 			slot := ((ev + lvl*37) % 4095) >> uint(7-lvl%8)
-			dep = e.LoadSpec(trace.MemSpec{PC: pc, Addr: heapArr + memmodel.Addr(slot*16), Dep: dep,
+			dep = e.LoadSpec(&trace.MemSpec{PC: pc, Addr: heapArr + memmodel.Addr(slot*16), Dep: dep,
 				Hints: trace.SWHints{Valid: true, TypeID: typeHeapNode, RefForm: trace.RefIndex}})
 			e.Compute(2)
 			e.Branch(pc+8, lvl < 7)
 		}
 		// Message chain at the destination module: a short pointer walk.
 		m := rng.Intn(modules)
-		e.LoadSpec(trace.MemSpec{PC: pc + 16, Addr: moduleRecs[m], Dep: dep,
+		e.LoadSpec(&trace.MemSpec{PC: pc + 16, Addr: moduleRecs[m], Dep: dep,
 			Hints: ptrHint(typeEventNode, 8)})
 		cd := dep
 		start := rng.Intn(len(msgNodes) - 4)
 		for hopi := 0; hopi < 3; hopi++ {
-			cd = e.LoadSpec(trace.MemSpec{PC: pc + 24, Addr: msgNodes[start+hopi],
+			cd = e.LoadSpec(&trace.MemSpec{PC: pc + 24, Addr: msgNodes[start+hopi],
 				Value: uint64(msgNodes[start+hopi+1]), Dep: cd,
 				Hints: ptrHint(typeEventNode, 0)})
 			e.Compute(3)
 		}
-		e.StoreSpec(trace.MemSpec{PC: pc + 32, Addr: heapArr + memmodel.Addr((ev%4096)*16), Dep: -1})
+		e.StoreSpec(&trace.MemSpec{PC: pc + 32, Addr: heapArr + memmodel.Addr((ev%4096)*16), Dep: -1})
 		e.Compute(10)
 		if ev == warm {
 			e.EndWarmup()
@@ -150,7 +150,7 @@ func genAstar(cfg GenConfig) *trace.Trace {
 	x, y := side/2, side/2
 	for ex := 0; ex < expansions; ex++ {
 		// Pop from the open list.
-		dep := e.LoadSpec(trace.MemSpec{PC: pc, Addr: openHeap + memmodel.Addr((ex%8192)*16), Dep: -1,
+		dep := e.LoadSpec(&trace.MemSpec{PC: pc, Addr: openHeap + memmodel.Addr((ex%8192)*16), Dep: -1,
 			Hints: trace.SWHints{Valid: true, TypeID: typeHeapNode, RefForm: trace.RefIndex}})
 		e.Compute(3)
 		// Wandering frontier: neighbours share spatial locality.
@@ -171,12 +171,12 @@ func genAstar(cfg GenConfig) *trace.Trace {
 			}
 			nx, ny = (nx+side)%side, (ny+side)%side
 			cell := memmodel.Addr((ny*side + nx) * 16)
-			e.LoadSpec(trace.MemSpec{PC: pc + 8, Addr: grid + cell, Dep: dep,
+			e.LoadSpec(&trace.MemSpec{PC: pc + 8, Addr: grid + cell, Dep: dep,
 				Hints: trace.SWHints{Valid: true, TypeID: 1, RefForm: trace.RefIndex}})
 			e.Compute(4)
 			e.Branch(pc+16, d < 3)
 		}
-		e.StoreSpec(trace.MemSpec{PC: pc + 24, Addr: openHeap + memmodel.Addr(((ex*7)%8192)*16), Dep: -1})
+		e.StoreSpec(&trace.MemSpec{PC: pc + 24, Addr: openHeap + memmodel.Addr(((ex*7)%8192)*16), Dep: -1})
 		if ex == warm {
 			e.EndWarmup()
 		}
@@ -192,10 +192,10 @@ func genLibquantum(cfg GenConfig) *trace.Trace {
 	e := trace.NewEmitter("libquantum")
 	for gate := 0; gate < 4; gate++ {
 		for i := 0; i < n; i++ {
-			d := e.LoadSpec(trace.MemSpec{PC: pc, Addr: reg + memmodel.Addr(i*16), Dep: -1,
+			d := e.LoadSpec(&trace.MemSpec{PC: pc, Addr: reg + memmodel.Addr(i*16), Dep: -1,
 				Hints: trace.SWHints{Valid: true, TypeID: 1, RefForm: trace.RefIndex}})
 			e.Compute(2)
-			e.StoreSpec(trace.MemSpec{PC: pc + 8, Addr: reg + memmodel.Addr(i*16), Dep: d})
+			e.StoreSpec(&trace.MemSpec{PC: pc + 8, Addr: reg + memmodel.Addr(i*16), Dep: d})
 			e.Branch(pc+16, i+1 < n)
 		}
 		if gate == 0 {
@@ -217,11 +217,11 @@ func genLBM(cfg GenConfig) *trace.Trace {
 	for sweep := 0; sweep < 3; sweep++ {
 		for i := 0; i < cells; i++ {
 			for k, off := range offsets {
-				e.LoadSpec(trace.MemSpec{PC: pc + uint64(k*8), Addr: src + memmodel.Addr(((i+off)%cells)*64), Dep: -1,
+				e.LoadSpec(&trace.MemSpec{PC: pc + uint64(k*8), Addr: src + memmodel.Addr(((i+off)%cells)*64), Dep: -1,
 					Hints: trace.SWHints{Valid: true, TypeID: 1, RefForm: trace.RefIndex}})
 			}
 			e.Compute(12)
-			e.StoreSpec(trace.MemSpec{PC: pc + 0x80, Addr: dst + memmodel.Addr(i*64), Dep: -1})
+			e.StoreSpec(&trace.MemSpec{PC: pc + 0x80, Addr: dst + memmodel.Addr(i*64), Dep: -1})
 			e.Branch(pc+0x88, i+1 < cells)
 		}
 		if sweep == 0 {
@@ -241,9 +241,9 @@ func genMILC(cfg GenConfig) *trace.Trace {
 	for dir := 0; dir < len(strides); dir++ {
 		st := strides[dir]
 		for i := 0; i < sites; i++ {
-			e.LoadSpec(trace.MemSpec{PC: pc + uint64(dir*16), Addr: field + memmodel.Addr((i*128)%(sites*128)), Dep: -1,
+			e.LoadSpec(&trace.MemSpec{PC: pc + uint64(dir*16), Addr: field + memmodel.Addr((i*128)%(sites*128)), Dep: -1,
 				Hints: trace.SWHints{Valid: true, TypeID: 1, RefForm: trace.RefIndex}})
-			e.LoadSpec(trace.MemSpec{PC: pc + uint64(dir*16) + 8, Addr: field + memmodel.Addr(((i+st)%sites)*128), Dep: -1,
+			e.LoadSpec(&trace.MemSpec{PC: pc + uint64(dir*16) + 8, Addr: field + memmodel.Addr(((i+st)%sites)*128), Dep: -1,
 				Hints: trace.SWHints{Valid: true, TypeID: 2, RefForm: trace.RefIndex}})
 			e.Compute(20) // SU(3) matrix multiply
 			e.Branch(pc+0x100, i+1 < sites)
@@ -266,12 +266,12 @@ func genHmmer(cfg GenConfig) *trace.Trace {
 	for r := 0; r < rows; r++ {
 		for i := 0; i < cols; i++ {
 			// DP recurrence: three sequential rows plus model coefficients.
-			e.LoadSpec(trace.MemSpec{PC: pc, Addr: dp + memmodel.Addr(i*8), Dep: -1,
+			e.LoadSpec(&trace.MemSpec{PC: pc, Addr: dp + memmodel.Addr(i*8), Dep: -1,
 				Hints: trace.SWHints{Valid: true, TypeID: 1, RefForm: trace.RefIndex}})
-			e.LoadSpec(trace.MemSpec{PC: pc + 8, Addr: dp + memmodel.Addr((cols+1+i)*8), Dep: -1})
-			e.LoadSpec(trace.MemSpec{PC: pc + 16, Addr: model + memmodel.Addr((r*16)*8), Dep: -1})
+			e.LoadSpec(&trace.MemSpec{PC: pc + 8, Addr: dp + memmodel.Addr((cols+1+i)*8), Dep: -1})
+			e.LoadSpec(&trace.MemSpec{PC: pc + 16, Addr: model + memmodel.Addr((r*16)*8), Dep: -1})
 			e.Compute(6)
-			e.StoreSpec(trace.MemSpec{PC: pc + 24, Addr: dp + memmodel.Addr((2*(cols+1)+i)*8), Dep: -1})
+			e.StoreSpec(&trace.MemSpec{PC: pc + 24, Addr: dp + memmodel.Addr((2*(cols+1)+i)*8), Dep: -1})
 			e.Branch(pc+32, i+1 < cols)
 		}
 		if r == 3 {
@@ -294,10 +294,10 @@ func genBzip2(cfg GenConfig) *trace.Trace {
 		for i := 0; i < block; i += 2 {
 			// Sorting phase: pointer array sequential, data scattered
 			// within the block window.
-			pd := e.LoadSpec(trace.MemSpec{PC: pc, Addr: ptrArr + memmodel.Addr(i*4), Dep: -1,
+			pd := e.LoadSpec(&trace.MemSpec{PC: pc, Addr: ptrArr + memmodel.Addr(i*4), Dep: -1,
 				Hints: trace.SWHints{Valid: true, TypeID: 1, RefForm: trace.RefIndex}})
 			t := rng.Intn(block)
-			e.LoadSpec(trace.MemSpec{PC: pc + 8, Addr: data + memmodel.Addr(t), Dep: pd,
+			e.LoadSpec(&trace.MemSpec{PC: pc + 8, Addr: data + memmodel.Addr(t), Dep: pd,
 				Hints: trace.SWHints{Valid: true, TypeID: 2, RefForm: trace.RefIndex}})
 			e.Compute(5)
 			e.Branch(pc+16, rng.Intn(4) != 0)
@@ -324,9 +324,9 @@ func genH264(cfg GenConfig) *trace.Trace {
 		bx, by := rng.Intn(width-48), rng.Intn(width-48)
 		for row := 0; row < 16; row++ {
 			base := frame + memmodel.Addr((by+row)*width+bx)
-			e.LoadSpec(trace.MemSpec{PC: pc, Addr: base, Dep: -1,
+			e.LoadSpec(&trace.MemSpec{PC: pc, Addr: base, Dep: -1,
 				Hints: trace.SWHints{Valid: true, TypeID: 1, RefForm: trace.RefIndex}})
-			e.LoadSpec(trace.MemSpec{PC: pc + 8, Addr: base + 8, Dep: -1})
+			e.LoadSpec(&trace.MemSpec{PC: pc + 8, Addr: base + 8, Dep: -1})
 			e.Compute(8) // SAD accumulation
 			e.Branch(pc+16, row < 15)
 		}
@@ -351,7 +351,7 @@ func genSphinx3(cfg GenConfig) *trace.Trace {
 	for f := 0; f < frames; f++ {
 		// Gaussian scoring: streaming.
 		for i := 0; i < gaussians; i++ {
-			e.LoadSpec(trace.MemSpec{PC: pc, Addr: mixture + memmodel.Addr(i*64), Dep: -1,
+			e.LoadSpec(&trace.MemSpec{PC: pc, Addr: mixture + memmodel.Addr(i*64), Dep: -1,
 				Hints: trace.SWHints{Valid: true, TypeID: 1, RefForm: trace.RefIndex}})
 			e.Compute(6)
 			e.Branch(pc+8, i+1 < gaussians)
@@ -360,7 +360,7 @@ func genSphinx3(cfg GenConfig) *trace.Trace {
 		dep := -1
 		for i := 0; i < states; i++ {
 			s := (i*769 + f*13) % states
-			dep = e.LoadSpec(trace.MemSpec{PC: pc + 16, Addr: lattice[s],
+			dep = e.LoadSpec(&trace.MemSpec{PC: pc + 16, Addr: lattice[s],
 				Value: uint64(lattice[(s+769)%states]), Dep: dep,
 				Hints: ptrHint(typeEventNode, 0)})
 			e.Compute(4)
@@ -391,12 +391,12 @@ func genSoplex(cfg GenConfig) *trace.Trace {
 		for c := 0; c < cols; c++ {
 			for k := 0; k < nnzPerCol; k++ {
 				i := c*nnzPerCol + k
-				e.LoadSpec(trace.MemSpec{PC: pc, Addr: values + memmodel.Addr(i*8), Dep: -1,
+				e.LoadSpec(&trace.MemSpec{PC: pc, Addr: values + memmodel.Addr(i*8), Dep: -1,
 					Hints: trace.SWHints{Valid: true, TypeID: 1, RefForm: trace.RefIndex}})
-				id := e.LoadSpec(trace.MemSpec{PC: pc + 8, Addr: rowIdx + memmodel.Addr(i*8),
+				id := e.LoadSpec(&trace.MemSpec{PC: pc + 8, Addr: rowIdx + memmodel.Addr(i*8),
 					Value: uint64(rows[i]), Dep: -1,
 					Hints: trace.SWHints{Valid: true, TypeID: 2, RefForm: trace.RefIndex}})
-				e.LoadSpec(trace.MemSpec{PC: pc + 16, Addr: x + memmodel.Addr(rows[i]*8), Dep: id,
+				e.LoadSpec(&trace.MemSpec{PC: pc + 16, Addr: x + memmodel.Addr(rows[i]*8), Dep: id,
 					Hints: trace.SWHints{Valid: true, TypeID: 3, RefForm: trace.RefIndex}})
 				e.Compute(3)
 				e.Branch(pc+24, k+1 < nnzPerCol)
@@ -421,7 +421,7 @@ func genDealII(cfg GenConfig) *trace.Trace {
 	for p := 0; p < passes; p++ {
 		for r := 0; r < rowsN; r++ {
 			for k := 0; k < nnz; k++ {
-				e.LoadSpec(trace.MemSpec{PC: pc, Addr: values + memmodel.Addr((r*nnz+k)*8), Dep: -1,
+				e.LoadSpec(&trace.MemSpec{PC: pc, Addr: values + memmodel.Addr((r*nnz+k)*8), Dep: -1,
 					Hints: trace.SWHints{Valid: true, TypeID: 1, RefForm: trace.RefIndex}})
 				// Clustered gather: column within ±32 of the row.
 				cI := r + (k-nnz/2)*4
@@ -431,11 +431,11 @@ func genDealII(cfg GenConfig) *trace.Trace {
 				if cI >= rowsN {
 					cI = rowsN - 1
 				}
-				e.LoadSpec(trace.MemSpec{PC: pc + 8, Addr: vec + memmodel.Addr(cI*8), Dep: -1,
+				e.LoadSpec(&trace.MemSpec{PC: pc + 8, Addr: vec + memmodel.Addr(cI*8), Dep: -1,
 					Hints: trace.SWHints{Valid: true, TypeID: 2, RefForm: trace.RefIndex}})
 				e.Compute(4)
 			}
-			e.StoreSpec(trace.MemSpec{PC: pc + 16, Addr: vec + memmodel.Addr(r*8), Dep: -1})
+			e.StoreSpec(&trace.MemSpec{PC: pc + 16, Addr: vec + memmodel.Addr(r*8), Dep: -1})
 			e.Branch(pc+24, r+1 < rowsN)
 		}
 		if p == 0 {
@@ -473,14 +473,14 @@ func genNamd(cfg GenConfig) *trace.Trace {
 		for a := 0; a < atoms; a++ {
 			for k := 0; k < neighbors; k++ {
 				i := a*neighbors + k
-				id := e.LoadSpec(trace.MemSpec{PC: pc, Addr: nbrIdx + memmodel.Addr(i*8),
+				id := e.LoadSpec(&trace.MemSpec{PC: pc, Addr: nbrIdx + memmodel.Addr(i*8),
 					Value: uint64(nbrs[i]), Dep: -1,
 					Hints: trace.SWHints{Valid: true, TypeID: 1, RefForm: trace.RefIndex}})
-				e.LoadSpec(trace.MemSpec{PC: pc + 8, Addr: coords + memmodel.Addr(nbrs[i]*32), Dep: id,
+				e.LoadSpec(&trace.MemSpec{PC: pc + 8, Addr: coords + memmodel.Addr(nbrs[i]*32), Dep: id,
 					Hints: trace.SWHints{Valid: true, TypeID: 2, RefForm: trace.RefIndex}})
 				e.Compute(10) // force computation
 			}
-			e.StoreSpec(trace.MemSpec{PC: pc + 16, Addr: coords + memmodel.Addr(a*32), Dep: -1})
+			e.StoreSpec(&trace.MemSpec{PC: pc + 16, Addr: coords + memmodel.Addr(a*32), Dep: -1})
 			e.Branch(pc+24, a+1 < atoms)
 		}
 		if s == 0 {
@@ -500,7 +500,7 @@ func genGobmk(cfg GenConfig) *trace.Trace {
 	warm := evals / 8
 	for ev := 0; ev < evals; ev++ {
 		for i := 0; i < 12; i++ {
-			e.LoadSpec(trace.MemSpec{PC: pc, Addr: board + memmodel.Addr(rng.Intn(512)*8), Dep: -1,
+			e.LoadSpec(&trace.MemSpec{PC: pc, Addr: board + memmodel.Addr(rng.Intn(512)*8), Dep: -1,
 				Hints: trace.SWHints{Valid: true, TypeID: 1, RefForm: trace.RefIndex}})
 			e.Compute(8)
 			e.Branch(pc+8, rng.Intn(3) != 0)
@@ -524,7 +524,7 @@ func genSjeng(cfg GenConfig) *trace.Trace {
 	warm := probes / 8
 	for p := 0; p < probes; p++ {
 		slot := rng.Intn(ttSize)
-		e.LoadSpec(trace.MemSpec{PC: pc, Addr: tt + memmodel.Addr(slot*16), Reg: uint64(slot), Dep: -1,
+		e.LoadSpec(&trace.MemSpec{PC: pc, Addr: tt + memmodel.Addr(slot*16), Reg: uint64(slot), Dep: -1,
 			Hints: trace.SWHints{Valid: true, TypeID: 1, RefForm: trace.RefIndex}})
 		e.Compute(15) // move generation / evaluation between probes
 		for b := 0; b < 5; b++ {
@@ -551,7 +551,7 @@ func genPovray(cfg GenConfig) *trace.Trace {
 		// Shallow BVH descent (log2(4096) = 12, mostly cache hits).
 		idx := 0
 		for lvl := 0; lvl < 12; lvl++ {
-			dep = e.LoadSpec(trace.MemSpec{PC: pc, Addr: bvh[idx%4096], Dep: dep,
+			dep = e.LoadSpec(&trace.MemSpec{PC: pc, Addr: bvh[idx%4096], Dep: dep,
 				Hints: ptrHint(typeTreeNode, 0)})
 			e.Compute(12) // box intersection math
 			left := rng.Intn(2) == 0
@@ -562,7 +562,7 @@ func genPovray(cfg GenConfig) *trace.Trace {
 			}
 			e.Branch(pc+8, left)
 		}
-		e.LoadSpec(trace.MemSpec{PC: pc + 16, Addr: objects + memmodel.Addr(rng.Intn(2048)*128), Dep: dep})
+		e.LoadSpec(&trace.MemSpec{PC: pc + 16, Addr: objects + memmodel.Addr(rng.Intn(2048)*128), Dep: dep})
 		e.Compute(60) // shading
 		if ray == warm {
 			e.EndWarmup()

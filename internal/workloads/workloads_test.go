@@ -56,35 +56,48 @@ func TestByNameUnknown(t *testing.T) {
 	}
 }
 
+// TestAllWorkloadsGenerateValidTraces checks every generator at the test
+// scale and at two scales where the scaled sizes sit at or near their
+// floor of 4 (a graph of fewer than 100 vertices, maptest's hot set,
+// convexHull's levels).
 func TestAllWorkloadsGenerateValidTraces(t *testing.T) {
 	for _, w := range All() {
 		w := w
 		t.Run(w.Name, func(t *testing.T) {
-			tr := w.Generate(tiny())
-			if tr.Name != w.Name {
-				t.Errorf("trace name %q != workload name %q", tr.Name, w.Name)
-			}
-			if err := tr.Validate(); err != nil {
-				t.Fatalf("invalid trace: %v", err)
-			}
-			s := tr.ComputeStats()
-			if s.Loads == 0 {
-				t.Error("no loads emitted")
-			}
-			if s.WarmupIndex < 0 {
-				t.Error("no warm-up marker")
-			}
-			if s.WarmupIndex == s.Records-1 {
-				t.Error("warm-up marker at end: no measured region")
-			}
-			if s.Instructions == 0 {
-				t.Error("no instructions")
-			}
-			if w.Irregular && s.Dependent == 0 {
-				t.Errorf("irregular workload has no dependent loads")
-			}
-			if s.Hinted == 0 {
-				t.Errorf("no compiler hints attached")
+			for _, cfg := range []GenConfig{tiny(), {Scale: 1e-3, Seed: 1}, {Scale: 1e-4, Seed: 1}} {
+				tr := w.Generate(cfg)
+				if tr.Name != w.Name {
+					t.Errorf("trace name %q != workload name %q", tr.Name, w.Name)
+				}
+				if err := tr.Validate(); err != nil {
+					t.Errorf("scale %v: invalid trace: %v", cfg.Scale, err)
+					continue
+				}
+				s := tr.ComputeStats()
+				if s.Loads == 0 {
+					t.Errorf("scale %v: no loads emitted", cfg.Scale)
+				}
+				if s.WarmupIndex < 0 {
+					t.Errorf("scale %v: no warm-up marker", cfg.Scale)
+				}
+				measured := 0
+				for c := tr.Cursor(); c.Next(); {
+					if c.Index() > s.WarmupIndex && c.Record().IsMem() {
+						measured++
+					}
+				}
+				if measured == 0 {
+					t.Errorf("scale %v: no access after the warm-up marker: no measured region", cfg.Scale)
+				}
+				if s.Instructions == 0 {
+					t.Errorf("scale %v: no instructions", cfg.Scale)
+				}
+				if w.Irregular && s.Dependent == 0 {
+					t.Errorf("scale %v: irregular workload has no dependent loads", cfg.Scale)
+				}
+				if s.Hinted == 0 {
+					t.Errorf("scale %v: no compiler hints attached", cfg.Scale)
+				}
 			}
 		})
 	}
