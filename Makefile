@@ -23,11 +23,12 @@
 # BenchmarkGenerateSetup, BenchmarkCursor) + perfbench's own
 # tests (it is a separate Go module, so `go test ./...` skips them).
 # `make results`, which rewrites results/experiments_scale1.txt at paper
-# scale, stays out of check.
+# scale, stays out of check, and so does `make results-check`, which CI
+# runs as a step of its own after check.
 
 GO ?= go
 
-.PHONY: all fmt vet build test race golden results fuzz bench-diff overhead-guard obs-smoke serve-smoke loadgen-smoke loadgen-gate learner-smoke bench-smoke perfbench-test check clean
+.PHONY: all fmt vet build test race golden results results-check fuzz bench-diff overhead-guard obs-smoke serve-smoke loadgen-smoke loadgen-gate learner-smoke bench-smoke perfbench-test check clean
 
 all: build
 
@@ -75,6 +76,16 @@ golden:
 # commits both diffs.
 results:
 	$(GO) run ./cmd/experiments -q -scale 1 -seed 1 > results/experiments_scale1.txt
+
+# results-check regenerates the same record into a temporary file and
+# diffs it against the committed one, so a change that moves results
+# without rerunning `make results` fails (the record was once stale for
+# eighteen changes). It takes as long as results and stays out of check
+# for the same reason; CI runs it as a step of its own after check.
+results-check:
+	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
+		$(GO) run ./cmd/experiments -q -scale 1 -seed 1 > "$$tmp" && \
+		diff -u results/experiments_scale1.txt "$$tmp"
 
 # fuzz smokes the untrusted-input decoders, trace.Read (FuzzReader), the
 # prefetchd wire-protocol frame decoder (FuzzDecodeFrame), the snapshot

@@ -143,7 +143,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	tr, err := loadTrace(runner, *traceFile, *workload)
 	if err != nil {
 		logger.Error("loading trace", "err", err)
-		return exitCode(ctx, logger, *timeout, nil, harness.IsCancelled(err), 1)
+		return harness.ExitCode(ctx, logger, *timeout, nil, harness.IsCancelled(err), 1)
 	}
 	st := tr.ComputeStats()
 	fmt.Fprintf(stdout, "workload %s: %d records, %d instructions, %d loads (%d dependent), %d stores\n\n",
@@ -216,7 +216,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stdout, row)
 		}
 	}
-	return exitCode(ctx, logger, *timeout, batchErr, cancelled, failed)
+	return harness.ExitCode(ctx, logger, *timeout, batchErr, cancelled, failed)
 }
 
 // loadTrace returns the trace the rows replay: the workload the runner
@@ -236,27 +236,6 @@ func loadTrace(r *exp.Runner, path, workload string) (*trace.Trace, error) {
 		return nil, fmt.Errorf("reading %s: %w", path, err)
 	}
 	return tr, r.AddTrace(tr)
-}
-
-// exitCode logs why a simulating invocation did not complete and maps it
-// to its exit code as cmd/sweep does: an expired -timeout and a shared
-// trace written to during the batch are run failures, then cancellation
-// (exit 3), then failed rows.
-func exitCode(ctx context.Context, logger *slog.Logger, timeout time.Duration, batchErr error, cancelled bool, failed int) int {
-	switch {
-	case harness.IsTimeout(context.Cause(ctx)):
-		logger.Error("timed out; any results above are partial", "timeout", timeout)
-		return harness.ExitRunFailed
-	case batchErr != nil:
-		logger.Error("batch integrity check failed", "err", batchErr)
-		return harness.ExitRunFailed
-	case cancelled:
-		logger.Error("cancelled; any results above are partial")
-		return harness.ExitCancelled
-	case failed > 0:
-		return harness.ExitRunFailed
-	}
-	return harness.ExitOK
 }
 
 // runRemote replays the trace's access records through a prefetchd daemon
@@ -330,19 +309,11 @@ func runRemote(ctx context.Context, logger *slog.Logger, stdout io.Writer, tr *t
 	tb.Render(stdout)
 	logger.Info("remote stream complete", "duration", time.Since(start).Round(time.Millisecond))
 
-	switch {
-	case harness.IsTimeout(context.Cause(ctx)):
-		logger.Error("timed out; partial cross-check above", "timeout", timeout)
-		return harness.ExitRunFailed
-	case cancelled:
-		logger.Error("cancelled; partial cross-check above")
-		return harness.ExitCancelled
-	case mismatched > 0:
+	if mismatched > 0 && !cancelled {
 		logger.Error("daemon diverged from the in-process learner", "mismatched", mismatched)
 		dumpDivergence(logger, stdout, c, local)
-		return harness.ExitRunFailed
 	}
-	return harness.ExitOK
+	return harness.ExitCode(ctx, logger, timeout, nil, cancelled, mismatched)
 }
 
 // dumpDivergence prints both sides' learner state after a cross-check

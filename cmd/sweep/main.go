@@ -1,6 +1,8 @@
 // Command sweep measures the context prefetcher's sensitivity to one
 // configuration parameter: it runs a workload across a list of values and
-// prints speedup (vs no prefetching), MPKI and learning metrics per value.
+// prints per value the speedup (vs no prefetching), IPC and L1 MPKI, and
+// the learner's accuracy estimate and real prefetches at the end of the
+// run (exp.JobResult.Learner).
 //
 // Usage:
 //
@@ -11,9 +13,12 @@
 //
 // Every -values entry is parsed and validated up front, before the
 // expensive baseline simulation, so a typo in the last value fails fast.
-// Sweep points run on the experiment engine's worker pool (-parallel,
-// default GOMAXPROCS); each point's RNG seed derives from its coordinates,
-// so the table is bit-identical at any parallelism. SIGINT/SIGTERM cancel
+// The baseline and the points run as one batch on the experiment engine's
+// worker pool (-parallel, default GOMAXPROCS). Every point's learner
+// explores with the same seed, derived from -seed, the workload and the
+// prefetcher name (common random numbers), so the rows differ by the swept
+// value alone, a value listed twice is one run printed twice, and the
+// table is bit-identical at any parallelism. SIGINT/SIGTERM cancel
 // in-flight simulations; the partial table is printed. The result table
 // goes to stdout; progress and diagnostics go to stderr as structured logs
 // (-q silences them). -listen serves live metrics (Prometheus /metrics,
@@ -156,7 +161,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		paramName = fs.String("param", "", "parameter to sweep (see -params)")
 		values    = fs.String("values", "", "comma-separated parameter values")
 		scale     = fs.Float64("scale", 0.3, "workload scale factor")
-		seed      = fs.Uint64("seed", 1, "workload seed")
+		seed      = fs.Uint64("seed", 1, "seed for the workload and every point's learner")
 		parallel  = fs.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS)")
 		list      = fs.Bool("params", false, "list sweepable parameters")
 		stall     = fs.Duration("stall", 0, "abort a run making no forward progress for this long (0 disables the watchdog)")
@@ -221,9 +226,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	runner := exp.NewRunnerContext(ctx, opts)
 	live.Ready()
 
-	// Job 0 is the shared no-prefetch baseline; jobs 1..n are the sweep
-	// points, each a parameterised run whose seed derives from its point
-	// index — the schedule (and -parallel) cannot change the table.
+	// Job 0 is the no-prefetch baseline; jobs 1..n are the sweep points,
+	// labelled by their index.
 	jobs := make([]exp.Job, 0, 1+len(points))
 	jobs = append(jobs, exp.Job{Workload: *workload, Prefetcher: "none"})
 	for i, pt := range points {
@@ -269,31 +273,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		case base.Err != nil || base.Result.IPC() == 0:
 			continue // speedup undefined without the baseline
 		}
-		pf, ok := jr.Prefetcher.(*core.Prefetcher)
-		if !ok {
-			logger.Error("sweep point returned no context prefetcher", "value", pt.value)
-			failed++
-			continue
-		}
-		m := pf.Metrics()
-		tb.AddRow(pt.value, jr.Result.IPC()/base.Result.IPC(), jr.Result.IPC(), jr.Result.L1MPKI(), pf.Accuracy(),
-			m.RealPrefetches, fmt.Sprintf("%dkB", pt.cfg.StorageBytes()>>10))
+		tb.AddRow(pt.value, jr.Result.IPC()/base.Result.IPC(), jr.Result.IPC(), jr.Result.L1MPKI(), jr.Learner.Accuracy,
+			jr.Learner.RealPrefetches, fmt.Sprintf("%dkB", pt.cfg.StorageBytes()>>10))
 	}
 	tb.Render(stdout)
 	logger.Info("sweep complete", "duration", time.Since(start).Round(time.Millisecond))
 
-	switch {
-	case harness.IsTimeout(context.Cause(ctx)):
-		logger.Error("timed out; partial results above", "timeout", *timeout)
-		return harness.ExitRunFailed
-	case batchErr != nil:
-		logger.Error("batch integrity check failed", "err", batchErr)
-		return harness.ExitRunFailed
-	case cancelled:
-		logger.Error("cancelled; partial results above")
-		return harness.ExitCancelled
-	case failed > 0:
-		return harness.ExitRunFailed
-	}
-	return harness.ExitOK
+	return harness.ExitCode(ctx, logger, *timeout, batchErr, cancelled, failed)
 }

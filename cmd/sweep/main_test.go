@@ -39,6 +39,26 @@ func TestSweepParallelGolden(t *testing.T) {
 	}
 }
 
+// TestSweepRepeatedValueRowsIdentical: every sweep point explores with the
+// same learner seed, so a value listed three times prints three identical
+// rows.
+func TestSweepRepeatedValueRowsIdentical(t *testing.T) {
+	out, code := sweepOut(t, "-workload", "list", "-param", "cstentries",
+		"-values", "2048,2048,2048", "-scale", "0.05", "-q")
+	if code != harness.ExitOK {
+		t.Fatalf("sweep exited %d:\n%s", code, out)
+	}
+	var rows []string
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "2048 ") {
+			rows = append(rows, line)
+		}
+	}
+	if len(rows) != 3 || rows[1] != rows[0] || rows[2] != rows[0] {
+		t.Errorf("want three identical 2048 rows:\n%s", out)
+	}
+}
+
 func TestSweepUsageErrors(t *testing.T) {
 	cases := [][]string{
 		{"-param", "bogus", "-values", "1"},

@@ -18,10 +18,11 @@ type ablationRow struct {
 // ablationRows lists the design choices the paper argues for and its §8
 // alternative exploration policies, each next to the default learner on the
 // same workload. The default is the named "context" cell. Each design
-// toggle is a Config job labelled "context" at point 0, so it explores with
-// the default's learner seed and differs from it only in the toggled field.
-// The policies are the named "context-softmax" and "context-ucb" cells.
-// Variant labels stay ASCII: stats.Table pads by bytes.
+// toggle is a Config job labelled "context", so it explores with the
+// default's learner seed, differs from it only in the toggled field and,
+// its key being its own, runs as its own cell. The policies are the named
+// "context-softmax" and "context-ucb" cells. Variant labels stay ASCII:
+// stats.Table pads by bytes.
 func ablationRows() []ablationRow {
 	toggle := func(wl, variant string, set func(*core.Config)) ablationRow {
 		cfg := core.DefaultConfig()

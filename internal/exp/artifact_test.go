@@ -5,6 +5,7 @@ import (
 	"os"
 	"testing"
 
+	"semloc/internal/core"
 	"semloc/internal/obs"
 )
 
@@ -89,6 +90,35 @@ func TestRunnerPersistsNonInstrumentedPrefetcher(t *testing.T) {
 	// No decision trace was configured; none must exist.
 	if _, err := os.Stat(DecisionsPath(dir, "array", "none")); !os.IsNotExist(err) {
 		t.Fatalf("unexpected decision trace: %v", err)
+	}
+}
+
+// TestRunnerPersistsDefaultConfigJob: a run whose key is its name's
+// default is the named cell, so it gets telemetry and an artifact even when
+// the first (here the only) job with that key is a Config job at a sweep
+// point; a Config job off the default gets neither.
+func TestRunnerPersistsDefaultConfigJob(t *testing.T) {
+	dir := t.TempDir()
+	opts := DefaultOptions()
+	opts.Scale = 0.02
+	opts.OutDir = dir
+	opts.Telemetry = obs.Config{Interval: 1024}
+	def, off := core.DefaultConfig(), core.DefaultConfig()
+	off.Epsilon = 0.25
+	res := runCells(t, NewRunner(opts),
+		Job{Workload: "list", Prefetcher: "context", Point: 2, Config: &def},
+		Job{Workload: "array", Prefetcher: "context", Point: 3, Config: &off})
+	if res[0].Result.Series == nil {
+		t.Error("the default-config job ran without telemetry")
+	}
+	if _, err := LoadArtifact(ArtifactPath(dir, "list", "context")); err != nil {
+		t.Errorf("the default-config job wrote no artifact: %v", err)
+	}
+	if res[1].Result.Series != nil {
+		t.Error("a job off the default configuration ran with telemetry")
+	}
+	if _, err := os.Stat(ArtifactPath(dir, "array", "context")); !os.IsNotExist(err) {
+		t.Errorf("a job off the default configuration wrote an artifact (stat: %v)", err)
 	}
 }
 

@@ -6,26 +6,22 @@ import (
 	"sync/atomic"
 
 	"semloc/internal/core"
-	"semloc/internal/prefetch"
 	"semloc/internal/sim"
 )
 
-// Job is one cell of an experiment matrix: a (workload, prefetcher,
-// sweep-point) triple. Two flavours exist:
+// Job is one cell of an experiment matrix. Its identity is its key: the
+// workload, the prefetcher name and, for a context variant, the whole
+// configuration it runs, learnerConfig(job), Seed aside. A batch runs each
+// distinct key once, so a cell that several figures read (e.g.
+// "mcf"/"none"), and a Config job that repeats a named cell's
+// configuration (Fig. 13's 2048-entry point is Fig. 12's context cell),
+// simulate once however many of the batch's jobs name them.
 //
-//   - Config == nil: a named cell, keyed by workload and prefetcher. A
-//     batch runs each distinct named cell once, so a cell that several
-//     figures share (e.g. "mcf"/"none") simulates once however many of
-//     the batch's jobs name it.
-//   - Config != nil: a parameterised context-prefetcher run (sweeps,
-//     sensitivity studies, ablations). These always run: each job builds
-//     a fresh prefetcher from the config.
-//
-// Both build their prefetcher with NewCellPrefetcher, so a context run's
-// RNG seed derives from (base seed, workload, prefetcher, point) and the
-// result is a pure function of the job, not of scheduling order or
-// sibling jobs. A Config job with core.DefaultConfig() at point 0 is
-// therefore the same run as the named cell it is labelled with.
+// Every job builds its prefetcher with NewCellPrefetcher, whose learner
+// seed derives from (base seed, workload, prefetcher) alone: the result is
+// a pure function of the key, not of the scheduling order, the sibling
+// jobs or the point, and every point of a sweep explores with the same
+// random stream (common random numbers).
 type Job struct {
 	// Workload is the trace to replay (Table 3 name).
 	Workload string
@@ -33,14 +29,20 @@ type Job struct {
 	// derived seed; a policy variant's name sets a Config job's policy, and
 	// a name without a learner ignores the Config (see NewCellPrefetcher).
 	Prefetcher string
-	// Point is the sweep-point index (0 for non-sweep jobs); it salts the
-	// derived seed so two points with identical configs still get
-	// independent exploration streams.
+	// Point is the sweep-point index (0 for non-sweep jobs). It only
+	// labels the job: in errors, spans and the golden's cell names.
 	Point int
-	// Config, when non-nil, requests a fresh context-prefetcher run with
-	// this configuration (its Seed field is overwritten by the derived
-	// seed, its Policy by a policy variant's name).
+	// Config, when non-nil, configures a context variant (its Seed field
+	// is replaced by the derived seed, its Policy by a policy variant's
+	// name); nil means core.DefaultConfig().
 	Config *core.Config
+}
+
+// key is the job's identity: jobs with one key are one run. A name without
+// a learner keys with the zero configuration.
+func (j Job) key() string {
+	cfg, _ := learnerConfig(j)
+	return fmt.Sprintf("%s/%s %v", j.Workload, j.Prefetcher, cfg)
 }
 
 // cell names the job in errors: "workload/prefetcher", and a Config job's
@@ -55,7 +57,8 @@ func (j Job) cell() string {
 // JobResult pairs a Job with its outcome. Results come back indexed by the
 // position of the job in the submitted slice — never by completion order —
 // which is half of the engine's determinism contract (the other half is
-// seed derivation).
+// seed derivation). Jobs with one key share one run: the same Result,
+// Learner and Err.
 type JobResult struct {
 	// Job echoes the submitted job.
 	Job Job
@@ -63,22 +66,23 @@ type JobResult struct {
 	Index int
 	// Result is the simulation result (nil when Err is set).
 	Result *sim.Result
-	// Prefetcher is the prefetcher instance the run used — populated only
-	// for Config jobs, where callers need post-run learned state (metrics,
-	// accuracy). A named cell's repeats in a batch share one result, so
-	// exposing its instance would invite cross-job mutation.
-	Prefetcher prefetch.Prefetcher
+	// Learner is the context learner's health at the end of the run (its
+	// accuracy estimate, real prefetches, CST occupancy; see
+	// core.LearnerHealth), nil for a prefetcher without a learner or a
+	// failed run.
+	Learner *core.LearnerHealth
 	// Err is the job's failure, if any. One failed job never aborts its
 	// siblings: callers get every completed result plus every error.
 	Err error
 }
 
 // DeriveSeed maps (base seed, workload, prefetcher, point) to the RNG seed
-// for that run. The derivation is pure and order-free, which is what makes
-// the parallel engine deterministic: a run's random stream depends only on
-// the job's coordinates, never on which worker picked it up or how many
-// jobs ran before it. Sequential and parallel schedules therefore produce
-// bit-identical results.
+// for that run; NewCellPrefetcher passes point 0 for every job, so the
+// points of a sweep share one learner seed. The derivation is pure and
+// order-free, which is what makes the parallel engine deterministic: a
+// run's random stream depends only on the job's coordinates, never on
+// which worker picked it up or how many jobs ran before it. Sequential and
+// parallel schedules therefore produce bit-identical results.
 //
 // The map is FNV-1a over the coordinates followed by a splitmix64-style
 // finalizer (the FNV lattice alone is too linear for seeds that differ in
@@ -118,10 +122,10 @@ func DeriveSeed(base uint64, workload, prefetcher string, point int) uint64 {
 }
 
 // RunJobs executes a job matrix on the runner's worker pool and returns one
-// JobResult per job, in submission order. Each distinct named cell runs
-// once; every job naming it gets the same *sim.Result (or error). Config
-// jobs always run. Parallelism is bounded by Options.Parallelism; with
-// Parallelism 1 the jobs run strictly in order, and the determinism
+// JobResult per job, in submission order. Each distinct key runs once, as
+// the first of its jobs in the slice; every job with that key gets the
+// same result (or error). Parallelism is bounded by Options.Parallelism;
+// with Parallelism 1 the runs go strictly in order, and the determinism
 // contract (order-indexed results + coordinate-derived seeds) guarantees
 // the outputs are bit-identical to any parallel schedule of the same
 // slice.
@@ -133,22 +137,19 @@ func DeriveSeed(base uint64, workload, prefetcher string, point int) uint64 {
 // run was reading.
 func (r *Runner) RunJobs(jobs []Job) ([]JobResult, error) {
 	out := make([]JobResult, len(jobs))
-	// first[i] is the job whose run job i takes: itself, or the first job
-	// naming the same cell.
+	// first[i] is the job whose run job i takes: the first job with its
+	// key.
 	first := make([]int, len(jobs))
-	seen := make(map[[2]string]int)
+	seen := make(map[string]int)
 	var runs []int
 	for i, j := range jobs {
-		first[i] = i
-		if j.Config == nil {
-			key := [2]string{j.Workload, j.Prefetcher}
-			if f, ok := seen[key]; ok {
-				first[i] = f
-				continue
-			}
-			seen[key] = i
+		k := j.key()
+		f, ok := seen[k]
+		if !ok {
+			f, seen[k] = i, i
+			runs = append(runs, i)
 		}
-		runs = append(runs, i)
+		first[i] = f
 	}
 	r.met.batchSubmitted(len(runs))
 	workers := min(cap(r.sem), len(runs))
@@ -165,10 +166,7 @@ func (r *Runner) RunJobs(jobs []Job) ([]JobResult, error) {
 				}
 				i := runs[k]
 				jr := &out[i]
-				jr.Result, jr.Prefetcher, jr.Err = r.run(jobs[i])
-				if jobs[i].Config == nil {
-					jr.Prefetcher = nil
-				}
+				jr.Result, jr.Learner, jr.Err = r.run(jobs[i])
 				r.met.jobFinished(jr)
 			}
 		}()

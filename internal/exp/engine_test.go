@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -66,7 +65,7 @@ func TestRunJobsParallelMatchesSequential(t *testing.T) {
 
 // TestRunJobsContract pins the engine's per-job semantics: results indexed
 // by submission order, failures isolated, duplicates sharing one run, and
-// parameterised jobs exposing their prefetcher instance.
+// every learner run reporting its learner's health.
 func TestRunJobsContract(t *testing.T) {
 	r := engineRunner(4)
 	results, err := r.RunJobs(engineJobs())
@@ -92,52 +91,47 @@ func TestRunJobsContract(t *testing.T) {
 	if results[0].Result == nil || results[3].Result != results[0].Result {
 		t.Error("duplicate named job did not share the first job's result")
 	}
-	if results[5].Prefetcher == nil {
-		t.Error("parameterised job did not expose its prefetcher instance")
+	for _, i := range []int{2, 5} {
+		if l := results[i].Learner; l == nil || l.Accesses == 0 {
+			t.Errorf("context job %d reported learner health %+v", i, l)
+		}
 	}
-	if results[2].Prefetcher != nil {
-		t.Error("named job leaked its (shared) prefetcher instance")
+	if results[0].Learner != nil {
+		t.Error("a none run reported a learner")
 	}
 }
 
-// TestRunJobsDerivedSeedsIndependent checks that two sweep points with
-// byte-identical configs still explore independently (their seeds derive
-// from the point index), while re-running the same point reproduces it.
-func TestRunJobsDerivedSeedsIndependent(t *testing.T) {
+// TestRunJobsPointOnlyLabels: the sweep point labels a job and does not
+// change its run. One config at points 0 and 5 is one run in a batch, and
+// each point alone gives DeepEqual results on two runners.
+func TestRunJobsPointOnlyLabels(t *testing.T) {
 	cfg := core.DefaultConfig()
+	cfg.Epsilon = 0.25
 	jobs := []Job{
 		{Workload: "list", Prefetcher: "context", Point: 0, Config: &cfg},
-		{Workload: "list", Prefetcher: "context", Point: 1, Config: &cfg},
-		{Workload: "list", Prefetcher: "context", Point: 0, Config: &cfg},
+		{Workload: "list", Prefetcher: "context", Point: 5, Config: &cfg},
 	}
-	r := engineRunner(2)
-	results, err := r.RunJobs(jobs)
-	if err != nil {
-		t.Fatal(err)
+	rec := obs.NewSpanRecorder()
+	both := runCells(t, obsRunner(2, nil, rec), jobs...)
+	if both[0].Result != both[1].Result {
+		t.Error("points 0 and 5 of one config did not share one run")
 	}
-	for i, jr := range results {
-		if jr.Err != nil {
-			t.Fatalf("job %d: %v", i, jr.Err)
-		}
+	if n := len(rec.Spans()); n != 2 {
+		t.Errorf("%d spans, want one run and one trace generation", n)
 	}
-	if !reflect.DeepEqual(results[0].Result, results[2].Result) {
-		t.Error("re-running the same sweep point produced a different result")
-	}
-	// Different points get different exploration streams. (Equal final
-	// Results are astronomically unlikely but not impossible; assert on the
-	// seeds, which is the property actually promised.)
-	s0 := DeriveSeed(r.Options().Seed, "list", "context", 0)
-	s1 := DeriveSeed(r.Options().Seed, "list", "context", 1)
-	if s0 == s1 {
-		t.Error("DeriveSeed ignored the point index")
+	p0 := runCells(t, engineRunner(2), jobs[0])[0]
+	p5 := runCells(t, engineRunner(2), jobs[1])[0]
+	if !reflect.DeepEqual(p0.Result, p5.Result) || !reflect.DeepEqual(p0.Learner, p5.Learner) {
+		t.Error("points 0 and 5 of one config ran differently on two runners")
 	}
 }
 
 // TestConfigJobMatchesNamedCell pins the equivalence the one run path and
 // the ablation table rest on: a Config job holding an unmodified
-// core.DefaultConfig(), labelled with a context variant's name at point 0,
-// is that named cell — the same seed, the same policy and a DeepEqual
-// sim.Result — on every workload.
+// core.DefaultConfig(), labelled with a context variant's name, is that
+// named cell — the same seed, the same policy and a DeepEqual sim.Result —
+// on every workload. In one batch the two share one run, so each side runs
+// on a runner of its own.
 func TestConfigJobMatchesNamedCell(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Scale = 0.1
@@ -145,23 +139,18 @@ func TestConfigJobMatchesNamedCell(t *testing.T) {
 		opts.Scale = 0.02
 	}
 	cfg := core.DefaultConfig()
-	var jobs []Job
+	var named, param []Job
 	for _, wl := range AllWorkloads() {
 		for _, pf := range []string{"context", "context-softmax"} {
-			jobs = append(jobs, Job{Workload: wl, Prefetcher: pf}, Job{Workload: wl, Prefetcher: pf, Config: &cfg})
+			named = append(named, Job{Workload: wl, Prefetcher: pf})
+			param = append(param, Job{Workload: wl, Prefetcher: pf, Config: &cfg})
 		}
 	}
-	results, err := NewRunner(opts).RunJobs(jobs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < len(results); i += 2 {
-		named, param := results[i], results[i+1]
-		if named.Err != nil || param.Err != nil {
-			t.Fatalf("%s/%s: named %v, config %v", named.Job.Workload, named.Job.Prefetcher, named.Err, param.Err)
-		}
-		if !reflect.DeepEqual(named.Result, param.Result) {
-			t.Errorf("%s/%s: the default Config job differs from the named cell", named.Job.Workload, named.Job.Prefetcher)
+	nres := runCells(t, NewRunner(opts), named...)
+	pres := runCells(t, NewRunner(opts), param...)
+	for i := range nres {
+		if !reflect.DeepEqual(nres[i].Result, pres[i].Result) {
+			t.Errorf("%s/%s: the default Config job differs from the named cell", named[i].Workload, named[i].Prefetcher)
 		}
 	}
 }
@@ -277,8 +266,10 @@ func TestExperimentOutputDeterministic(t *testing.T) {
 
 // TestRunJobsOneRunPerCell runs every experiment's cells as one batch, as
 // cmd/experiments does, and counts the spans: one CatRun span per distinct
-// cell (a named cell once however many figures read it, a Config job every
-// time) and one CatTrace span per distinct workload.
+// key and one CatTrace span per distinct workload. The 729 jobs hold 241
+// keys: Fig. 13's ten 2048-entry jobs are Fig. 12's context cells, and
+// every ablation toggle, "sparse sampling" too (it differs from the
+// default only inside SampleDepths), is a run of its own.
 func TestRunJobsOneRunPerCell(t *testing.T) {
 	var jobs []Job
 	for _, e := range Experiments() {
@@ -286,18 +277,13 @@ func TestRunJobsOneRunPerCell(t *testing.T) {
 			jobs = append(jobs, e.Jobs()...)
 		}
 	}
-	cells := make(map[string]bool)
 	workloads := make(map[string]bool)
-	for i, j := range jobs {
-		key := j.Workload + "/" + j.Prefetcher
-		if j.Config != nil {
-			key = fmt.Sprint(i)
-		}
-		cells[key] = true
+	for _, j := range jobs {
 		workloads[j.Workload] = true
 	}
-	if len(cells) == len(jobs) {
-		t.Fatalf("the experiments share no named cell across %d jobs; the test checks nothing", len(jobs))
+	const wantJobs, wantRuns = 729, 241
+	if len(jobs) != wantJobs {
+		t.Fatalf("%d jobs, want %d", len(jobs), wantJobs)
 	}
 	rec := obs.NewSpanRecorder()
 	runCells(t, obsRunner(0, nil, rec), jobs...)
@@ -310,8 +296,8 @@ func TestRunJobsOneRunPerCell(t *testing.T) {
 			traces++
 		}
 	}
-	if runs != len(cells) {
-		t.Errorf("%d run spans for %d jobs, want %d: one per distinct cell", runs, len(jobs), len(cells))
+	if runs != wantRuns {
+		t.Errorf("%d run spans for %d jobs, want %d: one per distinct key", runs, len(jobs), wantRuns)
 	}
 	if traces != len(workloads) {
 		t.Errorf("%d trace spans, want %d: one per distinct workload", traces, len(workloads))

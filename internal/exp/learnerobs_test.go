@@ -41,8 +41,9 @@ func TestRunJobsLearnerObsMatchesDisabled(t *testing.T) {
 		if plain[i].Err != nil {
 			continue
 		}
-		// Parameterised sweep points intentionally skip telemetry (see
-		// Runner.run); named jobs must carry a series and match modulo it.
+		// A Config job off its name's default configuration skips
+		// telemetry (see Runner.run), and engineJobs' Config jobs all are;
+		// named jobs must carry a series and match modulo it.
 		got := *instr[i].Result
 		if instr[i].Job.Config == nil {
 			if got.Series == nil {

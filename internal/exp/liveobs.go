@@ -27,8 +27,8 @@ func newRunMetrics(reg *obs.Registry) *runMetrics {
 	return (*runMetrics)(obs.NewRunMetrics(reg))
 }
 
-// batchSubmitted accounts a RunJobs batch's distinct cells entering the
-// engine.
+// batchSubmitted accounts a RunJobs batch's runs, its distinct job keys,
+// entering the engine.
 func (m *runMetrics) batchSubmitted(cells int) {
 	if m == nil {
 		return
@@ -36,8 +36,8 @@ func (m *runMetrics) batchSubmitted(cells int) {
 	m.CellsTotal.Add(uint64(cells))
 }
 
-// jobFinished accounts one distinct cell of a batch completing, so done
-// converges on total.
+// jobFinished accounts one run of a batch completing, so done converges
+// on total.
 func (m *runMetrics) jobFinished(jr *JobResult) {
 	if m == nil {
 		return

@@ -27,16 +27,31 @@ var FigurePrefetchers = []string{"none", "ghb-gdc", "ghb-pcdc", "sms", "context"
 // behind every figure, sweep point, ablation and prefetchsim row:
 //
 //   - "oracle" is built from the trace;
-//   - a context variant starts from job.Config, or core.DefaultConfig()
-//     when that is nil, takes the policy its name carries ("context" keeps
-//     the config's), and explores with the seed DeriveSeed(base,
-//     job.Workload, job.Prefetcher, job.Point);
+//   - a context variant runs learnerConfig(job) and explores with the seed
+//     DeriveSeed(base, job.Workload, job.Prefetcher, 0), so every sweep
+//     point of one workload and variant shares its learner seed;
 //   - every other name goes to NewPrefetcher.
 //
 // job.Config configures only the context variants; the other names ignore
 // it, so one prefetchsim -config file serves a mixed -prefetchers list.
 func NewCellPrefetcher(tr *trace.Trace, job Job, base uint64) (prefetch.Prefetcher, error) {
-	cfg := core.DefaultConfig()
+	if cfg, ok := learnerConfig(job); ok {
+		cfg.Seed = DeriveSeed(base, job.Workload, job.Prefetcher, 0)
+		return core.New(cfg)
+	}
+	if job.Prefetcher == "oracle" {
+		return prefetch.NewOracle(tr, 0), nil
+	}
+	return NewPrefetcher(job.Prefetcher)
+}
+
+// learnerConfig is the configuration a context variant runs, with Seed
+// zeroed for NewCellPrefetcher to derive and Job.key to leave out:
+// job.Config, or core.DefaultConfig() when that is nil, with the policy the
+// name carries ("context" keeps the config's). ok is false for the names
+// without a learner.
+func learnerConfig(job Job) (cfg core.Config, ok bool) {
+	cfg = core.DefaultConfig()
 	if job.Config != nil {
 		cfg = *job.Config
 	}
@@ -46,13 +61,11 @@ func NewCellPrefetcher(tr *trace.Trace, job Job, base uint64) (prefetch.Prefetch
 		cfg.Policy = core.PolicySoftmax
 	case "context-ucb":
 		cfg.Policy = core.PolicyUCB
-	case "oracle":
-		return prefetch.NewOracle(tr, 0), nil
 	default:
-		return NewPrefetcher(job.Prefetcher)
+		return core.Config{}, false
 	}
-	cfg.Seed = DeriveSeed(base, job.Workload, job.Prefetcher, job.Point)
-	return core.New(cfg)
+	cfg.Seed = 0
+	return cfg, true
 }
 
 // NewPrefetcher builds one of the non-learning prefetchers by name with its

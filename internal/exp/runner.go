@@ -6,9 +6,9 @@ import (
 	"os"
 	"runtime"
 
+	"semloc/internal/core"
 	"semloc/internal/harness"
 	"semloc/internal/obs"
-	"semloc/internal/prefetch"
 	"semloc/internal/sim"
 	"semloc/internal/trace"
 	"semloc/internal/workloads"
@@ -68,7 +68,7 @@ func DefaultOptions() Options {
 // long experiment matrix reaches a steady state where simulations stop
 // allocating cache hierarchies. Results are not kept between batches: a
 // command submits all the cells it reads as one batch, and RunJobs runs
-// each distinct cell of it once.
+// each distinct key of it once.
 type Runner struct {
 	opts   Options
 	ctx    context.Context
@@ -158,15 +158,16 @@ func (r *Runner) AddTrace(tr *trace.Trace) error {
 
 // run simulates one cell: it builds the cell's prefetcher with
 // NewCellPrefetcher, waits for a worker slot and runs the simulation under
-// the harness with pooled scratch. Only named cells (Config == nil) get
-// telemetry, a decision trace and an artifact: the artifact namespace is
-// keyed by (workload, prefetcher name), which a sweep's points would
-// collide all over. The prefetcher instance comes back for parameterised
-// callers that read its learned state.
-func (r *Runner) run(job Job) (*sim.Result, prefetch.Prefetcher, error) {
-	named, cell := job.Config == nil, job.cell()
+// the harness with pooled scratch. Only a run whose key is its name's
+// default, the named cell, gets telemetry, a decision trace and an
+// artifact: the artifact namespace is keyed by (workload, prefetcher name),
+// which a sweep's points would collide all over. A learner's health at the
+// end of the run comes back with the result.
+func (r *Runner) run(job Job) (*sim.Result, *core.LearnerHealth, error) {
+	cell := job.cell()
+	named := job.key() == Job{Workload: job.Workload, Prefetcher: job.Prefetcher}.key()
 	ct := r.beginCell(job.Workload, job.Prefetcher, job.Point)
-	fail := func(err error) (*sim.Result, prefetch.Prefetcher, error) {
+	fail := func(err error) (*sim.Result, *core.LearnerHealth, error) {
 		ct.finish(nil, err)
 		return nil, nil, err
 	}
@@ -233,7 +234,12 @@ func (r *Runner) run(job Job) (*sim.Result, prefetch.Prefetcher, error) {
 			return nil, nil, fmt.Errorf("exp: %s: %w", cell, err)
 		}
 	}
-	return res, pf, nil
+	var learner *core.LearnerHealth
+	if lp, ok := pf.(*core.Prefetcher); ok {
+		h := lp.LearnerHealth()
+		learner = &h
+	}
+	return res, learner, nil
 }
 
 // AllWorkloads lists every Table 3 workload name.

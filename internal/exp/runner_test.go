@@ -46,9 +46,12 @@ func TestExperimentReportsEveryFailedCell(t *testing.T) {
 
 // TestExperimentNamesEachFailedCellOnce: when a trace fails to generate,
 // the error holds one line per failing cell, and each line names its cell,
-// workload, prefetcher and a Config job's point, once.
+// workload, prefetcher and a Config job's point, once. The Config job
+// differs from the default: a default-config job is the named cell, and
+// shares its run and its error line.
 func TestExperimentNamesEachFailedCellOnce(t *testing.T) {
 	cfg := core.DefaultConfig()
+	cfg.Epsilon = 0.25
 	e := Experiment{
 		ID: "failing",
 		Jobs: func() []Job {

@@ -16,7 +16,8 @@
 //     run without killing a whole sweep.
 //
 // The package also defines the exit-code contract shared by the
-// run-oriented commands (see DESIGN.md, "Failure model").
+// run-oriented commands, and ExitCode, the one mapping from an
+// invocation's outcome to it (see DESIGN.md, "Failure model").
 package harness
 
 import (
@@ -147,6 +148,29 @@ func IsStall(err error) bool {
 func IsCancelled(err error) bool {
 	return (errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)) &&
 		!IsStall(err) && !IsTimeout(err)
+}
+
+// ExitCode logs why a simulating invocation did not complete and maps it
+// to its exit code: an expired -timeout (the cause of ctx) and batchErr, a
+// shared trace written to during the batch, are run failures, then
+// cancellation, then failed runs. logger is the command's *slog.Logger,
+// taken as an interface: importing log/slog here changes how prefetchd,
+// which links this package, inlines its own slog calls.
+func ExitCode(ctx context.Context, logger interface{ Error(string, ...any) }, timeout time.Duration, batchErr error, cancelled bool, failed int) int {
+	switch {
+	case IsTimeout(context.Cause(ctx)):
+		logger.Error("timed out; any results above are partial", "timeout", timeout)
+		return ExitRunFailed
+	case batchErr != nil:
+		logger.Error("batch integrity check failed", "err", batchErr)
+		return ExitRunFailed
+	case cancelled:
+		logger.Error("cancelled; any results above are partial")
+		return ExitCancelled
+	case failed > 0:
+		return ExitRunFailed
+	}
+	return ExitOK
 }
 
 // Safely invokes fn, converting a panic into a *PanicError. It guards
