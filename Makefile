@@ -17,8 +17,9 @@
 # shutdown) + a race-enabled serving smoke (prefetchd SIGTERM drain,
 # snapshot warm-start, chaos transport) + a race-enabled load-generator
 # smoke and the recorded LOADGEN gate + a race-enabled
-# learner-introspection smoke (instrumented sweep rendered via inspect
-# learner, live explain round-trip against prefetchd) + one iteration of
+# learner-introspection smoke (instrumented and unsampled artifacts
+# rendered via inspect learner, live explain round-trip against
+# prefetchd, and the learner snapshot's one CST scan) + one iteration of
 # each trace generation and walk benchmark (BenchmarkGenerate,
 # BenchmarkGenerateSetup, BenchmarkCursor) + perfbench's own
 # tests (it is a separate Go module, so `go test ./...` skips them).
@@ -194,14 +195,17 @@ loadgen-gate:
 
 # learner-smoke proves the learner-introspection layer end to end, race
 # enabled (DESIGN.md §18): an instrumented sweep's artifact renders through
-# `inspect learner` (health report, curve, anomaly gate), and a live
-# prefetchd session round-trips stats-with-health and an explain frame that
-# the same subcommand pretty-prints. The introspection bit-identity and
-# zero-alloc guards ride along from exp and core.
+# `inspect learner` (health report, curve, anomaly gate), so does one
+# written without interval sampling, and a live prefetchd session
+# round-trips stats-with-health and an explain frame that the same
+# subcommand pretty-prints. The introspection bit-identity guard rides
+# along from exp, and from core the one CST scan's checks: the snapshot
+# against the counters it copies, the delta ranking's ties and cap, and
+# LearnerHealth(0) at zero allocations.
 learner-smoke:
 	$(GO) test -race -count=1 -run '^TestLearnerSmoke$$' ./cmd/inspect
 	$(GO) test -race -count=1 -run '^TestRunJobsLearnerObsMatchesDisabled$$' ./internal/exp
-	$(GO) test -count=1 -run '^TestLearnerHealthSnapshotZeroAlloc$$' ./internal/core
+	$(GO) test -count=1 -run '^(TestLearnerHealthSnapshotZeroAlloc|TestLearnerHealthMatchesMetrics|TestTopDeltas.*)$$' ./internal/core
 
 # bench-smoke runs the trace benchmarks of internal/workloads once each, so
 # one that no longer builds or runs fails check: BenchmarkGenerate

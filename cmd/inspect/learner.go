@@ -1,7 +1,7 @@
 package main
 
 // The `inspect learner` subcommand: learner-introspection rendering.
-// Three sources feed it — an exp.RunArtifact's final counters (health
+// Three sources feed it — an exp.RunArtifact's learner snapshot (health
 // report, anomaly gate), the artifact's interval series (health curve),
 // and an explain dump saved from prefetchd's explain frame (context
 // score-table pretty-printer). The anomaly gate doubles as a regression
@@ -17,7 +17,6 @@ import (
 	"os"
 	"strconv"
 
-	"semloc/internal/core"
 	"semloc/internal/exp"
 	"semloc/internal/harness"
 	"semloc/internal/obs"
@@ -89,9 +88,9 @@ func runLearner(args []string, stdout io.Writer) int {
 		}
 		return harness.ExitOK
 	}
-	h, err := healthFromArtifact(art)
-	if err != nil {
-		logger.Error("building health snapshot", "err", err)
+	h := art.Learner
+	if h == nil {
+		logger.Error("artifact carries no learner snapshot", "workload", art.Workload, "prefetcher", art.Prefetcher)
 		return harness.ExitRunFailed
 	}
 	if *check {
@@ -103,10 +102,10 @@ func runLearner(args []string, stdout io.Writer) int {
 		return harness.ExitOK
 	}
 	fmt.Fprintf(out, "learner %s/%s (scale %g, seed %d)\n", art.Workload, art.Prefetcher, art.Scale, art.Seed)
-	renderHealth(out, &h)
-	if ts := art.TableStats; ts != nil && len(ts.TopDeltas) > 0 {
+	renderHealth(out, h)
+	if len(h.TopDeltas) > 0 {
 		fmt.Fprintln(out, "  hottest deltas:")
-		for _, d := range ts.TopDeltas {
+		for _, d := range h.TopDeltas {
 			fmt.Fprintf(out, "    delta %+d x%d\n", d.Delta, d.Count)
 		}
 	}
@@ -118,53 +117,8 @@ func runLearner(args []string, stdout io.Writer) int {
 	return harness.ExitOK
 }
 
-// healthFromArtifact reconstructs a LearnerHealth from an artifact's final
-// counters and learned-state summary. Epsilon/accuracy ride in the series
-// gauges (the artifact's Metrics carry no policy state), so they come from
-// the last interval sample when the run was sampled and stay zero
-// otherwise; CSTCapacity is unknown to artifacts and stays zero (the
-// anomaly checks do not consult it).
-func healthFromArtifact(art *exp.RunArtifact) (core.LearnerHealth, error) {
-	m := art.Metrics
-	if m == nil {
-		return core.LearnerHealth{}, fmt.Errorf("inspect: artifact %s/%s carries no learner metrics (prefetcher %q exports none)",
-			art.Workload, art.Prefetcher, art.Prefetcher)
-	}
-	h := core.LearnerHealth{
-		Accesses:         m.Accesses,
-		Predictions:      m.Predictions,
-		RealPrefetches:   m.RealPrefetches,
-		ShadowPrefetches: m.ShadowPrefetches,
-		QueueHits:        m.QueueHits,
-		OutcomeAccurate:  m.OutcomeAccurate,
-		OutcomeLate:      m.OutcomeLate,
-		OutcomeEvicted:   m.OutcomeEvicted,
-		OutcomeUseless:   m.OutcomeUseless,
-		OutcomeCarried:   m.OutcomeCarried,
-		Explores:         m.Explores,
-		Exploits:         m.Exploits,
-		Suppressed:       m.Suppressed,
-		PosRewards:       m.PosRewards,
-		NegRewards:       m.NegRewards,
-		ZeroRewards:      m.ZeroRewards,
-		CSTInsertions:    m.CSTInsertions,
-		CSTReplacements:  m.CSTReplacements,
-		CSTRejects:       m.CSTRejects,
-	}
-	if ts := art.TableStats; ts != nil {
-		h.CSTEntries, h.CSTLinks = ts.Entries, ts.Links
-		h.PositiveLinks, h.SaturatedLinks = ts.PositiveLinks, ts.SaturatedLinks
-		h.MeanScore = ts.MeanScore
-	}
-	if art.Result != nil && art.Result.Series != nil && len(art.Result.Series.Samples) > 0 {
-		last := &art.Result.Series.Samples[len(art.Result.Series.Samples)-1]
-		h.Epsilon, h.Accuracy = last.Epsilon, last.Accuracy
-	}
-	return h, nil
-}
-
 // renderHealth prints the health snapshot in the summary's indented style.
-func renderHealth(w io.Writer, h *core.LearnerHealth) {
+func renderHealth(w io.Writer, h *obs.LearnerHealth) {
 	fmt.Fprintf(w, "  accesses %d  predictions %d (real %d, shadow %d)  queue hits %d\n",
 		h.Accesses, h.Predictions, h.RealPrefetches, h.ShadowPrefetches, h.QueueHits)
 	fmt.Fprintf(w, "  outcomes: accurate %d, late %d, evicted %d, useless %d (carried %d)\n",

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -15,14 +16,15 @@ import (
 	"semloc/internal/serve/client"
 )
 
-// learnerArtifact runs one instrumented cell and returns its artifact path.
-func learnerArtifact(t *testing.T) string {
+// learnerArtifact runs one cell with the given telemetry and returns its
+// artifact path and the learner snapshot the run reported.
+func learnerArtifact(t *testing.T, tel obs.Config) (string, *obs.LearnerHealth) {
 	t.Helper()
 	dir := t.TempDir()
 	opts := exp.DefaultOptions()
 	opts.Scale = 0.05
 	opts.OutDir = dir
-	opts.Telemetry = obs.Config{Interval: 1024}
+	opts.Telemetry = tel
 	res, err := exp.NewRunner(opts).RunJobs([]exp.Job{{Workload: "list", Prefetcher: "context"}})
 	if err == nil {
 		err = res[0].Err
@@ -30,7 +32,7 @@ func learnerArtifact(t *testing.T) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return exp.ArtifactPath(dir, "list", "context")
+	return exp.ArtifactPath(dir, "list", "context"), res[0].Learner
 }
 
 // TestLearnerSmoke is the introspection layer's end-to-end smoke, also run
@@ -39,7 +41,7 @@ func learnerArtifact(t *testing.T) string {
 // live prefetchd session round-trips stats (with learner health) and an
 // explain report that the same subcommand pretty-prints.
 func TestLearnerSmoke(t *testing.T) {
-	art := learnerArtifact(t)
+	art, _ := learnerArtifact(t, obs.Config{Interval: 1024})
 
 	// Health report over the artifact.
 	var out bytes.Buffer
@@ -86,6 +88,25 @@ func TestLearnerSmoke(t *testing.T) {
 	var samples []map[string]any
 	if err := json.Unmarshal(out.Bytes(), &samples); err != nil {
 		t.Fatalf("curve JSON: %v", err)
+	}
+
+	// An artifact written without interval sampling reports the learner as
+	// the run ended: its policy state and the CST's capacity.
+	plain, h := learnerArtifact(t, obs.Config{})
+	if h == nil || h.Accuracy == 0 || h.CSTCapacity == 0 {
+		t.Fatalf("the run reported no trained learner: %+v", h)
+	}
+	out.Reset()
+	if code := run([]string{"learner", "-q", "-run", plain}, &out); code != harness.ExitOK {
+		t.Fatalf("inspect learner on an unsampled artifact exited %d:\n%s", code, out.String())
+	}
+	for _, want := range []string{
+		fmt.Sprintf("epsilon %.3f, accuracy %.3f", h.Epsilon, h.Accuracy),
+		fmt.Sprintf("/%d entries", h.CSTCapacity),
+	} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("unsampled health report missing %q:\n%s", want, out.String())
+		}
 	}
 
 	// Live half: a prefetchd session's stats carry learner health, and its
@@ -176,18 +197,17 @@ func TestLearnerUsageErrors(t *testing.T) {
 // TestLearnerCheckCatchesStalledLearning feeds the gate a doctored
 // artifact whose learner issued at volume but never landed a prefetch.
 func TestLearnerCheckCatchesStalledLearning(t *testing.T) {
-	art := learnerArtifact(t)
+	art, _ := learnerArtifact(t, obs.Config{Interval: 1024})
 	a, err := exp.LoadArtifact(art)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := *a.Metrics
-	m.Accesses = 100000
-	m.RealPrefetches = 5000
-	m.OutcomeAccurate, m.OutcomeLate, m.OutcomeEvicted, m.OutcomeUseless = 0, 4000, 500, 500
-	m.OutcomeCarried = 0
-	a.Metrics = &m
-	a.TableStats.PositiveLinks = 0
+	h := a.Learner
+	h.Accesses = 100000
+	h.RealPrefetches = 5000
+	h.OutcomeAccurate, h.OutcomeLate, h.OutcomeEvicted, h.OutcomeUseless = 0, 4000, 500, 500
+	h.OutcomeCarried = 0
+	h.PositiveLinks = 0
 	doctored := filepath.Join(t.TempDir(), "stalled.json")
 	data, err := json.Marshal(a)
 	if err != nil {

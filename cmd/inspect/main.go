@@ -32,7 +32,7 @@
 // the daemon-side scrape; with two artifacts it prints a delta table.
 //
 // The learner subcommand renders the learner-introspection layer: the
-// health report and anomaly gate over an artifact's final counters, the
+// health report and anomaly gate over an artifact's learner snapshot, the
 // per-interval learner-health curve, and a pretty-printer for explain
 // dumps fetched live from prefetchd (the explain protocol frame).
 //
@@ -284,14 +284,12 @@ func renderDeltas(art *exp.RunArtifact, format string, w io.Writer) error {
 func renderSummary(art *exp.RunArtifact, w io.Writer) error {
 	fmt.Fprintf(w, "run %s/%s (scale %g, seed %d)\n", art.Workload, art.Prefetcher, art.Scale, art.Seed)
 	fmt.Fprintf(w, "  IPC %.4f  L1 MPKI %.2f  L2 MPKI %.2f\n", art.IPC, art.L1MPKI, art.L2MPKI)
-	if m := art.Metrics; m != nil {
+	if h := art.Learner; h != nil {
 		fmt.Fprintf(w, "  accesses %d  predictions %d (real %d, shadow %d)  queue hits %d  expired %d\n",
-			m.Accesses, m.Predictions, m.RealPrefetches, m.ShadowPrefetches, m.QueueHits, m.Expired)
-	}
-	if ts := art.TableStats; ts != nil {
+			h.Accesses, h.Predictions, h.RealPrefetches, h.ShadowPrefetches, h.QueueHits, h.Expired)
 		fmt.Fprintf(w, "  CST: %d entries, %d links, mean score %.2f, %d positive, %d saturated\n",
-			ts.Entries, ts.Links, ts.MeanScore, ts.PositiveLinks, ts.SaturatedLinks)
-		for _, d := range ts.TopDeltas {
+			h.CSTEntries, h.CSTLinks, h.MeanScore, h.PositiveLinks, h.SaturatedLinks)
+		for _, d := range h.TopDeltas {
 			fmt.Fprintf(w, "    delta %+d x%d\n", d.Delta, d.Count)
 		}
 	}

@@ -346,36 +346,20 @@ func dumpDivergence(logger *slog.Logger, stdout io.Writer, c *client.Client, loc
 	}
 }
 
-// firstHealthDiff names the first learner-health field that differs
-// between the remote and local snapshots (JSON field order), or "".
-func firstHealthDiff(remote, local *core.LearnerHealth) string {
-	rb, err1 := json.Marshal(remote)
-	lb, err2 := json.Marshal(local)
-	if err1 != nil || err2 != nil {
-		return ""
-	}
-	var rm, lm map[string]any
-	if json.Unmarshal(rb, &rm) != nil || json.Unmarshal(lb, &lm) != nil {
-		return ""
-	}
-	for _, k := range healthFieldOrder {
-		if !reflect.DeepEqual(rm[k], lm[k]) {
-			return k
+// firstHealthDiff names, by its JSON key, the first field of the
+// learner-health snapshot that differs between the remote and local
+// learners, or "". obs.LearnerHealth declares its fields in causal order,
+// so the name points at the earliest divergence rather than a downstream
+// symptom.
+func firstHealthDiff(remote, local *obs.LearnerHealth) string {
+	rv, lv := reflect.ValueOf(remote).Elem(), reflect.ValueOf(local).Elem()
+	for i := 0; i < rv.NumField(); i++ {
+		if !reflect.DeepEqual(rv.Field(i).Interface(), lv.Field(i).Interface()) {
+			key, _, _ := strings.Cut(rv.Type().Field(i).Tag.Get("json"), ",")
+			return key
 		}
 	}
 	return ""
-}
-
-// healthFieldOrder lists counter-ish LearnerHealth JSON fields in rough
-// causal order, so the reported "first diff" points at the earliest
-// divergence rather than a downstream symptom.
-var healthFieldOrder = []string{
-	"accesses", "predictions", "explores", "exploits", "suppressed",
-	"real_prefetches", "shadow_prefetches", "queue_hits",
-	"outcome_accurate", "outcome_late", "outcome_evicted", "outcome_useless",
-	"pos_rewards", "neg_rewards", "zero_rewards",
-	"cst_insertions", "cst_replacements", "cst_rejects",
-	"cst_entries", "cst_links", "positive_links", "saturated_links",
 }
 
 func f(n uint64, d float64) float64 {

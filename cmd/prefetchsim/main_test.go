@@ -10,6 +10,7 @@ import (
 
 	"semloc/internal/exp"
 	"semloc/internal/harness"
+	"semloc/internal/obs"
 	"semloc/internal/serve"
 	"semloc/internal/trace"
 	"semloc/internal/workloads"
@@ -227,6 +228,29 @@ func TestRemoteCrossCheck(t *testing.T) {
 	}
 	if !strings.Contains(errOut, "session already exists") {
 		t.Errorf("stderr does not explain the warm-session refusal:\n%s", errOut)
+	}
+}
+
+// TestFirstHealthDiff: a divergence dump names the earliest field in
+// obs.LearnerHealth's causal order that differs, by its JSON key, and ""
+// for equal snapshots.
+func TestFirstHealthDiff(t *testing.T) {
+	base := obs.LearnerHealth{Accesses: 100, Explores: 4, RealPrefetches: 20, Expired: 7,
+		TopDeltas: []obs.DeltaCount{{Delta: 1, Count: 2}}}
+	for _, c := range []struct {
+		doctor func(*obs.LearnerHealth)
+		want   string
+	}{
+		{func(h *obs.LearnerHealth) {}, ""},
+		{func(h *obs.LearnerHealth) { h.Explores++; h.RealPrefetches++ }, "explores"},
+		{func(h *obs.LearnerHealth) { h.Expired++ }, "expired"},
+	} {
+		local := base
+		local.TopDeltas = append([]obs.DeltaCount(nil), base.TopDeltas...)
+		c.doctor(&local)
+		if got := firstHealthDiff(&base, &local); got != c.want {
+			t.Errorf("firstHealthDiff = %q, want %q", got, c.want)
+		}
 	}
 }
 

@@ -62,8 +62,9 @@ func TestSweepRepeatedValueRowsIdentical(t *testing.T) {
 func TestSweepUsageErrors(t *testing.T) {
 	cases := [][]string{
 		{"-param", "bogus", "-values", "1"},
-		{"-param", "epsilon"},                  // missing -values
-		{"-param", "epsilon", "-values", "zz"}, // unparsable value
+		{"-param", "epsilon"},                   // missing -values
+		{"-param", "epsilon", "-values", "zz"},  // unparsable value
+		{"-param", "epsilon", "-values", "NaN"}, // refused by core.Config.Validate
 		{"-param", "epsilon", "-values", "0.1", "-workload", "no-such"},
 		{"-no-such-flag"},
 	}

@@ -5,6 +5,8 @@ package core
 import (
 	"runtime"
 	"testing"
+
+	"semloc/internal/obs"
 )
 
 // maxGuardBytes bounds the bytes an alloc guard's runs may allocate in
@@ -35,8 +37,8 @@ func allocsPerRun(runs int, f func()) (allocs float64, bytes uint64) {
 // TestLearnerHealthSnapshotZeroAlloc extends the contract to the
 // introspection layer (DESIGN.md §18): the health counters are plain
 // integer field updates on paths OnAccess already executes, and taking a
-// LearnerHealth snapshot is a value copy plus one table scan — neither may
-// allocate, so a serving daemon can export per-session health on every
+// LearnerHealth(0) snapshot, the one without a delta ranking, is a value
+// copy plus one table scan — neither may allocate, so a serving daemon can export per-session health on every
 // stats frame without GC pressure. Both guards also bound the bytes their
 // runs allocate in all (maxGuardBytes), so a reused buffer that grows
 // without bound fails them.
@@ -47,12 +49,12 @@ func TestLearnerHealthSnapshotZeroAlloc(t *testing.T) {
 	for i := range stream {
 		p.OnAccess(&stream[i], iss)
 	}
-	var sink LearnerHealth
+	var sink obs.LearnerHealth
 	allocs, bytes := allocsPerRun(200, func() {
-		sink = p.LearnerHealth()
+		sink = p.LearnerHealth(0)
 	})
 	if allocs != 0 || bytes > maxGuardBytes {
-		t.Fatalf("LearnerHealth allocates %.2f allocs/op and %d B in all, want 0 and at most %d B", allocs, bytes, maxGuardBytes)
+		t.Fatalf("LearnerHealth(0) allocates %.2f allocs/op and %d B in all, want 0 and at most %d B", allocs, bytes, maxGuardBytes)
 	}
 	if sink.Accesses == 0 {
 		t.Fatal("snapshot empty after a warm stream")

@@ -151,7 +151,7 @@ func (c Config) Validate() error {
 	if len(c.SampleDepths) == 0 {
 		return fmt.Errorf("core: at least one sample depth required: %w", ErrBadConfig)
 	}
-	if c.Epsilon < 0 || c.Epsilon > 1 {
+	if !(c.Epsilon >= 0 && c.Epsilon <= 1) { // NaN fails both
 		return fmt.Errorf("core: epsilon must be in [0,1], got %v: %w", c.Epsilon, ErrBadConfig)
 	}
 	if c.MaxDegree <= 0 {

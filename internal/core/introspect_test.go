@@ -1,6 +1,10 @@
 package core
 
-import "testing"
+import (
+	"testing"
+
+	"semloc/internal/obs"
+)
 
 func trainedPrefetcher(t *testing.T) *Prefetcher {
 	t.Helper()
@@ -15,14 +19,14 @@ func trainedPrefetcher(t *testing.T) *Prefetcher {
 
 func TestInspectTrainedState(t *testing.T) {
 	p := trainedPrefetcher(t)
-	st := p.Inspect()
-	if st.Entries == 0 || st.Links == 0 {
+	st := p.LearnerHealth(8)
+	if st.CSTEntries == 0 || st.CSTLinks == 0 {
 		t.Fatalf("no learned state: %+v", st)
 	}
 	if st.PositiveLinks == 0 {
 		t.Error("expected positive-score links after training on a recurring chase")
 	}
-	if st.Links < st.PositiveLinks {
+	if st.CSTLinks < st.PositiveLinks {
 		t.Error("positive links cannot exceed total links")
 	}
 	if len(st.TopDeltas) == 0 {
@@ -40,8 +44,8 @@ func TestInspectTrainedState(t *testing.T) {
 
 func TestInspectEmpty(t *testing.T) {
 	p := MustNew(DefaultConfig())
-	st := p.Inspect()
-	if st.Entries != 0 || st.Links != 0 || st.MeanScore != 0 {
+	st := p.LearnerHealth(8)
+	if st.CSTEntries != 0 || st.CSTLinks != 0 || st.MeanScore != 0 || st.TopDeltas != nil {
 		t.Errorf("fresh prefetcher should have empty stats: %+v", st)
 	}
 }
@@ -80,9 +84,9 @@ func TestInspectSaturatedLinks(t *testing.T) {
 		link{delta: 3, score: 50, used: true},
 		link{delta: 4, score: -10, used: true})
 	plant(p, 1, link{delta: 1, score: 127, used: true})
-	st := p.Inspect()
-	if st.Entries != 2 || st.Links != 5 {
-		t.Fatalf("entries/links = %d/%d, want 2/5", st.Entries, st.Links)
+	st := p.LearnerHealth(8)
+	if st.CSTEntries != 2 || st.CSTLinks != 5 {
+		t.Fatalf("entries/links = %d/%d, want 2/5", st.CSTEntries, st.CSTLinks)
 	}
 	if st.SaturatedLinks != 3 {
 		t.Errorf("SaturatedLinks = %d, want 3", st.SaturatedLinks)
@@ -98,14 +102,14 @@ func TestInspectSaturatedLinks(t *testing.T) {
 	}
 }
 
-// TestInspectValidEntryWithNoUsedLinks pins the Entries definition: a
+// TestInspectValidEntryWithNoUsedLinks pins the CSTEntries definition: a
 // valid entry whose links are all unused holds no candidates and must not
 // count as populated.
 func TestInspectValidEntryWithNoUsedLinks(t *testing.T) {
 	p := MustNew(DefaultConfig())
 	plant(p, 0, link{delta: 7, used: false})
-	st := p.Inspect()
-	if st.Entries != 0 || st.Links != 0 {
+	st := p.LearnerHealth(8)
+	if st.CSTEntries != 0 || st.CSTLinks != 0 {
 		t.Errorf("candidate-free entry counted: %+v", st)
 	}
 }
@@ -120,8 +124,8 @@ func TestTopDeltasTieBreaking(t *testing.T) {
 	plant(p, 1,
 		link{delta: 5, score: 1, used: true},
 		link{delta: -3, score: 1, used: true})
-	st := p.Inspect()
-	want := []DeltaCount{{Delta: 5, Count: 2}, {Delta: -3, Count: 1}, {Delta: 9, Count: 1}}
+	st := p.LearnerHealth(8)
+	want := []obs.DeltaCount{{Delta: 5, Count: 2}, {Delta: -3, Count: 1}, {Delta: 9, Count: 1}}
 	if len(st.TopDeltas) != len(want) {
 		t.Fatalf("TopDeltas = %+v, want %+v", st.TopDeltas, want)
 	}
@@ -133,18 +137,17 @@ func TestTopDeltasTieBreaking(t *testing.T) {
 }
 
 // TestTopDeltasTieStability hammers the tie-break with a table where every
-// delta has the same count: the map feeding the sort iterates in random
-// order per run, so only a deterministic comparator keeps repeated Inspect
-// calls identical.
+// delta has the same count: only a total ranking keeps repeated snapshots
+// identical.
 func TestTopDeltasTieStability(t *testing.T) {
 	p := MustNew(DefaultConfig())
 	deltas := []int8{44, -7, 19, 3, -120, 88, -1, 25, 6, -60, 101, -33}
 	for i, d := range deltas {
 		plant(p, i, link{delta: d, score: 1, used: true})
 	}
-	first := p.Inspect().TopDeltas
+	first := p.LearnerHealth(8).TopDeltas
 	for run := 0; run < 20; run++ {
-		got := p.Inspect().TopDeltas
+		got := p.LearnerHealth(8).TopDeltas
 		for i := range first {
 			if got[i] != first[i] {
 				t.Fatalf("run %d: TopDeltas[%d] = %+v, want %+v (unstable tie-break)",
@@ -167,7 +170,7 @@ func TestTopDeltasCapAtEight(t *testing.T) {
 	for i := 0; i < 12; i++ {
 		plant(p, i, link{delta: int8(i + 1), score: 1, used: true})
 	}
-	st := p.Inspect()
+	st := p.LearnerHealth(8)
 	if len(st.TopDeltas) != 8 {
 		t.Fatalf("TopDeltas length %d, want 8", len(st.TopDeltas))
 	}

@@ -1,75 +1,56 @@
 package core
 
 import (
-	"fmt"
 	"sort"
+
+	"semloc/internal/obs"
 )
 
-// Learner introspection (DESIGN.md §18): a JSON-friendly snapshot of how
-// the RL machinery is doing — the prefetch outcome taxonomy, the
-// explore/exploit split, the reward-sign mix, and CST occupancy/churn —
-// plus a live "explain" view of the hottest learned contexts with their
-// candidate score tables. Everything here reads state the hot path already
-// maintains; building a snapshot costs one CST scan (the same amortized
-// cost as Inspect) and nothing on the access path.
+// Learner introspection (DESIGN.md §18): the learner's snapshot — the
+// prefetch outcome taxonomy, the explore/exploit split, the reward-sign
+// mix, CST occupancy and churn, and the most frequent link deltas — plus a
+// live "explain" view of the hottest learned contexts with their candidate
+// score tables. Everything here reads state the hot path already
+// maintains: a snapshot costs one CST scan and nothing on the access path.
 
-// LearnerHealth is the learning-health snapshot. Counters are cumulative
-// since the last metrics reset (the warm-up boundary in simulations, the
-// session start in prefetchd); occupancy fields are point-in-time.
-type LearnerHealth struct {
-	// Accesses, Predictions, RealPrefetches, ShadowPrefetches, QueueHits
-	// mirror the headline Metrics counters for context.
-	Accesses         uint64 `json:"accesses"`
-	Predictions      uint64 `json:"predictions"`
-	RealPrefetches   uint64 `json:"real_prefetches"`
-	ShadowPrefetches uint64 `json:"shadow_prefetches"`
-	QueueHits        uint64 `json:"queue_hits"`
-
-	// Outcome taxonomy of dispatched prefetches (see Metrics): accurate +
-	// late + evicted + useless == real_prefetches + carried.
-	OutcomeAccurate uint64 `json:"outcome_accurate"`
-	OutcomeLate     uint64 `json:"outcome_late"`
-	OutcomeEvicted  uint64 `json:"outcome_evicted"`
-	OutcomeUseless  uint64 `json:"outcome_useless"`
-	OutcomeCarried  uint64 `json:"outcome_carried,omitempty"`
-
-	// Exploration health: explore/exploit decision counts, threshold
-	// suppressions, and the current exploration rate and accuracy
-	// estimate.
-	Explores   uint64  `json:"explores"`
-	Exploits   uint64  `json:"exploits"`
-	Suppressed uint64  `json:"suppressed"`
-	Epsilon    float64 `json:"epsilon"`
-	Accuracy   float64 `json:"accuracy"`
-
-	// Reward-sign mix across queue-hit rewards (real and shadow alike).
-	PosRewards  uint64 `json:"pos_rewards"`
-	NegRewards  uint64 `json:"neg_rewards"`
-	ZeroRewards uint64 `json:"zero_rewards"`
-
-	// CST candidate-collection churn: slot fills, evictions of unprotected
-	// links, and rejected inserts against protected victims.
-	CSTInsertions   uint64 `json:"cst_insertions"`
-	CSTReplacements uint64 `json:"cst_replacements"`
-	CSTRejects      uint64 `json:"cst_rejects"`
-
-	// CST occupancy and score distribution (point-in-time, from Inspect).
-	CSTEntries     int     `json:"cst_entries"`
-	CSTCapacity    int     `json:"cst_capacity"`
-	CSTLinks       int     `json:"cst_links"`
-	PositiveLinks  int     `json:"positive_links"`
-	SaturatedLinks int     `json:"saturated_links"`
-	MeanScore      float64 `json:"mean_score"`
-}
-
-// LearnerHealth builds the learning-health snapshot. Like Inspect it scans
-// the CST once, but unlike Inspect it allocates nothing (the delta ranking
-// is the allocating part and health does not need it), so a serving daemon
-// can attach it to every stats frame without GC pressure; call it at
-// interval boundaries, not per access.
-func (p *Prefetcher) LearnerHealth() LearnerHealth {
-	m := p.Metrics()
-	var entries, links, positive, saturated, scoreSum int
+// LearnerHealth implements obs.LearnerSource: the learner's snapshot, with
+// the topDeltas most frequent link deltas ranked (none when topDeltas is
+// 0). It scans the CST once, counting deltas in a fixed array, and only
+// a ranking allocates, so LearnerHealth(0) allocates nothing and a serving
+// daemon can attach it to every stats frame without GC pressure. Call it
+// at interval boundaries, not per access.
+func (p *Prefetcher) LearnerHealth(topDeltas int) obs.LearnerHealth {
+	m := &p.metrics
+	h := obs.LearnerHealth{
+		Accesses:         m.Accesses,
+		Predictions:      m.Predictions,
+		Explores:         m.Explores,
+		Exploits:         m.Exploits,
+		Suppressed:       m.Suppressed,
+		RealPrefetches:   m.RealPrefetches,
+		ShadowPrefetches: m.ShadowPrefetches,
+		QueueHits:        m.QueueHits,
+		Expired:          m.Expired,
+		OutcomeAccurate:  m.OutcomeAccurate,
+		OutcomeLate:      m.OutcomeLate,
+		OutcomeEvicted:   m.OutcomeEvicted,
+		OutcomeUseless:   p.pendingIssued,
+		OutcomeCarried:   m.OutcomeCarried,
+		PosRewards:       m.PosRewards,
+		NegRewards:       m.NegRewards,
+		ZeroRewards:      m.ZeroRewards,
+		Epsilon:          p.policy.epsilon,
+		Accuracy:         p.policy.accuracy,
+		CSTInsertions:    m.CSTInsertions,
+		CSTReplacements:  m.CSTReplacements,
+		CSTRejects:       m.CSTRejects,
+		Activations:      m.Activations,
+		Deactivations:    m.Deactivations,
+		CSTCapacity:      p.cfg.CSTEntries,
+	}
+	// counts[d+128] is how many resident links hold delta d.
+	var counts [256]int
+	var scoreSum int
 	for i := range p.table.entries {
 		e := &p.table.entries[i]
 		if !e.valid {
@@ -79,107 +60,40 @@ func (p *Prefetcher) LearnerHealth() LearnerHealth {
 			if !e.isUsed(li) {
 				continue
 			}
-			links++
+			h.CSTLinks++
 			scoreSum += int(e.scores[li])
 			if e.scores[li] > 0 {
-				positive++
+				h.PositiveLinks++
 			}
 			if e.scores[li] == 127 {
-				saturated++
+				h.SaturatedLinks++
 			}
+			counts[int(e.deltas[li])+128]++
 		}
 		if e.n > 0 {
-			entries++
+			h.CSTEntries++
 		}
 	}
-	meanScore := 0.0
-	if links > 0 {
-		meanScore = float64(scoreSum) / float64(links)
+	if h.CSTLinks > 0 {
+		h.MeanScore = float64(scoreSum) / float64(h.CSTLinks)
 	}
-	return LearnerHealth{
-		Accesses:         m.Accesses,
-		Predictions:      m.Predictions,
-		RealPrefetches:   m.RealPrefetches,
-		ShadowPrefetches: m.ShadowPrefetches,
-		QueueHits:        m.QueueHits,
-		OutcomeAccurate:  m.OutcomeAccurate,
-		OutcomeLate:      m.OutcomeLate,
-		OutcomeEvicted:   m.OutcomeEvicted,
-		OutcomeUseless:   m.OutcomeUseless,
-		OutcomeCarried:   m.OutcomeCarried,
-		Explores:         m.Explores,
-		Exploits:         m.Exploits,
-		Suppressed:       m.Suppressed,
-		Epsilon:          p.policy.epsilon,
-		Accuracy:         p.policy.accuracy,
-		PosRewards:       m.PosRewards,
-		NegRewards:       m.NegRewards,
-		ZeroRewards:      m.ZeroRewards,
-		CSTInsertions:    m.CSTInsertions,
-		CSTReplacements:  m.CSTReplacements,
-		CSTRejects:       m.CSTRejects,
-		CSTEntries:       entries,
-		CSTCapacity:      p.cfg.CSTEntries,
-		CSTLinks:         links,
-		PositiveLinks:    positive,
-		SaturatedLinks:   saturated,
-		MeanScore:        meanScore,
+	// Rank by count descending; the ascending scan with a strict > keeps
+	// the smaller delta first among equal counts, so the ranking is total
+	// and stable from run to run.
+	for len(h.TopDeltas) < topDeltas {
+		best := -1
+		for i, c := range counts {
+			if c > 0 && (best < 0 || c > counts[best]) {
+				best = i
+			}
+		}
+		if best < 0 {
+			break
+		}
+		h.TopDeltas = append(h.TopDeltas, obs.DeltaCount{Delta: int8(best - 128), Count: counts[best]})
+		counts[best] = 0
 	}
-}
-
-// Anomaly-check floors. The thresholds are deliberately conservative: the
-// check is a regression gate, so it must stay quiet on short smokes and
-// healthy convergence and only fire on pathologies that persist at volume.
-const (
-	// anomalyMinAccesses gates both checks: below this the learner has not
-	// had a fair chance to learn anything.
-	anomalyMinAccesses = 50000
-	// anomalyMinIssued gates the stalled-learning check: the learner must
-	// actually be spending memory traffic before "nothing lands" is a bug.
-	anomalyMinIssued = 1000
-	// anomalyMinChurn is the replacement volume floor for the churn-storm
-	// check.
-	anomalyMinChurn = 10000
-)
-
-// CheckAnomalies inspects a health snapshot for the two learning
-// pathologies the introspection layer is built to catch, and additionally
-// re-asserts the outcome count-match invariant. It returns nil for a
-// healthy (or merely young) learner.
-//
-//   - Stalled learning: the learner issues real prefetches at volume but
-//     none ever lands accurately and no link has accumulated positive
-//     reward — it is spending traffic without learning.
-//   - Churn storm: candidate replacements dominate insertions by an order
-//     of magnitude while almost no occupied entry holds a positive link —
-//     contexts are thrashing through the table faster than rewards can
-//     protect them.
-func (h *LearnerHealth) CheckAnomalies() error {
-	m := Metrics{
-		RealPrefetches:  h.RealPrefetches,
-		OutcomeAccurate: h.OutcomeAccurate,
-		OutcomeLate:     h.OutcomeLate,
-		OutcomeEvicted:  h.OutcomeEvicted,
-		OutcomeUseless:  h.OutcomeUseless,
-		OutcomeCarried:  h.OutcomeCarried,
-	}
-	if err := m.CheckOutcomes(); err != nil {
-		return err
-	}
-	if h.Accesses < anomalyMinAccesses {
-		return nil
-	}
-	if h.RealPrefetches >= anomalyMinIssued && h.OutcomeAccurate == 0 && h.PositiveLinks == 0 {
-		return fmt.Errorf("core: stalled learning: %d real prefetches over %d accesses with zero accurate outcomes and zero positive links",
-			h.RealPrefetches, h.Accesses)
-	}
-	if h.CSTReplacements >= anomalyMinChurn &&
-		h.CSTReplacements > 10*h.CSTInsertions &&
-		h.PositiveLinks*4 < h.CSTEntries {
-		return fmt.Errorf("core: churn storm: %d replacements vs %d insertions with only %d positive links across %d occupied entries",
-			h.CSTReplacements, h.CSTInsertions, h.PositiveLinks, h.CSTEntries)
-	}
-	return nil
+	return h
 }
 
 // LinkExplain is one candidate link in a context's score table, in

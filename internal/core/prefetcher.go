@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"semloc/internal/memmodel"
 	"semloc/internal/obs"
 	"semloc/internal/prefetch"
@@ -51,7 +49,8 @@ type Metrics struct {
 	// restore). OutcomeCarried counts dispatches still pending when the
 	// counters were last reset (the warm-up boundary), so the books
 	// balance: Accurate + Late + Evicted + Useless == RealPrefetches +
-	// OutcomeCarried at every snapshot (CheckOutcomes asserts it).
+	// OutcomeCarried at every snapshot (obs.LearnerHealth.CheckOutcomes
+	// asserts it).
 	OutcomeAccurate uint64
 	OutcomeLate     uint64
 	OutcomeEvicted  uint64
@@ -84,20 +83,6 @@ type Metrics struct {
 	// HitDepths is the distribution of prediction-to-demand distances in
 	// accesses (real and shadow predictions alike, as in Figure 8).
 	HitDepths *stats.Histogram
-}
-
-// CheckOutcomes asserts the outcome-taxonomy count-match invariant on a
-// snapshot returned by the Metrics accessor: every dispatched prefetch is
-// accounted for exactly once.
-func (m *Metrics) CheckOutcomes() error {
-	got := m.OutcomeAccurate + m.OutcomeLate + m.OutcomeEvicted + m.OutcomeUseless
-	want := m.RealPrefetches + m.OutcomeCarried
-	if got != want {
-		return fmt.Errorf("core: outcome taxonomy mismatch: accurate %d + late %d + evicted %d + useless %d = %d, want real %d + carried %d = %d",
-			m.OutcomeAccurate, m.OutcomeLate, m.OutcomeEvicted, m.OutcomeUseless, got,
-			m.RealPrefetches, m.OutcomeCarried, want)
-	}
-	return nil
 }
 
 // Prefetcher is the context-based prefetcher. It implements
@@ -196,7 +181,8 @@ func (p *Prefetcher) Name() string {
 
 // Metrics returns a snapshot of the internal counters. The snapshot's
 // OutcomeUseless is the current pending-issued population (the internal
-// field is always zero), so CheckOutcomes holds on every snapshot.
+// field is always zero), so the outcome taxonomy balances on every
+// snapshot.
 func (p *Prefetcher) Metrics() Metrics {
 	m := p.metrics
 	m.OutcomeUseless = p.pendingIssued

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"semloc/internal/cache"
@@ -53,6 +54,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.SampleDepths = []int{100} },
 		func(c *Config) { c.SampleDepths = nil },
 		func(c *Config) { c.Epsilon = 1.5 },
+		func(c *Config) { c.Epsilon = math.NaN() }, // fails every ordered comparison
 		func(c *Config) { c.MaxDegree = 0 },
 		func(c *Config) { c.BlockShift = 1 },
 		func(c *Config) { c.Reward.Peak = 0 },

@@ -15,58 +15,14 @@ import (
 // prefetcher does — only what it reports.
 
 var (
-	_ obs.Attachable = (*Prefetcher)(nil)
-	_ obs.CoreSource = (*Prefetcher)(nil)
+	_ obs.Attachable    = (*Prefetcher)(nil)
+	_ obs.LearnerSource = (*Prefetcher)(nil)
 )
 
 // AttachTelemetry implements obs.Attachable: subsequent decisions, rewards
 // and expiries are (sampled and) traced through c. Attach before the run;
 // a nil c detaches.
 func (p *Prefetcher) AttachTelemetry(c *obs.Collector) { p.obs = c }
-
-// TelemetrySnapshot implements obs.CoreSource: the cumulative counters and
-// learned-state summary the interval sampler snapshots at each boundary.
-// It is called once per sampling interval, not per access; the CST scan it
-// performs (via Inspect) is amortized to a handful of instructions per
-// demand access at default intervals.
-func (p *Prefetcher) TelemetrySnapshot() obs.CoreSnapshot {
-	st := p.Inspect()
-	top := make([]obs.DeltaCount, len(st.TopDeltas))
-	for i, d := range st.TopDeltas {
-		top[i] = obs.DeltaCount{Delta: d.Delta, Count: d.Count}
-	}
-	return obs.CoreSnapshot{
-		Accesses:          p.metrics.Accesses,
-		Predictions:       p.metrics.Predictions,
-		RealPrefetches:    p.metrics.RealPrefetches,
-		ShadowPrefetches:  p.metrics.ShadowPrefetches,
-		QueueHits:         p.metrics.QueueHits,
-		Expired:           p.metrics.Expired,
-		Activations:       p.metrics.Activations,
-		Deactivations:     p.metrics.Deactivations,
-		OutcomeAccurate:   p.metrics.OutcomeAccurate,
-		OutcomeLate:       p.metrics.OutcomeLate,
-		OutcomeEvicted:    p.metrics.OutcomeEvicted,
-		OutcomeUseless:    p.pendingIssued,
-		Explores:          p.metrics.Explores,
-		Exploits:          p.metrics.Exploits,
-		Suppressed:        p.metrics.Suppressed,
-		PosRewards:        p.metrics.PosRewards,
-		NegRewards:        p.metrics.NegRewards,
-		ZeroRewards:       p.metrics.ZeroRewards,
-		CSTInsertions:     p.metrics.CSTInsertions,
-		CSTReplacements:   p.metrics.CSTReplacements,
-		CSTRejects:        p.metrics.CSTRejects,
-		Accuracy:          p.policy.accuracy,
-		Epsilon:           p.policy.epsilon,
-		CSTEntries:        st.Entries,
-		CSTLinks:          st.Links,
-		CSTPositiveLinks:  st.PositiveLinks,
-		CSTSaturatedLinks: st.SaturatedLinks,
-		CSTMeanScore:      st.MeanScore,
-		TopDeltas:         top,
-	}
-}
 
 // contextID packs a CST key into the integer identity decision events
 // carry, so a trace reader can follow one learned context across events.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"semloc/internal/obs"
@@ -23,30 +24,36 @@ func benchTrained(t *testing.T, col *obs.Collector) *Prefetcher {
 	return p
 }
 
-func TestTelemetrySnapshotMatchesMetricsAndInspect(t *testing.T) {
+// TestLearnerHealthMatchesMetrics pins the one snapshot to the counters
+// it copies, and the ranking to the one scan: LearnerHealth(0) is
+// LearnerHealth(8) without its TopDeltas.
+func TestLearnerHealthMatchesMetrics(t *testing.T) {
 	p := benchTrained(t, nil)
-	snap := p.TelemetrySnapshot()
+	h := p.LearnerHealth(8)
 	m := p.Metrics()
-	st := p.Inspect()
-
-	if snap.Accesses != m.Accesses || snap.Predictions != m.Predictions ||
-		snap.QueueHits != m.QueueHits || snap.Expired != m.Expired ||
-		snap.RealPrefetches != m.RealPrefetches || snap.ShadowPrefetches != m.ShadowPrefetches {
-		t.Fatalf("snapshot counters diverge from Metrics: %+v vs %+v", snap, m)
+	if h.Accesses != m.Accesses || h.Predictions != m.Predictions ||
+		h.QueueHits != m.QueueHits || h.Expired != m.Expired ||
+		h.RealPrefetches != m.RealPrefetches || h.ShadowPrefetches != m.ShadowPrefetches ||
+		h.Activations != m.Activations || h.Deactivations != m.Deactivations ||
+		h.OutcomeUseless != m.OutcomeUseless || h.CSTRejects != m.CSTRejects {
+		t.Fatalf("snapshot counters diverge from Metrics: %+v vs %+v", h, m)
 	}
-	if snap.CSTEntries != st.Entries || snap.CSTLinks != st.Links || snap.CSTMeanScore != st.MeanScore {
-		t.Fatalf("snapshot table state diverges from Inspect: %+v vs %+v", snap, st)
+	if h.Epsilon != p.Epsilon() || h.Accuracy != p.Accuracy() || h.CSTCapacity != DefaultConfig().CSTEntries {
+		t.Fatalf("snapshot policy or capacity diverges: %+v", h)
 	}
-	if len(snap.TopDeltas) != len(st.TopDeltas) {
-		t.Fatalf("top deltas: %d vs %d", len(snap.TopDeltas), len(st.TopDeltas))
+	if err := h.CheckOutcomes(); err != nil {
+		t.Fatal(err)
 	}
-	for i := range st.TopDeltas {
-		if snap.TopDeltas[i].Delta != st.TopDeltas[i].Delta || snap.TopDeltas[i].Count != st.TopDeltas[i].Count {
-			t.Fatalf("top delta %d mismatch: %+v vs %+v", i, snap.TopDeltas[i], st.TopDeltas[i])
-		}
-	}
-	if snap.Accesses == 0 || snap.CSTEntries == 0 {
+	if h.Accesses == 0 || h.CSTEntries == 0 || len(h.TopDeltas) == 0 {
 		t.Fatal("trained prefetcher produced an empty snapshot")
+	}
+	bare := p.LearnerHealth(0)
+	if bare.TopDeltas != nil {
+		t.Fatalf("LearnerHealth(0) ranked %d deltas", len(bare.TopDeltas))
+	}
+	bare.TopDeltas = h.TopDeltas
+	if !reflect.DeepEqual(bare, h) {
+		t.Fatalf("LearnerHealth(0) differs from LearnerHealth(8) beyond TopDeltas:\n%+v\n%+v", bare, h)
 	}
 }
 
@@ -91,24 +98,14 @@ func TestDecisionTraceEmitsAllKinds(t *testing.T) {
 }
 
 // TestTelemetryDoesNotPerturbLearning runs the same stream with and
-// without an attached collector and requires bit-identical learned state
-// and metrics: tracing samples off its own counter, never the policy RNG.
+// without an attached collector and requires bit-identical learner
+// snapshots, every counter and the CST's state alike: tracing samples off
+// its own counter, never the policy RNG.
 func TestTelemetryDoesNotPerturbLearning(t *testing.T) {
 	plain := benchTrained(t, nil)
 	var buf bytes.Buffer
 	traced := benchTrained(t, obs.NewCollector(obs.Config{DecisionRate: 3, DecisionSink: &buf}))
-
-	mp, mt := plain.Metrics(), traced.Metrics()
-	mp.HitDepths, mt.HitDepths = nil, nil
-	if mp != mt {
-		t.Fatalf("telemetry changed metrics:\n%+v\n%+v", mp, mt)
-	}
-	sp, st := plain.Inspect(), traced.Inspect()
-	if sp.Entries != st.Entries || sp.Links != st.Links || sp.MeanScore != st.MeanScore ||
-		sp.PositiveLinks != st.PositiveLinks || sp.SaturatedLinks != st.SaturatedLinks {
-		t.Fatalf("telemetry changed learned state:\n%+v\n%+v", sp, st)
-	}
-	if plain.Accuracy() != traced.Accuracy() || plain.Epsilon() != traced.Epsilon() {
-		t.Fatal("telemetry changed policy state")
+	if hp, ht := plain.LearnerHealth(8), traced.LearnerHealth(8); !reflect.DeepEqual(hp, ht) {
+		t.Fatalf("telemetry changed the learner:\n%+v\n%+v", hp, ht)
 	}
 }

@@ -7,25 +7,21 @@ import (
 	"path/filepath"
 	"strings"
 
-	"semloc/internal/core"
-	"semloc/internal/prefetch"
+	"semloc/internal/obs"
 	"semloc/internal/sim"
 )
 
-// ArtifactSchema versions the per-run JSON artifact format. Schema 2 added
-// the learner-health fields (outcome taxonomy, explore/exploit split,
-// reward-sign mix, CST churn) to Metrics and the interval samples; schema 1
-// artifacts still load (their learner fields read as zero), but the
-// outcome count-match invariant is only asserted on schema >= 2, where the
-// writer recorded it.
-const ArtifactSchema = 2
+// ArtifactSchema versions the per-run JSON artifact format. Schema 3 is
+// the first to carry the learner's snapshot; an artifact of an older
+// schema is refused, and a run with -obs-dir writes it again.
+const ArtifactSchema = 3
 
 // RunArtifact is the per-run JSON file the Runner writes into
 // Options.OutDir: one self-contained record per (workload, prefetcher)
 // pair holding the simulation result (including the telemetry series when
-// enabled), the prefetcher's final counters, and the learned-state
-// summary — so figure data and learning-curve data land in one artifact
-// that cmd/inspect can render without re-simulating.
+// enabled) and the learner's snapshot at the end of the run, so figure
+// data and learning-curve data land in one artifact that cmd/inspect can
+// render without re-simulating.
 type RunArtifact struct {
 	Schema     int     `json:"schema"`
 	Workload   string  `json:"workload"`
@@ -39,10 +35,10 @@ type RunArtifact struct {
 	// Result is the full simulation outcome; Result.Series carries the
 	// telemetry time series when interval sampling was on.
 	Result *sim.Result `json:"result"`
-	// Metrics and TableStats capture the context prefetcher's final
-	// counters and learned state (nil for other prefetchers).
-	Metrics    *core.Metrics    `json:"metrics,omitempty"`
-	TableStats *core.TableStats `json:"table_stats,omitempty"`
+	// Learner is the learner's snapshot at the end of the run, with its
+	// obs.RankedDeltas most frequent deltas (nil for prefetchers without a
+	// learner).
+	Learner *obs.LearnerHealth `json:"learner,omitempty"`
 }
 
 // Validate checks the invariants cmd/inspect and tests rely on.
@@ -50,8 +46,8 @@ func (a *RunArtifact) Validate() error {
 	if a == nil {
 		return fmt.Errorf("exp: nil artifact")
 	}
-	if a.Schema != 1 && a.Schema != ArtifactSchema {
-		return fmt.Errorf("exp: artifact schema %d, want 1 or %d", a.Schema, ArtifactSchema)
+	if a.Schema != ArtifactSchema {
+		return fmt.Errorf("exp: artifact schema %d, want %d: regenerate it with -obs-dir", a.Schema, ArtifactSchema)
 	}
 	if a.Workload == "" || a.Prefetcher == "" {
 		return fmt.Errorf("exp: artifact missing run identity")
@@ -59,11 +55,8 @@ func (a *RunArtifact) Validate() error {
 	if a.Result == nil {
 		return fmt.Errorf("exp: artifact %s/%s has no result", a.Workload, a.Prefetcher)
 	}
-	if a.Schema >= 2 && a.Metrics != nil {
-		// The outcome taxonomy must balance: accurate + late + evicted +
-		// useless == real prefetches + carried. Only schema >= 2 writers
-		// recorded the taxonomy, so older artifacts are exempt.
-		if err := a.Metrics.CheckOutcomes(); err != nil {
+	if a.Learner != nil {
+		if err := a.Learner.CheckOutcomes(); err != nil {
 			return fmt.Errorf("exp: artifact %s/%s: %w", a.Workload, a.Prefetcher, err)
 		}
 	}
@@ -75,14 +68,9 @@ func (a *RunArtifact) Validate() error {
 	return nil
 }
 
-// metricsSource and tableSource are the optional interfaces the artifact
-// writer probes on a prefetcher (core.Prefetcher implements both).
-type metricsSource interface{ Metrics() core.Metrics }
-type tableSource interface{ Inspect() core.TableStats }
-
 // newRunArtifact assembles the artifact for one completed run.
-func newRunArtifact(res *sim.Result, pf prefetch.Prefetcher, opts Options) *RunArtifact {
-	a := &RunArtifact{
+func newRunArtifact(res *sim.Result, learner *obs.LearnerHealth, opts Options) *RunArtifact {
+	return &RunArtifact{
 		Schema:     ArtifactSchema,
 		Workload:   res.Workload,
 		Prefetcher: res.Prefetcher,
@@ -92,16 +80,8 @@ func newRunArtifact(res *sim.Result, pf prefetch.Prefetcher, opts Options) *RunA
 		L1MPKI:     res.L1MPKI(),
 		L2MPKI:     res.L2MPKI(),
 		Result:     res,
+		Learner:    learner,
 	}
-	if ms, ok := pf.(metricsSource); ok {
-		m := ms.Metrics()
-		a.Metrics = &m
-	}
-	if ts, ok := pf.(tableSource); ok {
-		st := ts.Inspect()
-		a.TableStats = &st
-	}
-	return a
 }
 
 // runFileBase names the per-run artifact files: "<workload>__<prefetcher>"

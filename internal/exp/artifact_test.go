@@ -3,10 +3,12 @@ package exp
 import (
 	"bytes"
 	"os"
+	"strings"
 	"testing"
 
 	"semloc/internal/core"
 	"semloc/internal/obs"
+	"semloc/internal/sim"
 )
 
 func TestRunnerPersistsArtifacts(t *testing.T) {
@@ -32,16 +34,14 @@ func TestRunnerPersistsArtifacts(t *testing.T) {
 	if art.IPC <= 0 || art.IPC != res.IPC() {
 		t.Fatalf("artifact IPC %v, result %v", art.IPC, res.IPC())
 	}
-	// Satellite contract: final Metrics and TableStats land in the same
-	// artifact as the figure data.
-	if art.Metrics == nil || art.Metrics.Accesses == 0 {
-		t.Fatalf("artifact missing final metrics: %+v", art.Metrics)
+	// The learner's final snapshot lands in the same artifact as the
+	// figure data, and Figure 8's hit-depth histogram survives the trip.
+	if l := art.Learner; l == nil || l.Accesses == 0 || l.CSTEntries == 0 || len(l.TopDeltas) == 0 {
+		t.Fatalf("artifact missing the learner snapshot: %+v", art.Learner)
 	}
-	if art.Metrics.HitDepths == nil || art.Metrics.HitDepths.Total() == 0 {
+	if art.Result.HitDepths == nil || art.Result.HitDepths.Total() == 0 ||
+		art.Result.HitDepths.Total() != res.HitDepths.Total() {
 		t.Fatal("hit-depth histogram did not survive the round trip")
-	}
-	if art.TableStats == nil || art.TableStats.Entries == 0 {
-		t.Fatalf("artifact missing learned-state summary: %+v", art.TableStats)
 	}
 	if art.Result.Series == nil || len(art.Result.Series.Samples) == 0 {
 		t.Fatal("artifact missing telemetry series")
@@ -81,8 +81,8 @@ func TestRunnerPersistsNonInstrumentedPrefetcher(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if art.Metrics != nil || art.TableStats != nil {
-		t.Fatal("none prefetcher should have no learner sections")
+	if art.Learner != nil {
+		t.Fatal("none prefetcher should have no learner section")
 	}
 	if art.Result.Series == nil {
 		t.Fatal("machine-side series missing")
@@ -134,13 +134,21 @@ func TestArtifactValidateRejectsMalformed(t *testing.T) {
 			t.Fatalf("case %d: malformed artifact validated", i)
 		}
 	}
+	// An artifact from before the learner snapshot is refused, with the way
+	// to write it again.
+	for _, schema := range []int{1, 2} {
+		a := &RunArtifact{Schema: schema, Workload: "w", Prefetcher: "p", Result: &sim.Result{}}
+		if err := a.Validate(); err == nil || !strings.Contains(err.Error(), "-obs-dir") {
+			t.Errorf("schema %d artifact: got %v, want a refusal naming -obs-dir", schema, err)
+		}
+	}
 }
 
 // TestArtifactRoundTripByteIdentical is the codec property test for the
 // per-run artifact: the bytes WriteArtifact persisted, re-loaded through
-// LoadArtifact and re-marshaled, must be identical — learner table state
-// (final metrics, hit-depth histogram, table stats) must not drift through
-// float formatting or field ordering across snapshot/restore cycles.
+// LoadArtifact and re-marshaled, must be identical — the learner snapshot
+// and the hit-depth histogram must not drift through float formatting or
+// field ordering across snapshot/restore cycles.
 func TestArtifactRoundTripByteIdentical(t *testing.T) {
 	dir := t.TempDir()
 	opts := DefaultOptions()

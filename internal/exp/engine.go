@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"semloc/internal/core"
+	"semloc/internal/obs"
 	"semloc/internal/sim"
 )
 
@@ -66,11 +67,11 @@ type JobResult struct {
 	Index int
 	// Result is the simulation result (nil when Err is set).
 	Result *sim.Result
-	// Learner is the context learner's health at the end of the run (its
-	// accuracy estimate, real prefetches, CST occupancy; see
-	// core.LearnerHealth), nil for a prefetcher without a learner or a
-	// failed run.
-	Learner *core.LearnerHealth
+	// Learner is the learner's snapshot at the end of the run (its
+	// accuracy estimate, real prefetches, CST occupancy, obs.RankedDeltas
+	// top deltas; see obs.LearnerHealth), nil for a prefetcher without a
+	// learner or a failed run.
+	Learner *obs.LearnerHealth
 	// Err is the job's failure, if any. One failed job never aborts its
 	// siblings: callers get every completed result plus every error.
 	Err error

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -103,22 +104,32 @@ func TestRunJobsContract(t *testing.T) {
 
 // TestRunJobsPointOnlyLabels: the sweep point labels a job and does not
 // change its run. One config at points 0 and 5 is one run in a batch, and
-// each point alone gives DeepEqual results on two runners.
+// so is an Epsilon of -0 and one of 0, the same configuration; each point
+// alone gives DeepEqual results on two runners.
 func TestRunJobsPointOnlyLabels(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.Epsilon = 0.25
-	jobs := []Job{
+	negZero, zero := core.DefaultConfig(), core.DefaultConfig()
+	negZero.Epsilon, zero.Epsilon = math.Copysign(0, -1), 0
+	pairs := [][]Job{{
 		{Workload: "list", Prefetcher: "context", Point: 0, Config: &cfg},
 		{Workload: "list", Prefetcher: "context", Point: 5, Config: &cfg},
+	}, {
+		{Workload: "list", Prefetcher: "context", Point: 0, Config: &negZero},
+		{Workload: "list", Prefetcher: "context", Point: 1, Config: &zero},
+	}}
+	for _, jobs := range pairs {
+		rec := obs.NewSpanRecorder()
+		both := runCells(t, obsRunner(2, nil, rec), jobs...)
+		if both[0].Result != both[1].Result {
+			t.Errorf("epsilon %v at point %d and %v at point %d did not share one run",
+				jobs[0].Config.Epsilon, jobs[0].Point, jobs[1].Config.Epsilon, jobs[1].Point)
+		}
+		if n := len(rec.Spans()); n != 2 {
+			t.Errorf("%d spans, want one run and one trace generation", n)
+		}
 	}
-	rec := obs.NewSpanRecorder()
-	both := runCells(t, obsRunner(2, nil, rec), jobs...)
-	if both[0].Result != both[1].Result {
-		t.Error("points 0 and 5 of one config did not share one run")
-	}
-	if n := len(rec.Spans()); n != 2 {
-		t.Errorf("%d spans, want one run and one trace generation", n)
-	}
+	jobs := pairs[0]
 	p0 := runCells(t, engineRunner(2), jobs[0])[0]
 	p5 := runCells(t, engineRunner(2), jobs[1])[0]
 	if !reflect.DeepEqual(p0.Result, p5.Result) || !reflect.DeepEqual(p0.Learner, p5.Learner) {

@@ -65,6 +65,10 @@ func learnerConfig(job Job) (cfg core.Config, ok bool) {
 		return core.Config{}, false
 	}
 	cfg.Seed = 0
+	// -0 is the configuration of 0: stored as 0, the two key as one run.
+	if cfg.Epsilon == 0 {
+		cfg.Epsilon = 0
+	}
 	return cfg, true
 }
 

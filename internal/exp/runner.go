@@ -6,7 +6,6 @@ import (
 	"os"
 	"runtime"
 
-	"semloc/internal/core"
 	"semloc/internal/harness"
 	"semloc/internal/obs"
 	"semloc/internal/sim"
@@ -163,11 +162,11 @@ func (r *Runner) AddTrace(tr *trace.Trace) error {
 // artifact: the artifact namespace is keyed by (workload, prefetcher name),
 // which a sweep's points would collide all over. A learner's health at the
 // end of the run comes back with the result.
-func (r *Runner) run(job Job) (*sim.Result, *core.LearnerHealth, error) {
+func (r *Runner) run(job Job) (*sim.Result, *obs.LearnerHealth, error) {
 	cell := job.cell()
 	named := job.key() == Job{Workload: job.Workload, Prefetcher: job.Prefetcher}.key()
 	ct := r.beginCell(job.Workload, job.Prefetcher, job.Point)
-	fail := func(err error) (*sim.Result, *core.LearnerHealth, error) {
+	fail := func(err error) (*sim.Result, *obs.LearnerHealth, error) {
 		ct.finish(nil, err)
 		return nil, nil, err
 	}
@@ -229,15 +228,15 @@ func (r *Runner) run(job Job) (*sim.Result, *core.LearnerHealth, error) {
 			return nil, nil, fmt.Errorf("exp: %s: decision trace: %w", cell, err)
 		}
 	}
+	var learner *obs.LearnerHealth
+	if ls, ok := pf.(obs.LearnerSource); ok {
+		h := ls.LearnerHealth(obs.RankedDeltas)
+		learner = &h
+	}
 	if named && r.opts.OutDir != "" {
-		if _, err := WriteArtifact(r.opts.OutDir, newRunArtifact(res, pf, r.opts)); err != nil {
+		if _, err := WriteArtifact(r.opts.OutDir, newRunArtifact(res, learner, r.opts)); err != nil {
 			return nil, nil, fmt.Errorf("exp: %s: %w", cell, err)
 		}
-	}
-	var learner *core.LearnerHealth
-	if lp, ok := pf.(*core.Prefetcher); ok {
-		h := lp.LearnerHealth()
-		learner = &h
 	}
 	return res, learner, nil
 }

@@ -7,10 +7,10 @@
 //
 // The paper's prefetcher is an online learner — coverage, accuracy and
 // CST occupancy evolve over a run (the warm-up/convergence behaviour
-// behind Figures 5 and 8) — but end-of-run aggregates (core.Metrics,
-// Inspect) cannot show *when* the bandit converges or why a delta was
-// chosen. This package makes that visible without giving up the hot-path
-// contract (DESIGN.md, "Hot path & benchmarking"):
+// behind Figures 5 and 8) — but an end-of-run snapshot (LearnerHealth)
+// cannot show *when* the bandit converges or why a delta was chosen. This
+// package makes that visible without giving up the hot-path contract
+// (DESIGN.md, "Hot path & benchmarking"):
 //
 //   - Disabled is free. A disabled configuration produces a nil
 //     *Collector; every hook in core and sim guards with a single
@@ -65,56 +65,10 @@ func (c Config) Enabled() bool {
 	return c.Interval > 0 || (c.DecisionRate > 0 && c.DecisionSink != nil)
 }
 
-// DeltaCount pairs a link delta with its occurrence count across the CST
-// (the obs-side mirror of core.DeltaCount, duplicated so obs stays a leaf
-// package the core can import).
+// DeltaCount pairs a link delta with its occurrence count across the CST.
 type DeltaCount struct {
 	Delta int8 `json:"delta"`
 	Count int  `json:"count"`
-}
-
-// CoreSnapshot is the cumulative prefetcher-side state the sampler reads
-// at each interval boundary. All counters are cumulative since the run
-// (or the last warm-up reset); the collector differences them into
-// per-interval deltas.
-type CoreSnapshot struct {
-	Accesses         uint64
-	Predictions      uint64
-	RealPrefetches   uint64
-	ShadowPrefetches uint64
-	QueueHits        uint64
-	Expired          uint64
-	Activations      uint64
-	Deactivations    uint64
-	// Learner-health counters (cumulative): prefetch outcome taxonomy,
-	// explore/exploit/suppress decision split, reward-sign mix, and CST
-	// candidate-collection churn. OutcomeUseless is a point-in-time gauge
-	// (dispatches still pending in the queue), not a cumulative counter.
-	OutcomeAccurate uint64
-	OutcomeLate     uint64
-	OutcomeEvicted  uint64
-	OutcomeUseless  uint64
-	Explores        uint64
-	Exploits        uint64
-	Suppressed      uint64
-	PosRewards      uint64
-	NegRewards      uint64
-	ZeroRewards     uint64
-	CSTInsertions   uint64
-	CSTReplacements uint64
-	CSTRejects      uint64
-	// Accuracy and Epsilon are the policy's instantaneous estimates.
-	Accuracy float64
-	Epsilon  float64
-	// CSTEntries/CSTLinks/CSTMeanScore/TopDeltas summarize the learned
-	// table state at the boundary; CSTPositiveLinks/CSTSaturatedLinks are
-	// the score-distribution gauges.
-	CSTEntries        int
-	CSTLinks          int
-	CSTPositiveLinks  int
-	CSTSaturatedLinks int
-	CSTMeanScore      float64
-	TopDeltas         []DeltaCount
 }
 
 // MachineSnapshot is the cumulative machine-side state (core model and
@@ -130,10 +84,10 @@ type MachineSnapshot struct {
 	L1Misses, L2Misses uint64
 }
 
-// CoreSource is implemented by prefetchers that expose learning-state
-// telemetry (core.Prefetcher does).
-type CoreSource interface {
-	TelemetrySnapshot() CoreSnapshot
+// LearnerSource is implemented by prefetchers with a learner whose
+// snapshot the interval sampler records (core.Prefetcher does).
+type LearnerSource interface {
+	LearnerHealth(topDeltas int) LearnerHealth
 }
 
 // Attachable is implemented by prefetchers that accept a collector for
@@ -253,7 +207,7 @@ type Collector struct {
 	interval   uint64
 	maxSamples int
 	series     Series
-	prev       CoreSnapshot
+	prev       LearnerHealth
 	prevMach   MachineSnapshot
 	events     uint64
 	sink       *decisionSink
@@ -310,9 +264,9 @@ func delta(cur, prev uint64) uint64 {
 	return cur - prev
 }
 
-// Record appends one sample at index from the cumulative machine and core
-// snapshots, decimating if the series is full.
-func (c *Collector) Record(index uint64, m MachineSnapshot, cs CoreSnapshot) {
+// Record appends one sample at index from the cumulative machine and
+// learner snapshots, decimating if the series is full.
+func (c *Collector) Record(index uint64, m MachineSnapshot, h LearnerHealth) {
 	if c == nil || c.interval == 0 {
 		return
 	}
@@ -322,37 +276,37 @@ func (c *Collector) Record(index uint64, m MachineSnapshot, cs CoreSnapshot) {
 		Instructions:  m.Instructions,
 		L1Misses:      delta(m.L1Misses, c.prevMach.L1Misses),
 		L2Misses:      delta(m.L2Misses, c.prevMach.L2Misses),
-		Accesses:      delta(cs.Accesses, c.prev.Accesses),
-		QueueHits:     delta(cs.QueueHits, c.prev.QueueHits),
-		Predictions:   delta(cs.Predictions, c.prev.Predictions),
-		Real:          delta(cs.RealPrefetches, c.prev.RealPrefetches),
-		Shadow:        delta(cs.ShadowPrefetches, c.prev.ShadowPrefetches),
-		Expired:       delta(cs.Expired, c.prev.Expired),
-		Activations:   delta(cs.Activations, c.prev.Activations),
-		Deactivations: delta(cs.Deactivations, c.prev.Deactivations),
+		Accesses:      delta(h.Accesses, c.prev.Accesses),
+		QueueHits:     delta(h.QueueHits, c.prev.QueueHits),
+		Predictions:   delta(h.Predictions, c.prev.Predictions),
+		Real:          delta(h.RealPrefetches, c.prev.RealPrefetches),
+		Shadow:        delta(h.ShadowPrefetches, c.prev.ShadowPrefetches),
+		Expired:       delta(h.Expired, c.prev.Expired),
+		Activations:   delta(h.Activations, c.prev.Activations),
+		Deactivations: delta(h.Deactivations, c.prev.Deactivations),
 
-		Accurate:        delta(cs.OutcomeAccurate, c.prev.OutcomeAccurate),
-		Late:            delta(cs.OutcomeLate, c.prev.OutcomeLate),
-		Evicted:         delta(cs.OutcomeEvicted, c.prev.OutcomeEvicted),
-		Explores:        delta(cs.Explores, c.prev.Explores),
-		Exploits:        delta(cs.Exploits, c.prev.Exploits),
-		Suppressed:      delta(cs.Suppressed, c.prev.Suppressed),
-		PosRewards:      delta(cs.PosRewards, c.prev.PosRewards),
-		NegRewards:      delta(cs.NegRewards, c.prev.NegRewards),
-		ZeroRewards:     delta(cs.ZeroRewards, c.prev.ZeroRewards),
-		CSTInsertions:   delta(cs.CSTInsertions, c.prev.CSTInsertions),
-		CSTReplacements: delta(cs.CSTReplacements, c.prev.CSTReplacements),
-		CSTRejects:      delta(cs.CSTRejects, c.prev.CSTRejects),
+		Accurate:        delta(h.OutcomeAccurate, c.prev.OutcomeAccurate),
+		Late:            delta(h.OutcomeLate, c.prev.OutcomeLate),
+		Evicted:         delta(h.OutcomeEvicted, c.prev.OutcomeEvicted),
+		Explores:        delta(h.Explores, c.prev.Explores),
+		Exploits:        delta(h.Exploits, c.prev.Exploits),
+		Suppressed:      delta(h.Suppressed, c.prev.Suppressed),
+		PosRewards:      delta(h.PosRewards, c.prev.PosRewards),
+		NegRewards:      delta(h.NegRewards, c.prev.NegRewards),
+		ZeroRewards:     delta(h.ZeroRewards, c.prev.ZeroRewards),
+		CSTInsertions:   delta(h.CSTInsertions, c.prev.CSTInsertions),
+		CSTReplacements: delta(h.CSTReplacements, c.prev.CSTReplacements),
+		CSTRejects:      delta(h.CSTRejects, c.prev.CSTRejects),
 
-		Accuracy:          cs.Accuracy,
-		Epsilon:           cs.Epsilon,
-		Useless:           cs.OutcomeUseless,
-		CSTEntries:        cs.CSTEntries,
-		CSTLinks:          cs.CSTLinks,
-		CSTPositiveLinks:  cs.CSTPositiveLinks,
-		CSTSaturatedLinks: cs.CSTSaturatedLinks,
-		CSTMeanScore:      cs.CSTMeanScore,
-		TopDeltas:         cs.TopDeltas,
+		Accuracy:          h.Accuracy,
+		Epsilon:           h.Epsilon,
+		Useless:           h.OutcomeUseless,
+		CSTEntries:        h.CSTEntries,
+		CSTLinks:          h.CSTLinks,
+		CSTPositiveLinks:  h.PositiveLinks,
+		CSTSaturatedLinks: h.SaturatedLinks,
+		CSTMeanScore:      h.MeanScore,
+		TopDeltas:         h.TopDeltas,
 	}
 	if m.Cycles > 0 {
 		s.IPC = float64(m.Instructions) / float64(m.Cycles)
@@ -367,7 +321,7 @@ func (c *Collector) Record(index uint64, m MachineSnapshot, cs CoreSnapshot) {
 	if s.Accesses > 0 {
 		s.QueueHitRate = float64(s.QueueHits) / float64(s.Accesses)
 	}
-	c.prev = cs
+	c.prev = h
 	c.prevMach = m
 	c.cfg.Learner.Update(&s)
 	c.series.Samples = append(c.series.Samples, s)
@@ -441,7 +395,7 @@ func (c *Collector) NoteWarmupEnd(index uint64) {
 		return
 	}
 	c.series.WarmupIndex = index
-	c.prev = CoreSnapshot{}
+	c.prev = LearnerHealth{}
 	c.prevMach.L1Misses = 0
 	c.prevMach.L2Misses = 0
 }

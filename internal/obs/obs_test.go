@@ -11,21 +11,21 @@ import (
 // does: Due after each index increment, Record on boundaries, one final
 // flush sample at run end if the last boundary missed it.
 func feed(c *Collector, n uint64) {
-	var cs CoreSnapshot
+	var h LearnerHealth
 	var m MachineSnapshot
 	for i := uint64(1); i <= n; i++ {
-		cs.Accesses = i
-		cs.Predictions = 2 * i
-		cs.QueueHits = i / 2
+		h.Accesses = i
+		h.Predictions = 2 * i
+		h.QueueHits = i / 2
 		m.Cycles = 3 * i
 		m.Instructions = 4 * i
 		m.L1Misses = i / 4
 		if c.Due(i) {
-			c.Record(i, m, cs)
+			c.Record(i, m, h)
 		}
 	}
 	if c.SamplingEnabled() && c.LastIndex() < n {
-		c.Record(n, m, cs)
+		c.Record(n, m, h)
 	}
 }
 
@@ -34,7 +34,7 @@ func TestNilCollectorIsSafe(t *testing.T) {
 	if c.Due(1) || c.SamplingEnabled() || c.TraceDue() {
 		t.Fatal("nil collector reported work due")
 	}
-	c.Record(1, MachineSnapshot{}, CoreSnapshot{})
+	c.Record(1, MachineSnapshot{}, LearnerHealth{})
 	c.Emit(&DecisionEvent{})
 	c.NoteWarmupEnd(1)
 	if c.Series() != nil {
@@ -147,14 +147,14 @@ func TestDecimationBoundsSeriesAndPreservesTotals(t *testing.T) {
 
 func TestWarmupResetClampsDeltas(t *testing.T) {
 	c := NewCollector(Config{Interval: 10})
-	cs := CoreSnapshot{Accesses: 10, QueueHits: 8}
+	h := LearnerHealth{Accesses: 10, QueueHits: 8}
 	m := MachineSnapshot{Cycles: 100, Instructions: 100, L1Misses: 50}
-	c.Record(10, m, cs)
+	c.Record(10, m, h)
 	// Warm-up reset: prefetcher metrics and cache stats restart at zero.
 	c.NoteWarmupEnd(10)
-	cs = CoreSnapshot{Accesses: 4, QueueHits: 1}
+	h = LearnerHealth{Accesses: 4, QueueHits: 1}
 	m = MachineSnapshot{Cycles: 200, Instructions: 220, L1Misses: 3}
-	c.Record(20, m, cs)
+	c.Record(20, m, h)
 	s := c.Series()
 	if s.WarmupIndex != 10 {
 		t.Fatalf("warmup index %d, want 10", s.WarmupIndex)

@@ -4,6 +4,7 @@ import (
 	"semloc/internal/cache"
 	"semloc/internal/core"
 	"semloc/internal/memmodel"
+	"semloc/internal/obs"
 	"semloc/internal/prefetch"
 	"semloc/internal/trace"
 )
@@ -58,7 +59,7 @@ func (l *Learner) Accesses() uint64 { return l.pf.Metrics().Accesses }
 
 // Health snapshots the learner's RL health (outcome taxonomy,
 // explore/exploit split, reward-sign mix, CST occupancy and churn).
-func (l *Learner) Health() core.LearnerHealth { return l.pf.LearnerHealth() }
+func (l *Learner) Health() obs.LearnerHealth { return l.pf.LearnerHealth(0) }
 
 // Explain returns the learner's top-K hottest contexts with their
 // candidate score tables (see core.ExplainTopContexts).

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"semloc/internal/core"
+	"semloc/internal/obs"
 )
 
 // ProtocolVersion is negotiated in the hello/welcome handshake.
@@ -108,7 +109,7 @@ type SessionStats struct {
 	// Learner is the session learner's health snapshot at stats time
 	// (nil when the session was already closed). Stats frames carrying it
 	// take the encoding/json path — stats are rare, decisions are not.
-	Learner *core.LearnerHealth `json:"learner,omitempty"`
+	Learner *obs.LearnerHealth `json:"learner,omitempty"`
 }
 
 // MaxExplainContexts bounds an explain request's TopK so the reply stays
@@ -124,7 +125,7 @@ const DefaultExplainContexts = 8
 // (most-trialed first) with their candidate score tables.
 type ExplainReport struct {
 	Session  string                `json:"session"`
-	Health   core.LearnerHealth    `json:"health"`
+	Health   obs.LearnerHealth     `json:"health"`
 	Contexts []core.ContextExplain `json:"contexts,omitempty"`
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"semloc/internal/core"
+	"semloc/internal/obs"
 )
 
 // encodeFrame renders f as one newline-terminated wire line.
@@ -36,7 +37,7 @@ func TestFrameEncodeDecodeRoundTrip(t *testing.T) {
 			InboxHighWater: 3, LastSeq: 10, Attached: true}},
 		{Type: FrameStats, Stats: &SessionStats{
 			ID: "s1", Decisions: 10, LastSeq: 10, Attached: true,
-			Learner: &core.LearnerHealth{
+			Learner: &obs.LearnerHealth{
 				Accesses: 10, Predictions: 4, RealPrefetches: 2,
 				OutcomeAccurate: 1, OutcomeUseless: 1,
 				Epsilon: 0.5, CSTEntries: 3, CSTCapacity: 512}}},
@@ -44,7 +45,7 @@ func TestFrameEncodeDecodeRoundTrip(t *testing.T) {
 		{Type: FrameExplain, TopK: 4},
 		{Type: FrameExplain, Explain: &ExplainReport{
 			Session: "s1",
-			Health:  core.LearnerHealth{Accesses: 10, Explores: 2, PosRewards: 1},
+			Health:  obs.LearnerHealth{Accesses: 10, Explores: 2, PosRewards: 1},
 			Contexts: []core.ContextExplain{{
 				Context: 0xabc, Trials: 7, Churn: 1,
 				Links: []core.LinkExplain{{Delta: 2, Score: 5}, {Delta: -3, Score: -1}}}}}},

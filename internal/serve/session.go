@@ -8,6 +8,7 @@ import (
 
 	"semloc/internal/core"
 	"semloc/internal/harness"
+	"semloc/internal/obs"
 )
 
 // SessionSnapshot is one session's slice of a daemon snapshot: the learner
@@ -168,7 +169,7 @@ func (s *session) stats() SessionStats {
 	s.attachMu.Unlock()
 	s.mu.Lock()
 	lastSeq, hw := s.lastSeq, s.inboxHW
-	var lh *core.LearnerHealth
+	var lh *obs.LearnerHealth
 	if !s.closed {
 		h := s.learner.Health()
 		lh = &h

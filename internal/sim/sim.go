@@ -131,7 +131,7 @@ func RunContext(ctx context.Context, tr *trace.Trace, pf prefetch.Prefetcher, cf
 	}
 	cpuCfg := cfg.CPU
 	obsCfg := cfg.Obs
-	src, learns := pf.(obs.CoreSource)
+	src, learns := pf.(obs.LearnerSource)
 	if !learns {
 		// The learner gauges hold the last run that had a learner; a run
 		// without one has nothing to publish over them.
@@ -140,7 +140,7 @@ func RunContext(ctx context.Context, tr *trace.Trace, pf prefetch.Prefetcher, cf
 	col := obs.NewCollector(obsCfg) // nil when telemetry is disabled
 	if col != nil {
 		ad.col = col
-		ad.coreSrc = src
+		ad.learner = src
 		if att, ok := pf.(obs.Attachable); ok {
 			att.AttachTelemetry(col)
 		}
@@ -208,10 +208,10 @@ type adapter struct {
 	cats      Categories
 	hitDepths *stats.Histogram
 	predLog   *predictionLog
-	// col/coreSrc/progress drive telemetry (all nil when disabled; the
+	// col/learner/progress drive telemetry (all nil when disabled; the
 	// per-access cost of the disabled path is one branch).
 	col      *obs.Collector
-	coreSrc  obs.CoreSource
+	learner  obs.LearnerSource
 	progress *atomic.Uint64
 	lastNow  cache.Cycle
 	// acc is the Access scratch passed to the prefetcher each call; a local
@@ -289,16 +289,16 @@ func (m *adapter) sample(now cache.Cycle) {
 		// trail the access index by a few thousand records.
 		instr = m.progress.Load()
 	}
-	var cs obs.CoreSnapshot
-	if m.coreSrc != nil {
-		cs = m.coreSrc.TelemetrySnapshot()
+	var h obs.LearnerHealth
+	if m.learner != nil {
+		h = m.learner.LearnerHealth(obs.RankedDeltas)
 	}
 	m.col.Record(m.accessIdx, obs.MachineSnapshot{
 		Cycles:       uint64(now),
 		Instructions: instr,
 		L1Misses:     l1.Misses,
 		L2Misses:     l2.Misses,
-	}, cs)
+	}, h)
 }
 
 // Prefetch implements prefetch.Issuer.
